@@ -16,14 +16,19 @@ channel (epsilon > 0), the capacity itself for a deterministic one.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import COLLAPSE_THRESHOLD, PartyLayout, evaluate
-from .channels import ChannelKind, ChannelSpec, sample_per_qubit_kraus
+from .capacity import (COLLAPSE_THRESHOLD, PartyLayout, _identity_capacities,
+                       evaluate)
+from .channels import (ChannelKind, ChannelSpec, sample_kraus_batch,
+                       sample_per_qubit_kraus)
 from .optimizer import OptimizerConfig
+
+# identity-encoding realizations evaluated together; bounds the memory of the
+# stacked block states (256 five-qubit states take 4 MB)
+_CHUNK = 256
 
 
 class AnalysisError(ValueError):
@@ -44,7 +49,7 @@ class QuenchConfig:
     epsilon: float | None = None     # overrides the channel spec when set
     master_seed: int = 0
     optimize_per_realization: bool = False
-    threads: int = 1
+    threads: int = 1                 # accepted for compatibility; no effect
 
     def __post_init__(self):
         if self.realizations < 1:
@@ -80,26 +85,26 @@ def quenched_capacity(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec,
     """Mean and standard error of the capacity over channel realizations.
 
     Realization k draws its Kraus sets from a generator seeded with
-    (master_seed, k), so the result is independent of execution order and of
-    the thread count; the reduction runs in index order.
+    (master_seed, k), so each value is independent of the others; the
+    reduction runs in index order.  With the identity encoding the
+    realizations are evaluated as batches of ``_CHUNK`` rows, each row
+    bit-identical to a one-realization evaluation.  ``qc.threads`` has no
+    effect.
     """
     if qc.epsilon is not None:
         spec = dataclasses.replace(spec, epsilon=qc.epsilon)
     if not spec.is_random:
         raise AnalysisError("quenched averaging needs a random channel (epsilon > 0)")
     seeds = [(qc.master_seed, k) for k in range(qc.realizations)]
-
-    def work(seed):
-        return _one_realization(rho, layout, spec, seed,
-                                qc.optimize_per_realization, opt)
-
-    if qc.threads > 1:
-        with ThreadPoolExecutor(max_workers=qc.threads) as ex:
-            values = list(ex.map(work, seeds))
+    if qc.optimize_per_realization:
+        values = np.array([_one_realization(rho, layout, spec, s, True, opt)
+                           for s in seeds])
     else:
-        values = [work(s) for s in seeds]
+        values = np.concatenate([
+            _identity_capacities(rho, layout, sample_kraus_batch(
+                spec, layout.n_senders, seeds[i:i + _CHUNK]))
+            for i in range(0, len(seeds), _CHUNK)])
 
-    values = np.asarray(values)
     mean = float(np.sum(values) / values.size)
     if values.size > 1:
         stderr = float(np.std(values, ddof=1) / np.sqrt(values.size))
@@ -134,7 +139,8 @@ def _first_crossing(predicate, lo: float, hi: float, scan_step: float,
 
     Forward scan on a uniform grid, then bisection inside the first flipping
     interval down to width <= refine.  Grid points are generated as
-    lo + k*scan_step so that round decimals are hit exactly.
+    lo + k*scan_step so that round decimals are hit exactly.  Only the first
+    check, of lo itself, can return lo.
     """
     if predicate(lo):
         return lo
@@ -176,9 +182,8 @@ def find_pc(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec,
                             optimize, quench).mean_capacity_bits
         return cap - classical <= threshold
 
-    if collapsed(lo):
-        return None   # no quantum advantage to lose
-    return _first_crossing(collapsed, lo, hi, scan_step, refine)
+    p = _first_crossing(collapsed, lo, hi, scan_step, refine)
+    return None if p == lo else p   # collapsed at lo: no advantage to lose
 
 
 def find_pr(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec,
@@ -255,7 +260,8 @@ def sweep(axis: str, grid: tuple[float, float, int], *, state=None,
 
     ``axis='state_param'`` varies the field named ``param`` of ``state``
     (e.g. ``x`` for gGHZ, ``b`` for gW).  Returns one row per grid point,
-    ordered by axis value.
+    ordered by axis value.  ``threads`` is accepted for compatibility and
+    has no effect.
     """
     from .states import build   # local import to avoid a cycle
 
@@ -293,7 +299,4 @@ def sweep(axis: str, grid: tuple[float, float, int], *, state=None,
             "std_error": q.std_error_bits,
         }
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(row, values))
     return [row(v) for v in values]

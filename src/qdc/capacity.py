@@ -112,8 +112,8 @@ def _result(n_senders: int, receiver_terms: list[float], output_entropy: float,
 
 def encode(rho: np.ndarray, encoding: EncodingParams) -> np.ndarray:
     """Apply one local unitary per sender; the senders are the leading qubits."""
-    mats = [[unitary_from_params(u)] for u in encoding.per_sender]
-    return _apply_local(rho, mats, range(len(mats)))
+    unitaries = unitary_from_params(encoding.to_flat().reshape(-1, 3))
+    return _apply_local(rho, unitaries[:, None], range(len(unitaries)))
 
 
 def _receiver_entropies(rho: np.ndarray, layout: PartyLayout) -> list[float]:
@@ -146,6 +146,35 @@ def _block_entropy(block_rho: np.ndarray, kraus: list[KrausSet],
     return von_neumann_entropy(noisy)
 
 
+def _identity_entropies(rho: np.ndarray, layout: PartyLayout, apply,
+                        kraus) -> tuple[list[float], np.ndarray]:
+    """Receiver entropies and the identity-encoding output entropy.
+
+    ``apply(block_rho, ops, targets)`` applies one operator set per sender
+    of a block; ``kraus[q]`` is sender q's set, which may carry a batch axis
+    so that one call evaluates every row.  The encoding is skipped, since
+    the identity unitary leaves the state unchanged bit for bit, and the
+    block states and receiver marginals are traced out once for all rows.
+    The output entropy is the largest block entropy.
+    """
+    outputs = [von_neumann_entropy(apply(partial_trace(rho, senders + [receiver]),
+                                         [kraus[q] for q in senders],
+                                         list(range(len(senders)))))
+               for senders, receiver in layout.blocks]
+    return _receiver_entropies(rho, layout), np.max(outputs, axis=0)
+
+
+def _identity_capacities(rho: np.ndarray, layout: PartyLayout,
+                         kraus: np.ndarray) -> np.ndarray:
+    """Identity-encoding capacity (or two-receiver bound) for each row of a
+    ``(B, n_senders, m, 2, 2)`` Kraus batch."""
+    layout.check(rho)
+    terms, outputs = _identity_entropies(
+        rho, layout, _apply_local, [kraus[:, q] for q in range(layout.n_senders)])
+    classical = float(layout.n_senders)
+    return np.maximum(classical, classical + sum(terms) - outputs)
+
+
 def _capacity(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec | None,
               kraus_override: list[KrausSet] | None = None,
               opt: OptimizerConfig = OptimizerConfig(),
@@ -164,7 +193,10 @@ def _capacity(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec | None,
     layout.check(rho)
     kraus = _sender_kraus(spec, layout, kraus_override, rng)
     covariant = spec is not None and spec.is_covariant and kraus_override is None
-    fixed = not optimize or spec is None or covariant
+    if not optimize or spec is None or covariant:
+        terms, output = _identity_entropies(rho, layout, apply_local_channel, kraus)
+        return _result(layout.n_senders, terms, float(output),
+                       EncodingParams.identity(layout.n_senders))
     entropies, encodings = [], []
     for senders, receiver in layout.blocks:
         block_rho = partial_trace(rho, senders + [receiver])
@@ -173,11 +205,7 @@ def _capacity(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec | None,
         def objective(enc: EncodingParams) -> float:
             return _block_entropy(block_rho, block_kraus, enc)
 
-        if fixed:
-            best = EncodingParams.identity(len(senders))
-            val = objective(best)
-        else:
-            val, best = minimize(objective, len(senders), opt)
+        val, best = minimize(objective, len(senders), opt)
         entropies.append(val)
         encodings.extend(best.per_sender)
     return _result(layout.n_senders, _receiver_entropies(rho, layout),

@@ -2,7 +2,8 @@
 
 A single-qubit channel realization is a ``KrausSet``; ``apply_local_channel``
 applies one per designated sender qubit, through the module's single kernel
-for local operators.
+for local operators.  ``sample_kraus_batch`` draws many seeded realizations
+as one array, which the kernel takes with a leading batch axis.
 
 The channel weights are
 
@@ -68,18 +69,31 @@ def pauli_means(which: str) -> UnitaryParams:
         raise ChannelError(f"unknown Pauli {which!r}, expected X, Y or Z") from None
 
 
-def unitary_from_params(u: UnitaryParams) -> np.ndarray:
+def unitary_from_params(u) -> np.ndarray:
     """U = diag(e^{iw/2}, e^{-iw/2}) R_y(theta) diag(e^{id/2}, e^{-id/2}).
+
+    ``u`` is a ``UnitaryParams`` or an array of (omega, theta, delta) triples
+    of shape ``(..., 3)``; the result has shape ``(..., 2, 2)``.  The entries
+    are the products of the three factors written out, which is what the
+    matrix product of the factors computes.
 
     The half-angle convention is used in the third factor as well: it is the
     one that maps the Pauli parameter triples onto the Pauli matrices (up to
     global phase).
     """
-    left = np.diag([np.exp(1j * u.omega / 2), np.exp(-1j * u.omega / 2)])
-    c, s = np.cos(u.theta / 2), np.sin(u.theta / 2)
-    mid = np.array([[c, -s], [s, c]], dtype=complex)
-    right = np.diag([np.exp(1j * u.delta / 2), np.exp(-1j * u.delta / 2)])
-    return left @ mid @ right
+    x = np.asarray(u.as_array() if isinstance(u, UnitaryParams) else u, dtype=float)
+    # a single triple goes through the array loops too: numpy's scalar
+    # complex product rounds differently from its array loop
+    omega, theta, delta = x.reshape(-1, 3).T
+    l0, l1 = np.exp(1j * omega / 2), np.exp(-1j * omega / 2)
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    r0, r1 = np.exp(1j * delta / 2), np.exp(-1j * delta / 2)
+    out = np.empty((len(omega), 2, 2), dtype=complex)
+    out[:, 0, 0] = (l0 * c) * r0
+    out[:, 0, 1] = (l0 * -s) * r1
+    out[:, 1, 0] = (l1 * s) * r0
+    out[:, 1, 1] = (l1 * c) * r1
+    return out.reshape(x.shape[:-1] + (2, 2))
 
 
 @dataclass(frozen=True)
@@ -114,68 +128,108 @@ class ChannelSpec:
         return self.kind is ChannelKind.DEPOLARIZING and not self.is_random
 
 
+def _check_completeness(ops: np.ndarray) -> None:
+    """Raise unless every Kraus set in an ``(..., m, 2, 2)`` stack has
+    sum K^dag K = I."""
+    gram = np.einsum("...mba,...mbc->...ac", ops.conj(), ops)
+    if np.max(np.abs(gram - I2)) > COMPLETENESS_TOL:
+        raise ChannelError("Kraus set violates completeness")
+
+
 @dataclass(frozen=True, eq=False)
 class KrausSet:
     """Ordered single-qubit Kraus operators with sum K^dag K = I."""
     operators: tuple = field()
 
     def __post_init__(self):
-        acc = np.zeros((2, 2), dtype=complex)
         for k in self.operators:
             if k.shape != (2, 2):
                 raise ChannelError("Kraus operators must be 2x2")
-            acc = acc + k.conj().T @ k
-        if np.max(np.abs(acc - I2)) > COMPLETENESS_TOL:
-            raise ChannelError("Kraus set violates completeness")
+        _check_completeness(np.reshape(self.operators, (-1, 2, 2)))
+
+
+def _channel_weights(kind: ChannelKind, alpha: float, p: float) -> np.ndarray:
+    """Weights of the identity and then of each Pauli-like unitary."""
+    if kind is ChannelKind.DEPHASING:
+        if not 0.0 <= p <= 0.5:
+            raise ChannelError(f"dephasing p={p} outside [0, 1/2]")
+        return np.array([(1.0 - alpha * p) * (1.0 - p), (1.0 + alpha * (1.0 - p)) * p])
+    w_id = (1.0 - 3.0 * alpha * p) * (1.0 - p)
+    if w_id < -1e-15:
+        raise ChannelError(f"depolarizing weight (1-3ap)(1-p) < 0 at alpha={alpha}, p={p}")
+    w_p = (1.0 + 3.0 * alpha * (1.0 - p)) * p / 3.0
+    return np.array([max(0.0, w_id), w_p, w_p, w_p])
+
+
+def _weighted(weights: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
+    """Kraus operators sqrt(w_0) I, sqrt(w_j) U_j from ``(..., m-1, 2, 2)``
+    unitaries; the result has shape ``(..., m, 2, 2)``."""
+    u = np.asarray(unitaries, dtype=complex)
+    ident = np.broadcast_to(I2, u.shape[:-3] + (1, 2, 2))
+    return np.sqrt(weights)[:, None, None] * np.concatenate([ident, u], axis=-3)
 
 
 def kraus_dephasing(alpha: float, p: float, uz: np.ndarray = SIGMA_Z) -> KrausSet:
     """Dephasing Kraus pair {sqrt((1-ap)(1-p)) I, sqrt((1+a(1-p))p) Uz}."""
-    if not 0.0 <= p <= 0.5:
-        raise ChannelError(f"dephasing p={p} outside [0, 1/2]")
-    w_id = (1.0 - alpha * p) * (1.0 - p)
-    w_z = (1.0 + alpha * (1.0 - p)) * p
-    return KrausSet((np.sqrt(w_id) * I2, np.sqrt(w_z) * np.asarray(uz, dtype=complex)))
+    weights = _channel_weights(ChannelKind.DEPHASING, alpha, p)
+    return KrausSet(tuple(_weighted(weights, [uz])))
 
 
 def kraus_depolarizing(alpha: float, p: float,
                        ux: np.ndarray = SIGMA_X, uy: np.ndarray = SIGMA_Y,
                        uz: np.ndarray = SIGMA_Z) -> KrausSet:
     """Depolarizing Kraus quadruple per the non-Markovian weights."""
-    w_id = (1.0 - 3.0 * alpha * p) * (1.0 - p)
-    if w_id < -1e-15:
-        raise ChannelError(f"depolarizing weight (1-3ap)(1-p) < 0 at alpha={alpha}, p={p}")
-    w_id = max(0.0, w_id)
-    w_p = (1.0 + 3.0 * alpha * (1.0 - p)) * p / 3.0
-    mats = (I2, np.asarray(ux, dtype=complex), np.asarray(uy, dtype=complex),
-            np.asarray(uz, dtype=complex))
-    weights = (w_id, w_p, w_p, w_p)
-    return KrausSet(tuple(np.sqrt(w) * m for w, m in zip(weights, mats)))
+    weights = _channel_weights(ChannelKind.DEPOLARIZING, alpha, p)
+    return KrausSet(tuple(_weighted(weights, [ux, uy, uz])))
 
 
-def _draw_params(mean: UnitaryParams, eps: float, rng: np.random.Generator) -> UnitaryParams:
-    if eps == 0.0:
-        return mean
-    vals = rng.normal(mean.as_array(), eps)
-    return UnitaryParams(*vals)
+# parameter means of the unitaries that follow the identity, in Kraus order
+_DRAWN_MEANS = {
+    ChannelKind.DEPHASING: np.array([pauli_means("z").as_array()]),
+    ChannelKind.DEPOLARIZING: np.array([pauli_means(w).as_array() for w in "xyz"]),
+}
 
 
-def _one_kraus_set(spec: ChannelSpec, rng: np.random.Generator) -> KrausSet:
-    if spec.kind is ChannelKind.DEPHASING:
-        uz = unitary_from_params(_draw_params(pauli_means("z"), spec.epsilon, rng))
-        return kraus_dephasing(spec.alpha, spec.p, uz)
-    us = [unitary_from_params(_draw_params(pauli_means(w), spec.epsilon, rng))
-          for w in ("x", "y", "z")]
-    return kraus_depolarizing(spec.alpha, spec.p, *us)
+def _draw_params(spec: ChannelSpec, n_targets: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Euler parameters of shape (rows, m-1, 3): one row per target, or a
+    single row shared by all targets.
+
+    All are drawn at once.  ``rng.normal(mean, eps)`` computes
+    mean + eps * z from one standard normal z per value, so this yields the
+    values of drawing the triples one at a time with it.
+    """
+    rows = 1 if spec.draw_policy is DrawPolicy.SHARED_ACROSS_QUBITS else n_targets
+    means = _DRAWN_MEANS[spec.kind]
+    return means + spec.epsilon * rng.standard_normal((rows,) + means.shape)
+
+
+def _sample(spec: ChannelSpec, n_targets: int, rngs) -> np.ndarray:
+    """Unchecked Kraus operators of shape (len(rngs), rows, m, 2, 2)."""
+    params = np.stack([_draw_params(spec, n_targets, rng) for rng in rngs])
+    return _weighted(_channel_weights(spec.kind, spec.alpha, spec.p),
+                     unitary_from_params(params))
 
 
 def sample_per_qubit_kraus(spec: ChannelSpec, n_targets: int,
                            rng: np.random.Generator) -> list[KrausSet]:
     """One KrausSet per target qubit, honoring the draw policy."""
+    sets = [KrausSet(tuple(ops)) for ops in _sample(spec, n_targets, [rng])[0]]
     if spec.draw_policy is DrawPolicy.SHARED_ACROSS_QUBITS:
-        ks = _one_kraus_set(spec, rng)
-        return [ks] * n_targets
-    return [_one_kraus_set(spec, rng) for _ in range(n_targets)]
+        return sets * n_targets
+    return sets
+
+
+def sample_kraus_batch(spec: ChannelSpec, n_targets: int, seeds) -> np.ndarray:
+    """Kraus operators of shape (len(seeds), n_targets, m, 2, 2).
+
+    Row k holds what ``sample_per_qubit_kraus`` returns for a generator
+    seeded with ``SeedSequence(seeds[k])``.
+    """
+    ops = _sample(spec, n_targets, [np.random.default_rng(np.random.SeedSequence(s))
+                                    for s in seeds])
+    _check_completeness(ops)
+    return np.broadcast_to(ops, (len(seeds), n_targets) + ops.shape[2:])
 
 
 def deterministic_kraus(spec: ChannelSpec) -> KrausSet:
@@ -191,15 +245,28 @@ def _apply_local(rho: np.ndarray, per_target_ops, targets) -> np.ndarray:
     The state is viewed as a rank-2n tensor (row axes 0..n-1, column axes
     n..2n-1); each target's superoperator sum_K K (x) conj(K) is contracted
     into its row and column axis, so no operator is lifted to the register.
+
+    ``rho`` (``(d, d)``) and each target's operators (``(m, 2, 2)``) may carry
+    one leading batch axis; the result is batched if any input is.  Each
+    batch row is computed by the same matrix product as an unbatched call,
+    so it equals that call bit for bit.
     """
-    n = rho.shape[0].bit_length() - 1
-    t = rho.reshape((2,) * (2 * n))
+    d = rho.shape[-1]
+    n = d.bit_length() - 1
+    t = rho.reshape(rho.shape[:-2] + (2,) * (2 * n))
     for ops, q in zip(per_target_ops, targets):
         k = np.asarray(ops)
-        sup = np.einsum("mab,mdc->adbc", k, k.conj())
-        t = np.moveaxis(np.tensordot(sup, t, axes=([2, 3], [q, n + q])),
-                        [0, 1], [q, n + q])
-    return t.reshape(rho.shape)
+        sup = np.einsum("...mab,...mdc->...adbc", k, k.conj())
+        # target axes first, then the others in order; the batch axis leads
+        order = [q, n + q] + [a for a in range(2 * n) if a not in (q, n + q)]
+        b = t.ndim - 2 * n
+        front = t.transpose(list(range(b)) + [b + a for a in order])
+        out = (sup.reshape(sup.shape[:-4] + (4, 4))
+               @ front.reshape(front.shape[:b] + (4, -1)))
+        b = out.ndim - 2
+        t = out.reshape(out.shape[:b] + (2,) * (2 * n)).transpose(
+            list(range(b)) + [b + order.index(a) for a in range(2 * n)])
+    return t.reshape(t.shape[:-2 * n] + (d, d))
 
 
 def apply_local_channel(rho: np.ndarray, per_qubit_kraus: list[KrausSet],

@@ -161,7 +161,8 @@ def output_options(f):
                      default="json", show_default=True)(f)
     f = click.option("--out", type=click.Path(dir_okay=False), default=None)(f)
     f = click.option("--threads", type=int, default=None,
-                     help="Worker threads (default: QDC_THREADS or 1).")(f)
+                     help="Accepted for compatibility; has no effect "
+                          "(default: QDC_THREADS or 1).")(f)
     return f
 
 

@@ -1,8 +1,9 @@
 """Dense complex linear algebra for small multiqubit density matrices.
 
 Everything here works on plain ``numpy`` arrays of shape ``(d, d)`` with
-``d = 2**n`` and ``n <= 5``.  Qubit 0 is the most-significant tensor factor,
-i.e. the basis index of ``|q0 q1 ... q_{n-1}>`` is ``sum(q_k * 2**(n-1-k))``.
+``d = 2**n`` and ``n <= 5`` (``von_neumann_entropy`` also takes a stack of
+them).  Qubit 0 is the most-significant tensor factor, i.e. the basis index
+of ``|q0 q1 ... q_{n-1}>`` is ``sum(q_k * 2**(n-1-k))``.
 """
 
 from __future__ import annotations
@@ -88,18 +89,22 @@ def hermitian_eigenvalues(mat: np.ndarray) -> np.ndarray:
     return evals[::-1].copy()
 
 
-def von_neumann_entropy(rho: np.ndarray) -> float:
+def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
     """S(rho) = -Tr(rho log2 rho) in bits.
 
-    Eigenvalues in (-PSD_TOL, 0] are clamped to 0 (eigensolver noise on
-    rank-deficient states); 0*log2(0) is taken as 0.
+    ``rho`` is one matrix, which gives a float, or a stack ``(..., d, d)``,
+    which gives an array of one entropy per matrix.  Eigenvalues in
+    (-PSD_TOL, 0] are clamped to 0 (eigensolver noise on rank-deficient
+    states); 0*log2(0) is taken as 0.  A PSD violation in any matrix of a
+    stack raises.
     """
     evals = np.linalg.eigvalsh(rho)
     if evals.min() < -PSD_TOL:
         raise QmathError(f"PSD violation: eigenvalue {evals.min()} < -{PSD_TOL}")
     evals = np.clip(evals, 0.0, None)
-    nz = evals[evals > 0.0]
-    return float(-np.sum(nz * np.log2(nz)))
+    logs = np.log2(evals, out=np.zeros_like(evals), where=evals > 0.0)
+    s = -np.sum(evals * logs, axis=-1)
+    return float(s) if s.ndim == 0 else s
 
 
 def shannon_entropy(probs) -> float:

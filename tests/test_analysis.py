@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from qdc import analysis
 from qdc.analysis import (AnalysisError, QuenchConfig, critical_strengths,
                           find_pa, find_pc, find_pr, p_range,
                           quenched_capacity, sweep)
-from qdc.capacity import PartyLayout, capacity_one_receiver
-from qdc.channels import ChannelKind, ChannelSpec
+from qdc.capacity import (PartyLayout, _identity_capacities,
+                          capacity_one_receiver, evaluate)
+from qdc.channels import (ChannelKind, ChannelSpec, DrawPolicy,
+                          sample_kraus_batch, sample_per_qubit_kraus)
 from qdc.optimizer import OptimizerConfig
 from qdc.oracles import bell_depolarizing_threshold, pa_closed_form, pc_closed_form
 from qdc.states import GGHZ, Bell, WUniform, build
@@ -141,6 +144,54 @@ def test_quenched_thread_count_invariance():
                           QuenchConfig(200, master_seed=11, threads=4))
     assert a.mean_capacity_bits == b.mean_capacity_bits
     assert a.std_error_bits == b.std_error_bits
+
+
+@pytest.mark.parametrize("state, lay, spec", [
+    (GGHZ(3, 1 / np.sqrt(2)), PartyLayout(2, 1),
+     ChannelSpec(ChannelKind.DEPOLARIZING, 0.3, 0.08, epsilon=0.7)),
+    (GGHZ(4, 1 / np.sqrt(2)), PartyLayout(2, 2, split=1),
+     ChannelSpec(ChannelKind.DEPHASING, 0.5, 0.1, epsilon=0.5,
+                 draw_policy=DrawPolicy.SHARED_ACROSS_QUBITS)),
+])
+def test_batched_quench_matches_one_realization_at_a_time(state, lay, spec):
+    rho = build(state)
+    n = analysis._CHUNK + 5          # crosses a chunk boundary
+    values = np.array([evaluate(
+        rho, lay, spec, optimize=False, kraus_override=sample_per_qubit_kraus(
+            spec, lay.n_senders, np.random.default_rng(np.random.SeedSequence((13, k))))
+    ).capacity_bits for k in range(n)])
+    batch = sample_kraus_batch(spec, lay.n_senders, [(13, k) for k in range(n)])
+    assert np.array_equal(_identity_capacities(rho, lay, batch), values)
+    res = quenched_capacity(rho, lay, spec, QuenchConfig(n, master_seed=13))
+    assert res.realizations_used == n
+    assert abs(res.mean_capacity_bits - np.sum(values) / n) < 1e-12
+    assert abs(res.std_error_bits - np.std(values, ddof=1) / np.sqrt(n)) < 1e-12
+
+
+def test_quenched_result_independent_of_chunking(monkeypatch):
+    rho = build(WUniform(4))
+    lay = PartyLayout(3, 1)
+    spec = ChannelSpec(ChannelKind.DEPOLARIZING, 0.5, 0.1, epsilon=1.0)
+    qc = QuenchConfig(40, master_seed=2)
+    whole = quenched_capacity(rho, lay, spec, qc)
+    monkeypatch.setattr(analysis, "_CHUNK", 7)
+    chunked = quenched_capacity(rho, lay, spec, qc)
+    assert chunked == whole
+
+
+def test_find_pc_evaluates_lower_end_once(monkeypatch):
+    ps = []
+    mean_capacity = analysis.mean_capacity
+
+    def counted(rho, layout, spec, *args):
+        ps.append(spec.p)
+        return mean_capacity(rho, layout, spec, *args)
+
+    monkeypatch.setattr(analysis, "mean_capacity", counted)
+    spec = ChannelSpec(ChannelKind.DEPHASING, 0.5, 0.0)
+    pc = find_pc(build(GGHZ(3, 1 / np.sqrt(2))), PartyLayout(2, 1), spec,
+                 scan_step=1e-2, refine=1e-3, optimize=False)
+    assert pc is not None and ps.count(0.0) == 1
 
 
 def test_quenched_epsilon_override():

@@ -99,6 +99,31 @@ def test_covariant_channel_skips_optimization():
     assert res.encoding == EncodingParams.identity(2)
 
 
+@pytest.mark.parametrize("spec, kwargs", [
+    (ChannelSpec(ChannelKind.DEPHASING, 0.5, 0.2), {"optimize": False}),
+    (None, {}),
+    (ChannelSpec(ChannelKind.DEPOLARIZING, 0.5, 0.15), {}),   # covariant
+])
+def test_fixed_encoding_skips_encode(monkeypatch, spec, kwargs):
+    import qdc.capacity
+    from qdc.channels import deterministic_kraus
+    calls = []
+    monkeypatch.setattr(qdc.capacity, "encode",
+                        lambda *a: calls.append(a) or encode(*a))
+    for state, lay in ((GGHZ(3, 1 / np.sqrt(2)), PartyLayout(2, 1)),
+                       (GGHZ(4, 1 / np.sqrt(2)), PartyLayout(2, 2, split=1))):
+        rho = build(state)
+        got = evaluate(rho, lay, spec, **kwargs).channel_output_entropy
+        assert calls == []
+        ks = qdc.capacity._NO_NOISE if spec is None else deterministic_kraus(spec)
+        want = max(_block_entropy(partial_trace(rho, senders + [r]),
+                                  [ks] * len(senders),
+                                  EncodingParams.identity(len(senders)))
+                   for senders, r in lay.blocks)
+        assert abs(got - want) <= 1e-15
+        calls.clear()
+
+
 def test_optimization_never_hurts():
     rho = build(WUniform(3))
     lay = PartyLayout(2, 1)

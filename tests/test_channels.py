@@ -4,10 +4,12 @@ from hypothesis import given, strategies as st
 
 from qdc.qmath import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, dm_from_statevector
 from qdc.channels import (ChannelError, ChannelKind, ChannelSpec, DrawPolicy,
-                          KrausSet, apply_local_channel, deterministic_kraus,
+                          KrausSet, _apply_local, _check_completeness,
+                          apply_local_channel, deterministic_kraus,
                           kraus_dephasing, kraus_depolarizing, parse_channel,
-                          pauli_means, sample_per_qubit_kraus,
-                          unitary_from_params, UnitaryParams)
+                          pauli_means, sample_kraus_batch,
+                          sample_per_qubit_kraus, unitary_from_params,
+                          UnitaryParams)
 
 
 def phase_free_distance(a, b):
@@ -122,6 +124,100 @@ def test_kernel_matches_kron_reference(n, targets):
              sample_per_qubit_kraus(depol, 1, rng)[0]]
     got = apply_local_channel(rho, kraus, targets)
     assert np.max(np.abs(got - kron_lifted_channel(rho, kraus, targets))) < 1e-12
+
+
+def frozen_unitary(omega, theta, delta):
+    """Reference: the three factors multiplied as matrices."""
+    left = np.diag([np.exp(1j * omega / 2), np.exp(-1j * omega / 2)])
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    mid = np.array([[c, -s], [s, c]], dtype=complex)
+    right = np.diag([np.exp(1j * delta / 2), np.exp(-1j * delta / 2)])
+    return left @ mid @ right
+
+
+def frozen_kraus_set(spec, rng):
+    """Reference: one Kraus set, its unitaries drawn one triple at a time."""
+    def drawn(which):
+        mean = pauli_means(which).as_array()
+        return frozen_unitary(*rng.normal(mean, spec.epsilon))
+
+    a, p = spec.alpha, spec.p
+    if spec.kind is ChannelKind.DEPHASING:
+        mats = (I2, drawn("z"))
+        weights = ((1.0 - a * p) * (1.0 - p), (1.0 + a * (1.0 - p)) * p)
+    else:
+        mats = (I2, drawn("x"), drawn("y"), drawn("z"))
+        w_p = (1.0 + 3.0 * a * (1.0 - p)) * p / 3.0
+        weights = (max(0.0, (1.0 - 3.0 * a * p) * (1.0 - p)), w_p, w_p, w_p)
+    return np.array([np.sqrt(w) * m for w, m in zip(weights, mats)])
+
+
+def frozen_sample(spec, n_targets, rng):
+    if spec.draw_policy is DrawPolicy.SHARED_ACROSS_QUBITS:
+        return [frozen_kraus_set(spec, rng)] * n_targets
+    return [frozen_kraus_set(spec, rng) for _ in range(n_targets)]
+
+
+def test_unitary_from_params_matches_matrix_product_bitwise():
+    params = np.random.default_rng(1).uniform(-4 * np.pi, 4 * np.pi, (500, 3))
+    got = unitary_from_params(params)
+    assert got.shape == (500, 2, 2)
+    for row, u in zip(params, got):
+        assert np.array_equal(u, frozen_unitary(*row))
+        assert np.array_equal(unitary_from_params(UnitaryParams(*row)), u)
+
+
+@pytest.mark.parametrize("kind", list(ChannelKind))
+@pytest.mark.parametrize("policy", list(DrawPolicy))
+def test_samplers_match_frozen_builder_bitwise(kind, policy):
+    spec = ChannelSpec(kind, 0.3, 0.2, epsilon=0.8, draw_policy=policy)
+    rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+    for _ in range(20):
+        got = sample_per_qubit_kraus(spec, 3, rng)
+        want = frozen_sample(spec, 3, ref_rng)
+        for ks, ops in zip(got, want):
+            assert np.array_equal(np.array(ks.operators), ops)
+    seeds = [(6, k) for k in range(20)]
+    batch = sample_kraus_batch(spec, 3, seeds)
+    assert batch.shape == (20, 3, 2 if kind is ChannelKind.DEPHASING else 4, 2, 2)
+    for row, seed in zip(batch, seeds):
+        want = frozen_sample(spec, 3, np.random.default_rng(np.random.SeedSequence(seed)))
+        assert np.array_equal(row, np.array(want))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_batched_kernel_equals_unbatched_calls(n):
+    # a batch axis on the operators, on the state, or on both
+    rng = np.random.default_rng(n)
+    d, b = 2**n, 6
+    a = rng.normal(size=(b, d, d)) + 1j * rng.normal(size=(b, d, d))
+    rhos = a @ a.conj().transpose(0, 2, 1)
+    rhos /= np.trace(rhos, axis1=1, axis2=2)[:, None, None]
+    spec = ChannelSpec(ChannelKind.DEPOLARIZING, 0.3, 0.2, epsilon=0.8)
+    targets = [n - 1, 0, 2]
+    ops = sample_kraus_batch(spec, len(targets), [(n, k) for k in range(b)])
+
+    def per_target(row):
+        return [row[j] for j in range(len(targets))]
+
+    batched_ops = [ops[:, j] for j in range(len(targets))]
+    for rho_in, ops_in, rho_k, ops_k in (
+            (rhos[0], batched_ops, lambda k: rhos[0], lambda k: per_target(ops[k])),
+            (rhos, per_target(ops[0]), lambda k: rhos[k], lambda k: per_target(ops[0])),
+            (rhos, batched_ops, lambda k: rhos[k], lambda k: per_target(ops[k]))):
+        got = _apply_local(rho_in, ops_in, targets)
+        assert got.shape == (b, d, d)
+        for k in range(b):
+            assert np.array_equal(got[k], _apply_local(rho_k(k), ops_k(k), targets))
+
+
+def test_completeness_check_covers_every_row():
+    spec = ChannelSpec(ChannelKind.DEPHASING, 0.3, 0.2, epsilon=0.5)
+    ops = np.array(sample_kraus_batch(spec, 2, [(0, k) for k in range(5)]))
+    _check_completeness(ops)
+    ops[3, 1, 0] *= 1.001
+    with pytest.raises(ChannelError):
+        _check_completeness(ops)
 
 
 def test_apply_local_channel_target_errors():

@@ -72,6 +72,19 @@ def test_entropy_rejects_negative_eigenvalues():
         von_neumann_entropy(np.diag([1.1, -0.1]))
 
 
+def test_entropy_of_a_stack():
+    rng = np.random.default_rng(2)
+    stack = np.array([random_density_matrix(3, rng) for _ in range(6)])
+    stack[2] = np.diag([1.0, 0, 0, 0, 0, 0, 0, 0])   # rank deficient
+    got = von_neumann_entropy(stack.reshape(2, 3, 8, 8))
+    assert got.shape == (2, 3)
+    assert np.array_equal(got.ravel(), [von_neumann_entropy(r) for r in stack])
+    assert isinstance(von_neumann_entropy(stack[0]), float)
+    stack[4] = np.diag([1.1, -0.1, 0, 0, 0, 0, 0, 0])
+    with pytest.raises(QmathError):
+        von_neumann_entropy(stack)
+
+
 def test_shannon_entropy():
     assert shannon_entropy([0.5, 0.5]) == 1.0
     assert shannon_entropy([1.0, 0.0]) == 0.0
