@@ -22,12 +22,11 @@ import numpy as np
 
 from .capacity import (COLLAPSE_THRESHOLD, PartyLayout, _identity_capacities,
                        evaluate)
-from .channels import (ChannelKind, ChannelSpec, sample_kraus_batch,
-                       sample_per_qubit_kraus)
+from .channels import ChannelKind, ChannelSpec, KrausSet, sample_kraus_batch
 from .optimizer import OptimizerConfig
 
-# identity-encoding realizations evaluated together; bounds the memory of the
-# stacked block states (256 five-qubit states take 4 MB)
+# realizations drawn, and with the identity encoding evaluated, together;
+# bounds the memory of the stacked block states (256 five-qubit states: 4 MB)
 _CHUNK = 256
 
 
@@ -71,14 +70,6 @@ def p_range(spec: ChannelSpec) -> tuple[float, float]:
     return 0.0, hi
 
 
-def _one_realization(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec,
-                     seed: tuple, optimize: bool, opt: OptimizerConfig) -> float:
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    kraus = sample_per_qubit_kraus(spec, layout.n_senders, rng)
-    return evaluate(rho, layout, spec, kraus_override=kraus, opt=opt,
-                    optimize=optimize).capacity_bits
-
-
 def quenched_capacity(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec,
                       qc: QuenchConfig,
                       opt: OptimizerConfig = OptimizerConfig()) -> QuenchedResult:
@@ -86,24 +77,27 @@ def quenched_capacity(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec,
 
     Realization k draws its Kraus sets from a generator seeded with
     (master_seed, k), so each value is independent of the others; the
-    reduction runs in index order.  With the identity encoding the
-    realizations are evaluated as batches of ``_CHUNK`` rows, each row
-    bit-identical to a one-realization evaluation.  ``qc.threads`` has no
-    effect.
+    reduction runs in index order.  The sets are drawn in batches of
+    ``_CHUNK`` realizations.  With the identity encoding each batch is
+    evaluated at once, each row bit-identical to a one-realization
+    evaluation; an optimized encoding is searched for one row at a time.
+    ``qc.threads`` has no effect.
     """
     if qc.epsilon is not None:
         spec = dataclasses.replace(spec, epsilon=qc.epsilon)
     if not spec.is_random:
         raise AnalysisError("quenched averaging needs a random channel (epsilon > 0)")
     seeds = [(qc.master_seed, k) for k in range(qc.realizations)]
+    chunks = (sample_kraus_batch(spec, layout.n_senders, seeds[i:i + _CHUNK])
+              for i in range(0, len(seeds), _CHUNK))
     if qc.optimize_per_realization:
-        values = np.array([_one_realization(rho, layout, spec, s, True, opt)
-                           for s in seeds])
+        values = np.array([
+            evaluate(rho, layout, spec, opt=opt,
+                     kraus_override=[KrausSet(tuple(ops)) for ops in row]).capacity_bits
+            for chunk in chunks for row in chunk])
     else:
-        values = np.concatenate([
-            _identity_capacities(rho, layout, sample_kraus_batch(
-                spec, layout.n_senders, seeds[i:i + _CHUNK]))
-            for i in range(0, len(seeds), _CHUNK)])
+        values = np.concatenate([_identity_capacities(rho, layout, chunk)
+                                 for chunk in chunks])
 
     mean = float(np.sum(values) / values.size)
     if values.size > 1:

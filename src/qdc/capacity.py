@@ -3,6 +3,9 @@
 Conventions: qubit order is senders first, receivers last.  With N senders
 the classical bound is N bits.  Noise acts on the transmitted sender qubits
 only, so receiver marginals are always taken from the pre-channel state.
+Encoding with U and then noise {K} is the one local channel {K U}: every
+capacity reaches the kernel through ``_block_entropy``, which folds each
+sender's unitary into its Kraus operators and makes one pass per block.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import (ChannelSpec, KrausSet, _apply_local,
-                       apply_local_channel, deterministic_kraus,
-                       sample_per_qubit_kraus, unitary_from_params)
+                       deterministic_kraus, sample_per_qubit_kraus,
+                       unitary_from_params)
 from .optimizer import EncodingParams, OptimizerConfig, minimize
 from .qmath import I2, partial_trace, von_neumann_entropy
 
@@ -123,56 +126,57 @@ def _receiver_entropies(rho: np.ndarray, layout: PartyLayout) -> list[float]:
 
 def _sender_kraus(spec: ChannelSpec | None, layout: PartyLayout,
                   kraus_override: list[KrausSet] | None,
-                  rng: np.random.Generator | None) -> list[KrausSet]:
+                  rng: np.random.Generator | None) -> list[np.ndarray]:
+    """Each sender's Kraus operators as an ``(m, 2, 2)`` array."""
     if kraus_override is not None:
         if len(kraus_override) != layout.n_senders:
             raise LayoutError("kraus_override must supply one KrausSet per sender")
-        return list(kraus_override)
-    if spec is None:
-        return [_NO_NOISE] * layout.n_senders
-    if spec.is_random:
+        sets = kraus_override
+    elif spec is None:
+        sets = [_NO_NOISE] * layout.n_senders
+    elif spec.is_random:
         if rng is None:
             raise ValueError("random channel needs either kraus_override or an rng")
-        return sample_per_qubit_kraus(spec, layout.n_senders, rng)
-    return [deterministic_kraus(spec)] * layout.n_senders
+        sets = sample_per_qubit_kraus(spec, layout.n_senders, rng)
+    else:
+        sets = [deterministic_kraus(spec)] * layout.n_senders
+    return [np.asarray(ks.operators) for ks in sets]
 
 
-def _block_entropy(block_rho: np.ndarray, kraus: list[KrausSet],
-                   encoding: EncodingParams) -> float:
+def _block_entropy(block_rho: np.ndarray, ops,
+                   unitaries: np.ndarray | None = None) -> float | np.ndarray:
     """Entropy of one block (its senders leading, its receiver last) after
-    the senders' encoding and noise."""
-    noisy = apply_local_channel(encode(block_rho, encoding), kraus,
-                                list(range(len(kraus))))
-    return von_neumann_entropy(noisy)
+    the senders' encoding and noise.
 
-
-def _identity_entropies(rho: np.ndarray, layout: PartyLayout, apply,
-                        kraus) -> tuple[list[float], np.ndarray]:
-    """Receiver entropies and the identity-encoding output entropy.
-
-    ``apply(block_rho, ops, targets)`` applies one operator set per sender
-    of a block; ``kraus[q]`` is sender q's set, which may carry a batch axis
-    so that one call evaluates every row.  The encoding is skipped, since
-    the identity unitary leaves the state unchanged bit for bit, and the
-    block states and receiver marginals are traced out once for all rows.
-    The output entropy is the largest block entropy.
+    ``ops[i]`` holds sender i's Kraus operators, ``(m, 2, 2)`` or with a
+    leading batch axis (then the entropy is one per row).  Sender i's
+    unitary ``unitaries[i]`` is folded in as K @ U, so encoding and noise
+    take one kernel pass.  ``unitaries=None`` is the identity encoding:
+    nothing is folded.
     """
-    outputs = [von_neumann_entropy(apply(partial_trace(rho, senders + [receiver]),
-                                         [kraus[q] for q in senders],
-                                         list(range(len(senders)))))
-               for senders, receiver in layout.blocks]
-    return _receiver_entropies(rho, layout), np.max(outputs, axis=0)
+    if unitaries is not None:
+        ops = [k @ u for k, u in zip(ops, unitaries)]
+    return von_neumann_entropy(_apply_local(block_rho, ops, range(len(ops))))
+
+
+def _blocks(rho: np.ndarray, layout: PartyLayout, ops) -> list[tuple]:
+    """Each block's state, traced out of rho, with its senders' operators."""
+    return [(partial_trace(rho, senders + [receiver]), [ops[q] for q in senders])
+            for senders, receiver in layout.blocks]
 
 
 def _identity_capacities(rho: np.ndarray, layout: PartyLayout,
                          kraus: np.ndarray) -> np.ndarray:
     """Identity-encoding capacity (or two-receiver bound) for each row of a
-    ``(B, n_senders, m, 2, 2)`` Kraus batch."""
+    ``(B, n_senders, m, 2, 2)`` Kraus batch; the block states and receiver
+    marginals are traced out once for all rows."""
     layout.check(rho)
-    terms, outputs = _identity_entropies(
-        rho, layout, _apply_local, [kraus[:, q] for q in range(layout.n_senders)])
+    ops = [kraus[:, q] for q in range(layout.n_senders)]
+    outputs = np.max([_block_entropy(*block) for block in _blocks(rho, layout, ops)],
+                     axis=0)
     classical = float(layout.n_senders)
-    return np.maximum(classical, classical + sum(terms) - outputs)
+    return np.maximum(classical,
+                      classical + sum(_receiver_entropies(rho, layout)) - outputs)
 
 
 def _capacity(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec | None,
@@ -185,27 +189,27 @@ def _capacity(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec | None,
     Each block's state is traced out of rho before it is encoded: local
     unitaries and noise on the traced qubits drop out, so the result is
     exact.  Each block entropy is minimized over the unitaries of its own
-    senders, and the largest minimum enters the formula.  The encoding stays
-    the identity when ``optimize`` is False (the lower bound used by quenched
-    runs), without a channel, or for deterministic depolarizing noise, which
-    is covariant so that the encoding drops out.
+    senders, which the objective folds into their Kraus operators, and the
+    largest minimum enters the formula.  The encoding stays the identity, and
+    no unitary is built, when ``optimize`` is False (the lower bound used by
+    quenched runs), without a channel, or for deterministic depolarizing
+    noise, which is covariant so that the encoding drops out.
     """
     layout.check(rho)
-    kraus = _sender_kraus(spec, layout, kraus_override, rng)
+    ops = _sender_kraus(spec, layout, kraus_override, rng)
     covariant = spec is not None and spec.is_covariant and kraus_override is None
-    if not optimize or spec is None or covariant:
-        terms, output = _identity_entropies(rho, layout, apply_local_channel, kraus)
-        return _result(layout.n_senders, terms, float(output),
-                       EncodingParams.identity(layout.n_senders))
+    fixed = not optimize or spec is None or covariant
     entropies, encodings = [], []
-    for senders, receiver in layout.blocks:
-        block_rho = partial_trace(rho, senders + [receiver])
-        block_kraus = [kraus[q] for q in senders]
+    for block_rho, block_ops in _blocks(rho, layout, ops):
+        n = len(block_ops)
+        if fixed:
+            val, best = _block_entropy(block_rho, block_ops), EncodingParams.identity(n)
+        else:
+            def objective(enc: EncodingParams) -> float:
+                return _block_entropy(block_rho, block_ops,
+                                      unitary_from_params(enc.to_flat().reshape(-1, 3)))
 
-        def objective(enc: EncodingParams) -> float:
-            return _block_entropy(block_rho, block_kraus, enc)
-
-        val, best = minimize(objective, len(senders), opt)
+            val, best = minimize(objective, n, opt)
         entropies.append(val)
         encodings.extend(best.per_sender)
     return _result(layout.n_senders, _receiver_entropies(rho, layout),

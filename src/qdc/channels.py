@@ -107,8 +107,8 @@ class ChannelSpec:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ChannelError(f"alpha={self.alpha} outside [0, 1]")
-        if self.epsilon < 0.0:
-            raise ChannelError(f"epsilon={self.epsilon} must be >= 0")
+        if not 0.0 <= self.epsilon < np.inf:
+            raise ChannelError(f"epsilon={self.epsilon} must be finite and >= 0")
         if self.kind is ChannelKind.DEPHASING:
             if not 0.0 <= self.p <= 0.5:
                 raise ChannelError(f"dephasing p={self.p} outside [0, 1/2]")
@@ -132,7 +132,8 @@ def _check_completeness(ops: np.ndarray) -> None:
     """Raise unless every Kraus set in an ``(..., m, 2, 2)`` stack has
     sum K^dag K = I."""
     gram = np.einsum("...mba,...mbc->...ac", ops.conj(), ops)
-    if np.max(np.abs(gram - I2)) > COMPLETENESS_TOL:
+    # written so that a non-finite operator fails it too
+    if not np.max(np.abs(gram - I2)) <= COMPLETENESS_TOL:
         raise ChannelError("Kraus set violates completeness")
 
 

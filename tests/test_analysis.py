@@ -179,6 +179,22 @@ def test_quenched_result_independent_of_chunking(monkeypatch):
     assert chunked == whole
 
 
+def test_optimized_quench_matches_one_realization_at_a_time(monkeypatch):
+    rho = build(GGHZ(3, 1 / np.sqrt(2)))
+    lay = PartyLayout(2, 1)
+    spec = ChannelSpec(ChannelKind.DEPHASING, 0.8, 0.3, epsilon=0.5)
+    opt = OptimizerConfig(population=12, max_evaluations=120, restarts=1)
+    values = np.array([evaluate(
+        rho, lay, spec, opt=opt, kraus_override=sample_per_qubit_kraus(
+            spec, lay.n_senders, np.random.default_rng(np.random.SeedSequence((4, k))))
+    ).capacity_bits for k in range(3)])
+    monkeypatch.setattr(analysis, "_CHUNK", 2)   # crosses a chunk boundary
+    res = quenched_capacity(rho, lay, spec, QuenchConfig(
+        3, master_seed=4, optimize_per_realization=True), opt)
+    assert res.mean_capacity_bits == float(np.sum(values) / values.size)
+    assert res.std_error_bits == float(np.std(values, ddof=1) / np.sqrt(values.size))
+
+
 def test_find_pc_evaluates_lower_end_once(monkeypatch):
     ps = []
     mean_capacity = analysis.mean_capacity

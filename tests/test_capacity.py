@@ -4,8 +4,8 @@ import pytest
 from qdc.capacity import (LayoutError, PartyLayout, _block_entropy,
                           bound_two_receivers, capacity_noiseless,
                           capacity_one_receiver, encode, evaluate)
-from qdc.channels import (ChannelKind, ChannelSpec, sample_per_qubit_kraus,
-                          unitary_from_params)
+from qdc.channels import (ChannelKind, ChannelSpec, apply_local_channel,
+                          sample_per_qubit_kraus, unitary_from_params)
 from qdc.optimizer import EncodingParams, OptimizerConfig
 from qdc.oracles import (bell_dephasing_spectrum, bell_depolarizing_spectrum,
                          theorem3_bound)
@@ -108,20 +108,59 @@ def test_fixed_encoding_skips_encode(monkeypatch, spec, kwargs):
     import qdc.capacity
     from qdc.channels import deterministic_kraus
     calls = []
-    monkeypatch.setattr(qdc.capacity, "encode",
-                        lambda *a: calls.append(a) or encode(*a))
+    monkeypatch.setattr(qdc.capacity, "unitary_from_params",
+                        lambda *a: calls.append(a) or unitary_from_params(*a))
     for state, lay in ((GGHZ(3, 1 / np.sqrt(2)), PartyLayout(2, 1)),
                        (GGHZ(4, 1 / np.sqrt(2)), PartyLayout(2, 2, split=1))):
         rho = build(state)
         got = evaluate(rho, lay, spec, **kwargs).channel_output_entropy
         assert calls == []
         ks = qdc.capacity._NO_NOISE if spec is None else deterministic_kraus(spec)
-        want = max(_block_entropy(partial_trace(rho, senders + [r]),
-                                  [ks] * len(senders),
-                                  EncodingParams.identity(len(senders)))
-                   for senders, r in lay.blocks)
+        want = max(von_neumann_entropy(apply_local_channel(
+            encode(partial_trace(rho, senders + [r]),
+                   EncodingParams.identity(len(senders))),
+            [ks] * len(senders), list(range(len(senders)))))
+            for senders, r in lay.blocks)
         assert abs(got - want) <= 1e-15
         calls.clear()
+
+
+def test_objective_makes_one_kernel_pass(monkeypatch):
+    import qdc.capacity
+    import qdc.channels
+    kernel, passes, evaluations = qdc.channels._apply_local, [], []
+
+    def counted(*args):
+        passes.append(args)
+        return kernel(*args)
+
+    def one_evaluation(objective, n_senders, opt):
+        enc = EncodingParams.from_flat(np.linspace(0.3, 2.9, 3 * n_senders))
+        passes.clear()
+        val = objective(enc)
+        evaluations.append(len(passes))
+        return val, enc
+
+    monkeypatch.setattr(qdc.capacity, "_apply_local", counted)
+    monkeypatch.setattr(qdc.channels, "_apply_local", counted)
+    monkeypatch.setattr(qdc.capacity, "minimize", one_evaluation)
+    spec = ChannelSpec(ChannelKind.DEPHASING, 0.5, 0.2)
+    evaluate(build(GGHZ(3, 1 / np.sqrt(2))), PartyLayout(2, 1), spec)
+    evaluate(build(GGHZ(5, 0.8)), PartyLayout(3, 2, split=2), spec)
+    assert evaluations == [1, 1, 1]
+
+
+def test_identity_fold_equals_unfolded_call_bitwise():
+    rng = np.random.default_rng(5)
+    for state, lay in ((GGHZ(3, 0.6), PartyLayout(2, 1)),
+                       (WUniform(4), PartyLayout(3, 1))):
+        block = build(state)
+        for kind in ChannelKind:
+            spec = ChannelSpec(kind, 0.4, 0.2, epsilon=0.6)
+            ops = [np.asarray(ks.operators)
+                   for ks in sample_per_qubit_kraus(spec, lay.n_senders, rng)]
+            identity = unitary_from_params(np.zeros((lay.n_senders, 3)))
+            assert _block_entropy(block, ops, identity) == _block_entropy(block, ops)
 
 
 def test_optimization_never_hurts():
@@ -214,8 +253,8 @@ def test_trace_first_block_entropy_matches_full_register(state, lay):
             senders, receiver = block
             got = _block_entropy(
                 partial_trace(rho, senders + [receiver]),
-                [kraus[q] for q in senders],
-                EncodingParams(tuple(enc.per_sender[q] for q in senders)))
+                [np.asarray(kraus[q].operators) for q in senders],
+                unitary_from_params([enc.per_sender[q].as_array() for q in senders]))
             want = full_register_block_entropy(rho, lay, kraus, enc, block)
             assert got == pytest.approx(want, abs=1e-12)
 

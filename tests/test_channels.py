@@ -51,6 +51,8 @@ def test_depolarizing_weights():
 def test_kraus_completeness_enforced():
     with pytest.raises(ChannelError):
         KrausSet((I2, I2))
+    with pytest.raises(ChannelError):
+        KrausSet((np.full((2, 2), np.nan),))
 
 
 def test_channel_spec_ranges():
@@ -62,6 +64,9 @@ def test_channel_spec_ranges():
     ChannelSpec(ChannelKind.DEPOLARIZING, 0.0, 1.0)
     with pytest.raises(ChannelError):
         ChannelSpec(ChannelKind.DEPHASING, 1.5, 0.2)
+    for eps in (-0.1, np.inf, np.nan):
+        with pytest.raises(ChannelError):
+            ChannelSpec(ChannelKind.DEPHASING, 0.3, 0.2, epsilon=eps)
 
 
 def test_random_kraus_sets_are_cptp():

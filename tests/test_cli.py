@@ -71,7 +71,9 @@ def test_usage_errors_exit_2():
                  ["capacity", "--state", "bell", "--senders", "1",
                   "--channel", "dephasing:alpha=0.5,p=0.9"],
                  ["capacity", "--state", "bell", "--senders", "2"],
-                 ["critical", "--state", "bell", "--senders", "1"]):
+                 ["critical", "--state", "bell", "--senders", "1"],
+                 *(["capacity", "--state", "bell", "--senders", "1", "--channel",
+                    f"dephasing:alpha=0.3,p=0.2,eps={eps}"] for eps in ("inf", "nan"))):
         res = runner.invoke(main, args)
         assert res.exit_code == 2, args
     res = runner.invoke(main, ["capacity", "--state", "bell", "--senders", "1"],
