@@ -150,12 +150,13 @@ def _block_entropy(block_rho: np.ndarray, ops,
 
     ``ops[i]`` holds sender i's Kraus operators, ``(m, 2, 2)`` or with a
     leading batch axis (then the entropy is one per row).  Sender i's
-    unitary ``unitaries[i]`` is folded in as K @ U, so encoding and noise
-    take one kernel pass.  ``unitaries=None`` is the identity encoding:
-    nothing is folded.
+    unitary ``unitaries[..., i, :, :]`` (a leading axis: one encoding per
+    row) is folded in as K @ U, so encoding and noise take one kernel pass.
+    ``unitaries=None`` is the identity encoding: nothing is folded.
     """
     if unitaries is not None:
-        ops = [k @ u for k, u in zip(ops, unitaries)]
+        ops = [k @ u[..., None, :, :]
+               for k, u in zip(ops, np.moveaxis(unitaries, -3, 0))]
     return von_neumann_entropy(_apply_local(block_rho, ops, range(len(ops))))
 
 
@@ -190,10 +191,12 @@ def _capacity(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec | None,
     unitaries and noise on the traced qubits drop out, so the result is
     exact.  Each block entropy is minimized over the unitaries of its own
     senders, which the objective folds into their Kraus operators, and the
-    largest minimum enters the formula.  The encoding stays the identity, and
-    no unitary is built, when ``optimize`` is False (the lower bound used by
-    quenched runs), without a channel, or for deterministic depolarizing
-    noise, which is covariant so that the encoding drops out.
+    largest minimum enters the formula; the objective maps a population of
+    flat encodings ``(..., 3 * n)`` to its entropies in one kernel pass.  The
+    encoding stays the identity, and no unitary is built, when ``optimize``
+    is False (the lower bound used by quenched runs), without a channel, or
+    for deterministic depolarizing noise, which is covariant so that the
+    encoding drops out.
     """
     layout.check(rho)
     ops = _sender_kraus(spec, layout, kraus_override, rng)
@@ -205,9 +208,9 @@ def _capacity(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec | None,
         if fixed:
             val, best = _block_entropy(block_rho, block_ops), EncodingParams.identity(n)
         else:
-            def objective(enc: EncodingParams) -> float:
-                return _block_entropy(block_rho, block_ops,
-                                      unitary_from_params(enc.to_flat().reshape(-1, 3)))
+            def objective(xs: np.ndarray) -> float | np.ndarray:
+                return _block_entropy(block_rho, block_ops, unitary_from_params(
+                    xs.reshape(xs.shape[:-1] + (-1, 3))))
 
             val, best = minimize(objective, n, opt)
         entropies.append(val)

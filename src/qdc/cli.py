@@ -22,7 +22,7 @@ from .analysis import (AnalysisError, QuenchConfig, critical_strengths,
                        find_pc, mean_capacity, quenched_capacity, sweep)
 from .capacity import COLLAPSE_THRESHOLD, LayoutError, PartyLayout
 from .channels import ChannelError, ChannelKind, ChannelSpec, parse_channel
-from .optimizer import OptimizerConfig, OptimizerError
+from .optimizer import OptimizerConfig, OptimizerConfigError, OptimizerError
 from .oracles import run_all_oracles
 from .qmath import QmathError
 from .states import (GGHZ, StateError, WUniform, build, parse_state,
@@ -34,7 +34,8 @@ CSV_FIELDS = ["state", "state_params", "n_senders", "receivers", "split",
               "std_error", "realizations", "master_seed", "opt_seed",
               "tool_version"]
 
-USAGE_ERRORS = (StateError, ChannelError, LayoutError, AnalysisError)
+USAGE_ERRORS = (StateError, ChannelError, LayoutError, AnalysisError,
+                OptimizerConfigError)
 NUMERIC_ERRORS = (OptimizerError, QmathError)
 
 

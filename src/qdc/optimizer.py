@@ -7,6 +7,10 @@ population search with rank selection and self-adapted mutation widths; no
 constraints, so the stochastic ranking reduces to objective order) followed
 by a Nelder-Mead simplex polish from the best point found.
 
+The objective maps flat encodings ``(..., 3 * n_senders)`` to values ``(...)``:
+each ES population is one ``(pop, dim)`` call, while the identity point and
+the Nelder-Mead polish pass single ``(dim,)`` rows.
+
 The identity encoding is always injected into the initial population, so the
 returned value never exceeds the identity-encoding objective.
 """
@@ -26,18 +30,30 @@ class OptimizerError(RuntimeError):
     """Raised when the objective returns a non-finite value."""
 
 
+class OptimizerConfigError(ValueError):
+    """Invalid optimizer settings."""
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     population: int | None = None      # default 20 * D
-    max_evaluations: int = 20000
+    max_evaluations: int = 20000       # split evenly over the restarts
     tolerance: float = 1e-6
     seed: int = 0
     restarts: int = 3
 
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise OptimizerConfigError("restarts must be >= 1")
+        if self.population is not None:   # the default is checked once D is known
+            self.resolved_population(0)
+
     def resolved_population(self, dim: int) -> int:
         pop = self.population if self.population is not None else 20 * dim
-        if pop < 4:
-            raise ValueError("population must be >= 4")
+        if pop < 4 or self.max_evaluations < self.restarts * pop:
+            raise OptimizerConfigError(
+                f"population {pop} must be >= 4 and at most max_evaluations / "
+                f"restarts = {self.max_evaluations} / {self.restarts}")
         return pop
 
 
@@ -65,12 +81,14 @@ def _bounds(n_senders: int) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _checked(objective: Callable[[EncodingParams], float]):
-    def f(x: np.ndarray) -> float:
-        val = float(objective(EncodingParams.from_flat(x)))
-        if not np.isfinite(val):
-            raise OptimizerError(f"objective returned non-finite value {val} at {x}")
-        return val
+def _checked(objective: Callable[[np.ndarray], np.ndarray | float]):
+    def f(x: np.ndarray) -> np.ndarray | float:
+        vals = np.asarray(objective(x), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            i = np.argmin(np.isfinite(vals))     # the first bad row
+            raise OptimizerError(f"objective returned non-finite value {vals.flat[i]} "
+                                 f"at {x.reshape(-1, x.shape[-1])[i]}")
+        return vals if vals.ndim else float(vals)
     return f
 
 
@@ -85,7 +103,7 @@ def _es_run(f, lo, hi, pop: int, budget: int, tol: float,
     for i, sp in enumerate(seed_points[:pop]):
         xs[i] = sp
     sigmas = np.full((pop, dim), 0.25) * span
-    vals = np.array([f(x) for x in xs])
+    vals = f(xs)
     evals = pop
 
     best_i = int(np.argmin(vals))
@@ -111,7 +129,7 @@ def _es_run(f, lo, hi, pop: int, budget: int, tol: float,
         new_sigmas[0] = sigmas[order[0]]
 
         xs, sigmas = new_xs, new_sigmas
-        vals = np.array([f(x) for x in xs])
+        vals = f(xs)
         evals += pop
 
         gen_best_i = int(np.argmin(vals))
@@ -123,27 +141,25 @@ def _es_run(f, lo, hi, pop: int, budget: int, tol: float,
     return best_val, best_x, evals
 
 
-def minimize(objective: Callable[[EncodingParams], float], n_senders: int,
+def minimize(objective: Callable[[np.ndarray], np.ndarray | float], n_senders: int,
              config: OptimizerConfig = OptimizerConfig()) -> tuple[float, EncodingParams]:
     """Global minimum of the objective over per-sender encoding unitaries.
 
-    Deterministic for a fixed config; the identity encoding is evaluated
-    first and the result never exceeds its value.
+    ``objective`` maps flat encodings ``(..., 3 * n_senders)`` to values
+    ``(...)``.  Deterministic for a fixed config; the identity encoding is
+    evaluated first and the result never exceeds its value.
     """
     dim = 3 * n_senders
     lo, hi = _bounds(n_senders)
     f = _checked(objective)
     pop = config.resolved_population(dim)
-    if config.max_evaluations < pop:
-        raise ValueError("max_evaluations must be at least the population size")
 
     identity_x = EncodingParams.identity(n_senders).to_flat()
     best_val = f(identity_x)
     best_x = identity_x.copy()
 
-    restarts = max(1, config.restarts)
-    budget = max(pop, config.max_evaluations // restarts)
-    for r in range(restarts):
+    budget = config.max_evaluations // config.restarts
+    for r in range(config.restarts):
         rng = np.random.default_rng(np.random.SeedSequence((config.seed, r)))
         seeds = [identity_x] if r == 0 else []
         val, x, _ = _es_run(f, lo, hi, pop, budget, config.tolerance, rng, seeds)

@@ -135,11 +135,12 @@ def test_objective_makes_one_kernel_pass(monkeypatch):
         return kernel(*args)
 
     def one_evaluation(objective, n_senders, opt):
-        enc = EncodingParams.from_flat(np.linspace(0.3, 2.9, 3 * n_senders))
-        passes.clear()
-        val = objective(enc)
-        evaluations.append(len(passes))
-        return val, enc
+        x = np.linspace(0.3, 2.9, 3 * n_senders)
+        for xs in (x, np.stack([x, x[::-1], x / 2])):   # one row, a population
+            passes.clear()
+            objective(xs)
+            evaluations.append(len(passes))
+        return float(objective(x)), EncodingParams.from_flat(x)
 
     monkeypatch.setattr(qdc.capacity, "_apply_local", counted)
     monkeypatch.setattr(qdc.channels, "_apply_local", counted)
@@ -147,7 +148,7 @@ def test_objective_makes_one_kernel_pass(monkeypatch):
     spec = ChannelSpec(ChannelKind.DEPHASING, 0.5, 0.2)
     evaluate(build(GGHZ(3, 1 / np.sqrt(2))), PartyLayout(2, 1), spec)
     evaluate(build(GGHZ(5, 0.8)), PartyLayout(3, 2, split=2), spec)
-    assert evaluations == [1, 1, 1]
+    assert evaluations == [1, 1] * 3
 
 
 def test_identity_fold_equals_unfolded_call_bitwise():

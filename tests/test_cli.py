@@ -73,7 +73,15 @@ def test_usage_errors_exit_2():
                  ["capacity", "--state", "bell", "--senders", "2"],
                  ["critical", "--state", "bell", "--senders", "1"],
                  *(["capacity", "--state", "bell", "--senders", "1", "--channel",
-                    f"dephasing:alpha=0.3,p=0.2,eps={eps}"] for eps in ("inf", "nan"))):
+                    f"dephasing:alpha=0.3,p=0.2,eps={eps}"] for eps in ("inf", "nan")),
+                 *(["capacity", "--state", "bell", "--senders", "1", "--channel",
+                    "dephasing:alpha=0.5,p=0.2", *opts]
+                   for opts in (["--opt-pop", "2"],
+                                ["--opt-pop", "100", "--opt-evals", "50"],
+                                ["--opt-restarts", "0"],
+                                ["--opt-pop", "8", "--opt-evals", "10",
+                                 "--opt-restarts", "3"],
+                                ["--opt-evals", "50"]))):
         res = runner.invoke(main, args)
         assert res.exit_code == 2, args
     res = runner.invoke(main, ["capacity", "--state", "bell", "--senders", "1"],
