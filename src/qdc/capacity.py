@@ -3,14 +3,18 @@
 Conventions: qubit order is senders first, receivers last.  With N senders
 the classical bound is N bits.  Noise acts on the transmitted sender qubits
 only, so receiver marginals are always taken from the pre-channel state.
-Encoding with U and then noise {K} is the one local channel {K U}: every
-capacity reaches the kernel through ``_block_entropy``, which folds each
-sender's unitary into its Kraus operators and makes one pass per block.
+Encoding with U and then noise {K} is the one local channel {K U}.  A
+fixed-encoding capacity is one kernel pass per block (``_block_entropy``);
+the optimizer's objective, ``_block_entropy_and_grad``, folds each sender's
+unitary into its Kraus operators and returns the block entropy with its
+exact gradient in the encoding parameters, from one more kernel pass with
+the adjoint operators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -18,7 +22,8 @@ from .channels import (ChannelSpec, KrausSet, _apply_local,
                        deterministic_kraus, sample_per_qubit_kraus,
                        unitary_from_params)
 from .optimizer import EncodingParams, OptimizerConfig, minimize
-from .qmath import I2, partial_trace, von_neumann_entropy
+from .qmath import (I2, SIGMA_Z, entropy_and_log2, partial_trace,
+                    von_neumann_entropy)
 
 # surplus over the classical bound above which a capacity counts as dense
 # codeable; at or below it the capacity has collapsed
@@ -143,21 +148,51 @@ def _sender_kraus(spec: ChannelSpec | None, layout: PartyLayout,
     return [np.asarray(ks.operators) for ks in sets]
 
 
-def _block_entropy(block_rho: np.ndarray, ops,
-                   unitaries: np.ndarray | None = None) -> float | np.ndarray:
+def _block_entropy(block_rho: np.ndarray, ops) -> float | np.ndarray:
     """Entropy of one block (its senders leading, its receiver last) after
-    the senders' encoding and noise.
+    the senders' noise, with the identity encoding.
 
     ``ops[i]`` holds sender i's Kraus operators, ``(m, 2, 2)`` or with a
-    leading batch axis (then the entropy is one per row).  Sender i's
-    unitary ``unitaries[..., i, :, :]`` (a leading axis: one encoding per
-    row) is folded in as K @ U, so encoding and noise take one kernel pass.
-    ``unitaries=None`` is the identity encoding: nothing is folded.
+    leading batch axis (then the entropy is one per row).
     """
-    if unitaries is not None:
-        ops = [k @ u[..., None, :, :]
-               for k, u in zip(ops, np.moveaxis(unitaries, -3, 0))]
     return von_neumann_entropy(_apply_local(block_rho, ops, range(len(ops))))
+
+
+# U^dag dU/d(delta) for U = R_z(omega) R_y(theta) R_z(delta)
+_HALF_IZ = 0.5j * SIGMA_Z
+
+
+def _block_entropy_and_grad(block_rho: np.ndarray, ops,
+                            x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Block entropy after the encoding ``x`` (flat (omega, theta, delta)
+    per sender) and the senders' noise, and its gradient in ``x``.
+
+    Sender i's unitary U_i is folded into its Kraus operators as K U_i, so
+    the output is one kernel pass.  With L = log2 of the output (0 on its
+    kernel), dS = -Tr(d rho_out L).  For a parameter with dU_i = U_i G this
+    is -2 Re Tr(G Tr_{not i}(rho M)), where M = sum (K U)^dag L (K U) is one
+    kernel pass with the adjoint operators; G = U^dag (i/2 Z) U for omega,
+    R_z(delta)^dag (-i/2 Y) R_z(delta) for theta and (i/2) Z for delta.
+    (With dU_i = A U_i, the same value is -2 Re Tr(A Tr_{not i}(sigma M'))
+    for the encoded state sigma and M' = sum K^dag L K.)
+    """
+    params = x.reshape(-1, 3)
+    u = unitary_from_params(params)
+    folded = [k @ ui for k, ui in zip(ops, u)]
+    targets = range(len(folded))
+    entropy, log_out = entropy_and_log2(_apply_local(block_rho, folded, targets))
+    pulled_back = _apply_local(log_out, [f.conj().swapaxes(-1, -2) for f in folded],
+                               targets)
+    product = block_rho @ pulled_back
+    local = np.stack([partial_trace(product, {i}) for i in targets])
+    # R_z(delta)^dag (-i/2 Y) R_z(delta), written out
+    phase = np.exp(1j * params[:, 2])
+    g_theta = np.zeros_like(u)
+    g_theta[:, 0, 1], g_theta[:, 1, 0] = -0.5 * phase.conj(), 0.5 * phase
+    gens = np.stack([u.conj().swapaxes(-1, -2) @ _HALF_IZ @ u, g_theta,
+                     np.broadcast_to(_HALF_IZ, u.shape)], axis=1)
+    grad = -2.0 * np.einsum("ikab,iba->ik", gens, local).real
+    return entropy, grad.ravel()
 
 
 def _blocks(rho: np.ndarray, layout: PartyLayout, ops) -> list[tuple]:
@@ -190,13 +225,12 @@ def _capacity(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec | None,
     Each block's state is traced out of rho before it is encoded: local
     unitaries and noise on the traced qubits drop out, so the result is
     exact.  Each block entropy is minimized over the unitaries of its own
-    senders, which the objective folds into their Kraus operators, and the
-    largest minimum enters the formula; the objective maps a population of
-    flat encodings ``(..., 3 * n)`` to its entropies in one kernel pass.  The
-    encoding stays the identity, and no unitary is built, when ``optimize``
-    is False (the lower bound used by quenched runs), without a channel, or
-    for deterministic depolarizing noise, which is covariant so that the
-    encoding drops out.
+    senders, and the largest minimum enters the formula; the optimizer takes
+    the block entropy and its exact gradient from ``_block_entropy_and_grad``.
+    The encoding stays the identity, and no unitary is built, when
+    ``optimize`` is False (the lower bound used by quenched runs), without a
+    channel, or for deterministic depolarizing noise, which is covariant so
+    that the encoding drops out.
     """
     layout.check(rho)
     ops = _sender_kraus(spec, layout, kraus_override, rng)
@@ -208,11 +242,8 @@ def _capacity(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec | None,
         if fixed:
             val, best = _block_entropy(block_rho, block_ops), EncodingParams.identity(n)
         else:
-            def objective(xs: np.ndarray) -> float | np.ndarray:
-                return _block_entropy(block_rho, block_ops, unitary_from_params(
-                    xs.reshape(xs.shape[:-1] + (-1, 3))))
-
-            val, best = minimize(objective, n, opt)
+            val, best = minimize(partial(_block_entropy_and_grad, block_rho, block_ops),
+                                 n, opt)
         entropies.append(val)
         encodings.extend(best.per_sender)
     return _result(layout.n_senders, _receiver_entropies(rho, layout),

@@ -148,7 +148,6 @@ def problem_options(f):
 
 
 def optimizer_options(f):
-    f = click.option("--opt-pop", type=int, default=None)(f)
     f = click.option("--opt-evals", type=int, default=20000, show_default=True)(f)
     f = click.option("--opt-seed", type=int, default=0, show_default=True)(f)
     f = click.option("--opt-restarts", type=int, default=3, show_default=True)(f)
@@ -187,9 +186,9 @@ def build_problem(state_spec, senders, receivers, split, channel_spec):
     return state, build(state), layout, spec
 
 
-def opt_config(opt_pop, opt_evals, opt_seed, opt_restarts) -> OptimizerConfig:
-    return OptimizerConfig(population=opt_pop, max_evaluations=opt_evals,
-                           seed=opt_seed, restarts=opt_restarts)
+def opt_config(opt_evals, opt_seed, opt_restarts) -> OptimizerConfig:
+    return OptimizerConfig(max_evaluations=opt_evals, seed=opt_seed,
+                           restarts=opt_restarts)
 
 
 def run_guard(f):
@@ -216,13 +215,13 @@ def run_guard(f):
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Master seed for random-channel realizations.")
 @run_guard
-def capacity(state_spec, senders, receivers, split, channel_spec, opt_pop,
+def capacity(state_spec, senders, receivers, split, channel_spec,
              opt_evals, opt_seed, opt_restarts, no_optimize, fmt_name, out,
              threads, realizations, seed):
     """Evaluate one capacity (or two-receiver bound)."""
     _, rho, layout, spec = build_problem(state_spec, senders, receivers,
                                          split, channel_spec)
-    opt = opt_config(opt_pop, opt_evals, opt_seed, opt_restarts)
+    opt = opt_config(opt_evals, opt_seed, opt_restarts)
     qc = QuenchConfig(realizations=realizations or 4000, master_seed=seed,
                       threads=resolve_threads(threads))
     res = mean_capacity(rho, layout, spec, opt, not no_optimize, qc)
@@ -251,13 +250,13 @@ def capacity(state_spec, senders, receivers, split, channel_spec, opt_pop,
 @click.option("--realizations", type=int, default=None)
 @click.option("--seed", type=int, default=0, show_default=True)
 @run_guard
-def sweep_cmd(state_spec, senders, receivers, split, channel_spec, opt_pop,
+def sweep_cmd(state_spec, senders, receivers, split, channel_spec,
               opt_evals, opt_seed, opt_restarts, no_optimize, fmt_name, out,
               threads, axis, lo, hi, steps, param, realizations, seed):
     """Capacity along a grid of p, alpha or a state parameter."""
     state, rho, layout, spec = build_problem(state_spec, senders, receivers,
                                              split, channel_spec)
-    opt = opt_config(opt_pop, opt_evals, opt_seed, opt_restarts)
+    opt = opt_config(opt_evals, opt_seed, opt_restarts)
     quench = None
     if spec is not None and spec.is_random:
         quench = QuenchConfig(realizations=realizations or 4000,
@@ -292,7 +291,7 @@ def sweep_cmd(state_spec, senders, receivers, split, channel_spec, opt_pop,
 @click.option("--realizations", type=int, default=None)
 @click.option("--seed", type=int, default=0, show_default=True)
 @run_guard
-def critical(state_spec, senders, receivers, split, channel_spec, opt_pop,
+def critical(state_spec, senders, receivers, split, channel_spec,
              opt_evals, opt_seed, opt_restarts, no_optimize, fmt_name, out,
              threads, scan_step, refine, threshold, realizations, seed):
     """Critical strengths p_c, p_r, p_a for one problem."""
@@ -300,7 +299,7 @@ def critical(state_spec, senders, receivers, split, channel_spec, opt_pop,
         raise click.UsageError("critical requires --channel")
     _, rho, layout, spec = build_problem(state_spec, senders, receivers,
                                          split, channel_spec)
-    opt = opt_config(opt_pop, opt_evals, opt_seed, opt_restarts)
+    opt = opt_config(opt_evals, opt_seed, opt_restarts)
     quench = None
     if spec.is_random:
         quench = QuenchConfig(realizations=realizations or 4000,
@@ -327,7 +326,7 @@ def critical(state_spec, senders, receivers, split, channel_spec, opt_pop,
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--optimize-per-realization", is_flag=True)
 @run_guard
-def quench(state_spec, senders, receivers, split, channel_spec, opt_pop,
+def quench(state_spec, senders, receivers, split, channel_spec,
            opt_evals, opt_seed, opt_restarts, no_optimize, fmt_name, out,
            threads, realizations, seed, optimize_per_realization):
     """Quenched mean capacity over random channel realizations."""
@@ -335,7 +334,7 @@ def quench(state_spec, senders, receivers, split, channel_spec, opt_pop,
         raise click.UsageError("quench requires --channel")
     _, rho, layout, spec = build_problem(state_spec, senders, receivers,
                                          split, channel_spec)
-    opt = opt_config(opt_pop, opt_evals, opt_seed, opt_restarts)
+    opt = opt_config(opt_evals, opt_seed, opt_restarts)
     qc = QuenchConfig(realizations=realizations, master_seed=seed,
                       optimize_per_realization=optimize_per_realization,
                       threads=resolve_threads(threads))

@@ -1,18 +1,17 @@
-"""Stochastic global minimization over per-sender encoding unitaries.
+"""Multi-start local minimization over per-sender encoding unitaries.
 
-The search space is a box over the Euler parameters (omega, theta, delta) of
-one 2x2 unitary per sender: omega, delta in [0, 4*pi], theta in [0, 2*pi].
-The minimizer is an evolution strategy in the ISRES family (stochastic
-population search with rank selection and self-adapted mutation widths; no
-constraints, so the stochastic ranking reduces to objective order) followed
-by a Nelder-Mead simplex polish from the best point found.
+Each sender's unitary has Euler parameters (omega, theta, delta), and the
+objective is periodic in them with period (4*pi, 2*pi, 4*pi).  The search is
+unbounded: a box would put the identity encoding (0, 0, 0) at its corner and
+cut off the minima just below zero.  L-BFGS-B runs from the identity
+encoding and from ``restarts`` points drawn uniformly over one period, using
+the exact gradient the objective returns with its value; the best minimum
+is returned with its point wrapped into one period.
 
-The objective maps flat encodings ``(..., 3 * n_senders)`` to values ``(...)``:
-each ES population is one ``(pop, dim)`` call, while the identity point and
-the Nelder-Mead polish pass single ``(dim,)`` rows.
-
-The identity encoding is always injected into the initial population, so the
-returned value never exceeds the identity-encoding objective.
+The objective maps one flat encoding ``(3 * n_senders,)`` to
+``(value, gradient)``.  The identity encoding is the first start and
+L-BFGS-B never ends above its start, so the returned value never exceeds the
+identity-encoding objective.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from .channels import UnitaryParams
 
 
 class OptimizerError(RuntimeError):
-    """Raised when the objective returns a non-finite value."""
+    """Raised when the objective returns a non-finite value or gradient."""
 
 
 class OptimizerConfigError(ValueError):
@@ -36,25 +35,17 @@ class OptimizerConfigError(ValueError):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    population: int | None = None      # default 20 * D
-    max_evaluations: int = 20000       # split evenly over the restarts
-    tolerance: float = 1e-6
+    max_evaluations: int = 20000       # split evenly over the starts
     seed: int = 0
-    restarts: int = 3
+    restarts: int = 3                  # random starts besides the identity
 
     def __post_init__(self):
         if self.restarts < 1:
             raise OptimizerConfigError("restarts must be >= 1")
-        if self.population is not None:   # the default is checked once D is known
-            self.resolved_population(0)
-
-    def resolved_population(self, dim: int) -> int:
-        pop = self.population if self.population is not None else 20 * dim
-        if pop < 4 or self.max_evaluations < self.restarts * pop:
+        if self.max_evaluations < self.restarts + 1:
             raise OptimizerConfigError(
-                f"population {pop} must be >= 4 and at most max_evaluations / "
-                f"restarts = {self.max_evaluations} / {self.restarts}")
-        return pop
+                f"max_evaluations {self.max_evaluations} must be at least one "
+                f"per start ({self.restarts + 1})")
 
 
 @dataclass(frozen=True)
@@ -75,105 +66,37 @@ class EncodingParams:
         return np.concatenate([u.as_array() for u in self.per_sender])
 
 
-def _bounds(n_senders: int) -> tuple[np.ndarray, np.ndarray]:
-    lo = np.zeros(3 * n_senders)
-    hi = np.tile([4 * np.pi, 2 * np.pi, 4 * np.pi], n_senders)
-    return lo, hi
+# one period of (omega, theta, delta)
+_PERIOD = np.array([4 * np.pi, 2 * np.pi, 4 * np.pi])
 
 
-def _checked(objective: Callable[[np.ndarray], np.ndarray | float]):
-    def f(x: np.ndarray) -> np.ndarray | float:
-        vals = np.asarray(objective(x), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            i = np.argmin(np.isfinite(vals))     # the first bad row
-            raise OptimizerError(f"objective returned non-finite value {vals.flat[i]} "
-                                 f"at {x.reshape(-1, x.shape[-1])[i]}")
-        return vals if vals.ndim else float(vals)
+def _checked(objective: Callable[[np.ndarray], tuple[float, np.ndarray]]):
+    def f(x: np.ndarray) -> tuple[float, np.ndarray]:
+        val, grad = objective(x)
+        if not (np.isfinite(val) and np.all(np.isfinite(grad))):
+            raise OptimizerError(f"objective returned non-finite value {val} "
+                                 f"or gradient {grad} at {x}")
+        return float(val), grad
     return f
 
 
-def _es_run(f, lo, hi, pop: int, budget: int, tol: float,
-            rng: np.random.Generator, seed_points: list[np.ndarray]):
-    """One evolution-strategy run; returns (best_value, best_x, evals_used)."""
-    dim = lo.size
-    span = hi - lo
-    mu = max(2, pop // 4)
-
-    xs = rng.uniform(lo, hi, size=(pop, dim))
-    for i, sp in enumerate(seed_points[:pop]):
-        xs[i] = sp
-    sigmas = np.full((pop, dim), 0.25) * span
-    vals = f(xs)
-    evals = pop
-
-    best_i = int(np.argmin(vals))
-    best_x, best_val = xs[best_i].copy(), vals[best_i]
-
-    tau = 1.0 / np.sqrt(2.0 * np.sqrt(dim))
-    tau_prime = 1.0 / np.sqrt(2.0 * dim)
-
-    while evals + pop <= budget:
-        order = np.argsort(vals)
-        parents = xs[order[:mu]]
-        parent_sigmas = sigmas[order[:mu]]
-
-        idx = rng.integers(0, mu, size=pop)
-        global_step = np.exp(tau_prime * rng.normal(size=(pop, 1)))
-        local_step = np.exp(tau * rng.normal(size=(pop, dim)))
-        new_sigmas = parent_sigmas[idx] * global_step * local_step
-        new_sigmas = np.clip(new_sigmas, 1e-8 * span, 0.5 * span)
-        new_xs = parents[idx] + new_sigmas * rng.normal(size=(pop, dim))
-        new_xs = np.clip(new_xs, lo, hi)
-        # elitism: carry the incumbent best through unchanged
-        new_xs[0] = best_x
-        new_sigmas[0] = sigmas[order[0]]
-
-        xs, sigmas = new_xs, new_sigmas
-        vals = f(xs)
-        evals += pop
-
-        gen_best_i = int(np.argmin(vals))
-        improvement = best_val - vals[gen_best_i]
-        if vals[gen_best_i] < best_val:
-            best_x, best_val = xs[gen_best_i].copy(), vals[gen_best_i]
-        if 0.0 <= improvement < tol:
-            break
-    return best_val, best_x, evals
-
-
-def minimize(objective: Callable[[np.ndarray], np.ndarray | float], n_senders: int,
+def minimize(objective: Callable[[np.ndarray], tuple[float, np.ndarray]],
+             n_senders: int,
              config: OptimizerConfig = OptimizerConfig()) -> tuple[float, EncodingParams]:
     """Global minimum of the objective over per-sender encoding unitaries.
 
-    ``objective`` maps flat encodings ``(..., 3 * n_senders)`` to values
-    ``(...)``.  Deterministic for a fixed config; the identity encoding is
-    evaluated first and the result never exceeds its value.
+    ``objective`` maps one flat encoding ``(3 * n_senders,)`` to its value
+    and gradient.  Deterministic for a fixed config; the identity encoding is
+    the first start and the result never exceeds its value.
     """
-    dim = 3 * n_senders
-    lo, hi = _bounds(n_senders)
+    period = np.tile(_PERIOD, n_senders)
+    rng = np.random.default_rng(config.seed)
+    starts = [np.zeros(period.size),
+              *rng.uniform(0.0, period, size=(config.restarts, period.size))]
     f = _checked(objective)
-    pop = config.resolved_population(dim)
-
-    identity_x = EncodingParams.identity(n_senders).to_flat()
-    best_val = f(identity_x)
-    best_x = identity_x.copy()
-
-    budget = config.max_evaluations // config.restarts
-    for r in range(config.restarts):
-        rng = np.random.default_rng(np.random.SeedSequence((config.seed, r)))
-        seeds = [identity_x] if r == 0 else []
-        val, x, _ = _es_run(f, lo, hi, pop, budget, config.tolerance, rng, seeds)
-        if val < best_val:
-            best_val, best_x = val, x
-
-    # derivative-free local polish from the best point found
-    res = scipy.optimize.minimize(
-        f, best_x, method="Nelder-Mead",
-        options={"xatol": 1e-8, "fatol": min(1e-10, config.tolerance * 1e-3),
-                 "maxfev": 400 * dim})
-    cand_x = np.clip(res.x, lo, hi)
-    cand_val = float(res.fun) if np.array_equal(cand_x, res.x) else f(cand_x)
-    if cand_val < best_val:
-        best_val, best_x = cand_val, cand_x
-
-    return float(best_val), EncodingParams.from_flat(best_x)
+    options = {"maxfun": config.max_evaluations // len(starts),
+               "ftol": 1e-15, "gtol": 1e-10}
+    runs = [scipy.optimize.minimize(f, x0, jac=True, method="L-BFGS-B", options=options)
+            for x0 in starts]
+    best = min(runs, key=lambda res: res.fun)      # the earliest start on a tie
+    return float(best.fun), EncodingParams.from_flat(np.mod(best.x, period))

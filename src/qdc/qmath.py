@@ -89,22 +89,35 @@ def hermitian_eigenvalues(mat: np.ndarray) -> np.ndarray:
     return evals[::-1].copy()
 
 
+def _clipped_log2(evals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues clipped at 0 and their base-2 logs, taken as 0 where an
+    eigenvalue is 0.  Eigenvalues in (-PSD_TOL, 0] are eigensolver noise on
+    rank-deficient states; one below -PSD_TOL raises."""
+    if evals.min() < -PSD_TOL:
+        raise QmathError(f"PSD violation: eigenvalue {evals.min()} < -{PSD_TOL}")
+    evals = np.clip(evals, 0.0, None)
+    return evals, np.log2(evals, out=np.zeros_like(evals), where=evals > 0.0)
+
+
 def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
     """S(rho) = -Tr(rho log2 rho) in bits.
 
     ``rho`` is one matrix, which gives a float, or a stack ``(..., d, d)``,
-    which gives an array of one entropy per matrix.  Eigenvalues in
-    (-PSD_TOL, 0] are clamped to 0 (eigensolver noise on rank-deficient
-    states); 0*log2(0) is taken as 0.  A PSD violation in any matrix of a
-    stack raises.
+    which gives an array of one entropy per matrix.  0*log2(0) is taken as
+    0, and a PSD violation in any matrix of a stack raises.
     """
-    evals = np.linalg.eigvalsh(rho)
-    if evals.min() < -PSD_TOL:
-        raise QmathError(f"PSD violation: eigenvalue {evals.min()} < -{PSD_TOL}")
-    evals = np.clip(evals, 0.0, None)
-    logs = np.log2(evals, out=np.zeros_like(evals), where=evals > 0.0)
+    evals, logs = _clipped_log2(np.linalg.eigvalsh(rho))
     s = -np.sum(evals * logs, axis=-1)
     return float(s) if s.ndim == 0 else s
+
+
+def entropy_and_log2(rho: np.ndarray) -> tuple[float, np.ndarray]:
+    """S(rho) in bits and the matrix log2(rho) of one density matrix, with
+    the eigenvalue convention of ``von_neumann_entropy``: the log is taken
+    as 0 on the kernel of rho."""
+    evals, vecs = np.linalg.eigh(rho)
+    evals, logs = _clipped_log2(evals)
+    return float(-np.sum(evals * logs)), (vecs * logs) @ vecs.conj().T
 
 
 def shannon_entropy(probs) -> float:

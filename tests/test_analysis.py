@@ -183,7 +183,7 @@ def test_optimized_quench_matches_one_realization_at_a_time(monkeypatch):
     rho = build(GGHZ(3, 1 / np.sqrt(2)))
     lay = PartyLayout(2, 1)
     spec = ChannelSpec(ChannelKind.DEPHASING, 0.8, 0.3, epsilon=0.5)
-    opt = OptimizerConfig(population=12, max_evaluations=120, restarts=1)
+    opt = OptimizerConfig(max_evaluations=120, restarts=1)
     values = np.array([evaluate(
         rho, lay, spec, opt=opt, kraus_override=sample_per_qubit_kraus(
             spec, lay.n_senders, np.random.default_rng(np.random.SeedSequence((4, k))))

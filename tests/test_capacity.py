@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qdc.capacity import (LayoutError, PartyLayout, _block_entropy,
+                          _block_entropy_and_grad,
                           bound_two_receivers, capacity_noiseless,
                           capacity_one_receiver, encode, evaluate)
 from qdc.channels import (ChannelKind, ChannelSpec, apply_local_channel,
@@ -126,6 +127,7 @@ def test_fixed_encoding_skips_encode(monkeypatch, spec, kwargs):
 
 
 def test_objective_makes_one_kernel_pass(monkeypatch):
+    # one forward pass for the value, one adjoint pass for the gradient
     import qdc.capacity
     import qdc.channels
     kernel, passes, evaluations = qdc.channels._apply_local, [], []
@@ -136,11 +138,10 @@ def test_objective_makes_one_kernel_pass(monkeypatch):
 
     def one_evaluation(objective, n_senders, opt):
         x = np.linspace(0.3, 2.9, 3 * n_senders)
-        for xs in (x, np.stack([x, x[::-1], x / 2])):   # one row, a population
-            passes.clear()
-            objective(xs)
-            evaluations.append(len(passes))
-        return float(objective(x)), EncodingParams.from_flat(x)
+        passes.clear()
+        val, _ = objective(x)                 # a value and its gradient
+        evaluations.append(len(passes))
+        return val, EncodingParams.from_flat(x)
 
     monkeypatch.setattr(qdc.capacity, "_apply_local", counted)
     monkeypatch.setattr(qdc.channels, "_apply_local", counted)
@@ -148,10 +149,12 @@ def test_objective_makes_one_kernel_pass(monkeypatch):
     spec = ChannelSpec(ChannelKind.DEPHASING, 0.5, 0.2)
     evaluate(build(GGHZ(3, 1 / np.sqrt(2))), PartyLayout(2, 1), spec)
     evaluate(build(GGHZ(5, 0.8)), PartyLayout(3, 2, split=2), spec)
-    assert evaluations == [1, 1] * 3
+    assert evaluations == [2, 2, 2]
 
 
 def test_identity_fold_equals_unfolded_call_bitwise():
+    # the states are bitwise equal (K @ I == K); the entropies differ only
+    # by eigh against eigvalsh
     rng = np.random.default_rng(5)
     for state, lay in ((GGHZ(3, 0.6), PartyLayout(2, 1)),
                        (WUniform(4), PartyLayout(3, 1))):
@@ -160,8 +163,31 @@ def test_identity_fold_equals_unfolded_call_bitwise():
             spec = ChannelSpec(kind, 0.4, 0.2, epsilon=0.6)
             ops = [np.asarray(ks.operators)
                    for ks in sample_per_qubit_kraus(spec, lay.n_senders, rng)]
-            identity = unitary_from_params(np.zeros((lay.n_senders, 3)))
-            assert _block_entropy(block, ops, identity) == _block_entropy(block, ops)
+            val, _ = _block_entropy_and_grad(block, ops, np.zeros(3 * lay.n_senders))
+            assert abs(val - _block_entropy(block, ops)) <= 1e-14
+
+
+@pytest.mark.parametrize("state, lay", [
+    (GGHZ(3, 1 / np.sqrt(2)), PartyLayout(2, 1)),
+    (WUniform(4), PartyLayout(3, 1)),
+    (GGHZ(5, 0.8), PartyLayout(3, 2, split=2)),
+])
+def test_block_entropy_gradient_matches_central_differences(state, lay):
+    rng = np.random.default_rng(8)
+    rho, h = build(state), 1e-5
+    for kind in ChannelKind:
+        spec = ChannelSpec(kind, 0.4, 0.2, epsilon=0.6)
+        ops = [np.asarray(ks.operators)
+               for ks in sample_per_qubit_kraus(spec, lay.n_senders, rng)]
+        for senders, receiver in lay.blocks:
+            block = (partial_trace(rho, senders + [receiver]), [ops[q] for q in senders])
+            x = rng.uniform(0, 4 * np.pi, 3 * len(senders))
+            _, grad = _block_entropy_and_grad(*block, x)
+            steps = h * np.eye(x.size)
+            central = [(_block_entropy_and_grad(*block, x + e)[0]
+                        - _block_entropy_and_grad(*block, x - e)[0]) / (2 * h)
+                       for e in steps]
+            assert np.max(np.abs(grad - central)) <= 1e-7
 
 
 def test_optimization_never_hurts():
@@ -252,10 +278,10 @@ def test_trace_first_block_entropy_matches_full_register(state, lay):
         enc = EncodingParams.from_flat(rng.uniform(0, 2 * np.pi, 3 * lay.n_senders))
         for block in lay.blocks:
             senders, receiver = block
-            got = _block_entropy(
+            got, _ = _block_entropy_and_grad(
                 partial_trace(rho, senders + [receiver]),
                 [np.asarray(kraus[q].operators) for q in senders],
-                unitary_from_params([enc.per_sender[q].as_array() for q in senders]))
+                np.concatenate([enc.per_sender[q].as_array() for q in senders]))
             want = full_register_block_entropy(rho, lay, kraus, enc, block)
             assert got == pytest.approx(want, abs=1e-12)
 

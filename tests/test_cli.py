@@ -76,12 +76,7 @@ def test_usage_errors_exit_2():
                     f"dephasing:alpha=0.3,p=0.2,eps={eps}"] for eps in ("inf", "nan")),
                  *(["capacity", "--state", "bell", "--senders", "1", "--channel",
                     "dephasing:alpha=0.5,p=0.2", *opts]
-                   for opts in (["--opt-pop", "2"],
-                                ["--opt-pop", "100", "--opt-evals", "50"],
-                                ["--opt-restarts", "0"],
-                                ["--opt-pop", "8", "--opt-evals", "10",
-                                 "--opt-restarts", "3"],
-                                ["--opt-evals", "50"]))):
+                   for opts in (["--opt-restarts", "0"], ["--opt-evals", "3"]))):
         res = runner.invoke(main, args)
         assert res.exit_code == 2, args
     res = runner.invoke(main, ["capacity", "--state", "bell", "--senders", "1"],

@@ -1,32 +1,19 @@
 import numpy as np
 import pytest
 
-import qdc.capacity
+import qdc.optimizer
 from qdc.capacity import PartyLayout, evaluate
-from qdc.channels import ChannelKind, ChannelSpec
+from qdc.channels import ChannelKind, ChannelSpec, sample_per_qubit_kraus
 from qdc.optimizer import (EncodingParams, OptimizerConfig, OptimizerConfigError,
-                           OptimizerError, _bounds, _checked, _es_run, minimize)
+                           OptimizerError, minimize)
 from qdc.states import GGHZ, build
+
+PERIOD = np.array([4 * np.pi, 2 * np.pi, 4 * np.pi])
 
 
 def quadratic(target):
-    def f(x: np.ndarray) -> np.ndarray:
-        return np.sum((x - target)**2, axis=-1)
-    return f
-
-
-def one_row_at_a_time(objective):
-    """The same objective, called once per row of a population."""
-    def f(x: np.ndarray):
-        return objective(x) if x.ndim == 1 else np.array([objective(r) for r in x])
-    return f
-
-
-def counting_rows(objective, rows):
-    """The same objective; each call appends its row count to ``rows``."""
-    def f(x: np.ndarray):
-        rows.append(1 if x.ndim == 1 else len(x))
-        return objective(x)
+    def f(x: np.ndarray) -> tuple[float, np.ndarray]:
+        return float(np.sum((x - target)**2)), 2 * (x - target)
     return f
 
 
@@ -57,116 +44,86 @@ def test_deterministic_for_fixed_seed():
 
 
 def test_respects_bounds():
-    # minimum far outside the box: the result must stay inside it
-    target = np.full(3, 100.0)
-    cfg = OptimizerConfig(max_evaluations=2000, seed=3)
-    _, enc = minimize(quadratic(target), 1, cfg)
+    # periodic in (4 pi, 2 pi, 4 pi) per sender, with its minimum at small
+    # negative angles: the search must cross zero, and the encoding it
+    # returns must lie in one period
+    centre = np.tile([-0.3, -0.2, -0.1], 2)
+    freq = np.tile(2 * np.pi / PERIOD, 2)
+
+    def periodic(x):
+        return (float(np.sum(1 - np.cos(freq * (x - centre)))),
+                freq * np.sin(freq * (x - centre)))
+
+    val, enc = minimize(periodic, 2, OptimizerConfig(max_evaluations=2000, seed=3))
     x = enc.to_flat()
-    assert x[0] <= 4 * np.pi + 1e-9
-    assert x[1] <= 2 * np.pi + 1e-9
+    assert val < 1e-12
+    assert np.all((0 <= x) & (x < np.tile(PERIOD, 2)))
+    assert abs(periodic(x)[0] - val) <= 1e-12
+
+
+def test_starts_and_budget(monkeypatch):
+    runs = []
+    lbfgs = qdc.optimizer.scipy.optimize.minimize
+
+    def recorded(f, x0, **kwargs):
+        runs.append((x0.copy(), kwargs))
+        return lbfgs(f, x0, **kwargs)
+
+    monkeypatch.setattr(qdc.optimizer.scipy.optimize, "minimize", recorded)
+    minimize(quadratic(np.ones(6)), 2, OptimizerConfig(max_evaluations=100, seed=5,
+                                                       restarts=3))
+    assert len(runs) == 4
+    assert np.array_equal(runs[0][0], np.zeros(6))            # the identity first
+    randoms = np.array([x0 for x0, _ in runs[1:]])
+    assert np.array_equal(randoms, np.random.default_rng(5).uniform(
+        0.0, np.tile(PERIOD, 2), size=(3, 6)))
+    for _, kwargs in runs:
+        assert kwargs["method"] == "L-BFGS-B" and kwargs["jac"] is True
+        assert "bounds" not in kwargs
+        assert kwargs["options"]["maxfun"] == 25
 
 
 def test_non_finite_objective_raises():
     def bad(x):
-        return np.full(x.shape[:-1], np.nan)
+        return np.nan, np.zeros_like(x)
     with pytest.raises(OptimizerError):
         minimize(bad, 1, OptimizerConfig(max_evaluations=500))
 
 
-def test_non_finite_row_of_a_population_is_named():
-    bad_rows = []
-
-    def one_bad_row(x):
-        vals = np.sum(x**2, axis=-1)
-        if vals.ndim:
-            vals[3] = np.nan
-            bad_rows.append(x[3].copy())
-        return vals
-
-    with pytest.raises(OptimizerError) as exc:
-        minimize(one_bad_row, 2, OptimizerConfig(max_evaluations=500, restarts=1))
-    assert len(bad_rows) == 1
-    assert str(bad_rows[0]) in str(exc.value)
-    assert not np.array_equal(bad_rows[0], np.zeros(6))
-
-
 def test_config_validation():
-    for kwargs in ({"population": 2}, {"restarts": 0},
-                   {"population": 100, "max_evaluations": 50},
-                   {"population": 8, "max_evaluations": 10, "restarts": 3}):
+    for kwargs in ({"restarts": 0}, {"max_evaluations": 3},
+                   {"max_evaluations": 1, "restarts": 1}):
         with pytest.raises(OptimizerConfigError):
             OptimizerConfig(**kwargs)
     assert issubclass(OptimizerConfigError, ValueError)
-    # the default population (20 * D) is checked once D is known
-    cfg = OptimizerConfig(max_evaluations=100, restarts=1)
-    assert cfg.resolved_population(3) == 60
-    with pytest.raises(OptimizerConfigError):
-        cfg.resolved_population(6)
-    with pytest.raises(OptimizerConfigError):
-        minimize(quadratic(np.zeros(6)), 2, cfg)
+    OptimizerConfig(max_evaluations=4)       # one evaluation per start
 
 
-def test_each_restart_keeps_its_budget():
-    rows = []
-    cfg = OptimizerConfig(population=8, max_evaluations=24, restarts=3)
-    minimize(counting_rows(quadratic(np.full(3, 1.0)), rows), 1, cfg)
-    # the identity point, one population per restart, then the polish
-    assert rows[:5] == [1, 8, 8, 8, 1]
+# the Theorem-4 channel: GHZ 3q 2S-1R, dephasing a=0.8, p=0.3, eps=0.5
+THEOREM4_SPEC = ChannelSpec(ChannelKind.DEPHASING, 0.8, 0.3, 0.5)
+THEOREM4_OPT = OptimizerConfig(max_evaluations=1200, restarts=1)
 
 
-def test_es_generation_is_one_call():
-    dim, pop = 6, 12
-    shapes = []
-
-    def recorded(x):
-        shapes.append(x.shape)
-        return quadratic(np.linspace(1.0, 2.0, dim))(x)
-
-    minimize(recorded, 2, OptimizerConfig(population=pop, max_evaluations=240,
-                                          restarts=2))
-    assert shapes[0] == (dim,)                      # the identity point
-    populations = [s for s in shapes[1:] if s != (dim,)]
-    assert len(populations) >= 3         # two initial ones and a generation
-    assert set(populations) == {(pop, dim)}
-    assert len(populations) * pop <= 240
-    # then the Nelder-Mead polish, row by row
-    assert shapes[1:1 + len(populations)] == populations
-    assert set(shapes[1 + len(populations):]) == {(dim,)}
+def theorem4_realization(k: int, opt: OptimizerConfig):
+    kraus = sample_per_qubit_kraus(THEOREM4_SPEC, 2, np.random.default_rng(
+        np.random.SeedSequence((1, k))))
+    return evaluate(build(GGHZ(3, 1 / np.sqrt(2))), PartyLayout(2, 1), THEOREM4_SPEC,
+                    opt=opt, kraus_override=kraus)
 
 
-@pytest.mark.parametrize("state, layout, spec", [
-    (GGHZ(3, 1 / np.sqrt(2)), PartyLayout(2, 1),
-     ChannelSpec(ChannelKind.DEPHASING, 0.6, 0.2)),
-    (GGHZ(5, 0.8), PartyLayout(3, 2, split=2),
-     ChannelSpec(ChannelKind.DEPOLARIZING, 0.6, 0.2, epsilon=0.5)),
-])
-def test_batched_objective_gives_the_same_search(monkeypatch, state, layout, spec):
-    objectives = []
+@pytest.mark.parametrize("k", [7, 13])
+def test_theorem4_realizations_rise_above_the_classical_bound(k):
+    # both stopped at exactly 2.0 when the search box had the identity
+    # encoding at its corner
+    assert theorem4_realization(k, THEOREM4_OPT).capacity_bits > 2.008
 
-    def capture(objective, n_senders, opt):
-        objectives.append((objective, n_senders))
-        return 0.0, EncodingParams.identity(n_senders)
 
-    monkeypatch.setattr(qdc.capacity, "minimize", capture)
-    evaluate(build(state), layout, spec, rng=np.random.default_rng(2))
-    assert len(objectives) == len(layout.blocks)
-    cfg = OptimizerConfig(max_evaluations=720, restarts=2)
-    for objective, n in objectives:
-        lo, hi = _bounds(n)
-        pop = cfg.resolved_population(3 * n)
-        (val_a, x_a, evals_a), (val_b, x_b, evals_b) = (
-            _es_run(_checked(f), lo, hi, pop, 360, cfg.tolerance,
-                    np.random.default_rng(7), [np.zeros(3 * n)])
-            for f in (objective, one_row_at_a_time(objective)))
-        assert val_a == val_b and evals_a == evals_b
-        assert np.array_equal(x_a, x_b)
-        rows_a, rows_b = [], []
-        (val_a, enc_a), (val_b, enc_b) = (
-            minimize(counting_rows(f, rows), n, cfg)
-            for f, rows in ((objective, rows_a),
-                            (one_row_at_a_time(objective), rows_b)))
-        assert val_a == val_b and sum(rows_a) == sum(rows_b)
-        assert np.array_equal(enc_a.to_flat(), enc_b.to_flat())
+def test_optimum_agrees_with_a_wider_search():
+    wide = OptimizerConfig(max_evaluations=17 * 600, seed=11, restarts=16)
+    for k in range(10):
+        got = theorem4_realization(k, THEOREM4_OPT).channel_output_entropy
+        want = theorem4_realization(k, wide).channel_output_entropy
+        assert abs(got - want) <= 1e-9, k
 
 
 def test_encoding_params_round_trip():
