@@ -7,25 +7,36 @@ Critical strengths of a noisy dense-coding problem:
 * ``p_a``: smallest p at which the non-Markovian capacity strictly exceeds
   the Markovian one.
 
-All three are located by a forward scan over p followed by bisection on the
-first grid interval where the detection predicate flips.  Every capacity
-they read comes from ``mean_capacity``: the quenched mean for a random
-channel (epsilon > 0), the capacity itself for a deterministic one.
+All three are located by a forward scan over a p-grid followed by bisection
+on the first grid interval where the detection predicate flips.  The forward
+grid is evaluated in chunks of 1, 2, 4, ... points, up to the first chunk
+that holds a flip.  The capacities come from the problem's curves, one per
+channel family (the spec up to p), memoized for the length of one public
+call, so that p_c, p_r and p_a read each point once.  A curve with a fixed
+encoding (the identity, or any for covariant depolarizing noise) is
+evaluated in batches: the Kraus sets of many p-points, and of every
+realization of a quenched channel, are stacked along the kernel's batch
+axis.  The unitaries a quenched channel draws do not depend on p or alpha,
+so each scan draws them once.  Other curves, with an encoding optimized per
+point or per realization, are read one point at a time from
+``mean_capacity``: the quenched mean for a random channel (epsilon > 0),
+the capacity itself for a deterministic one.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .capacity import (COLLAPSE_THRESHOLD, PartyLayout, _identity_capacities,
                        evaluate)
-from .channels import ChannelKind, ChannelSpec, KrausSet, sample_kraus_batch
+from .channels import (_PAULIS, ChannelKind, ChannelSpec, KrausSet,
+                       _channel_weights, _kraus_rows, _seeded_unitaries)
 from .optimizer import OptimizerConfig
 
-# realizations drawn, and with the identity encoding evaluated, together;
+# (p-point, realization) rows evaluated together with the identity encoding;
 # bounds the memory of the stacked block states (256 five-qubit states: 4 MB)
 _CHUNK = 256
 
@@ -70,6 +81,63 @@ def p_range(spec: ChannelSpec) -> tuple[float, float]:
     return 0.0, hi
 
 
+def _overridden(spec: ChannelSpec | None, quench: QuenchConfig | None):
+    """The spec with ``quench.epsilon`` in place of its own, when set."""
+    if spec is not None and quench is not None and quench.epsilon is not None:
+        return dataclasses.replace(spec, epsilon=quench.epsilon)
+    return spec
+
+
+def _unitaries(spec: ChannelSpec, n_senders: int,
+               quench: QuenchConfig | None) -> np.ndarray:
+    """The unitaries that follow the identity in every realization's Kraus
+    sets, ``(R, rows, m-1, 2, 2)``: realization k drawn from a generator
+    seeded with (master_seed, k) for a random channel, the exact Paulis
+    (one realization) for a deterministic one."""
+    if not spec.is_random:
+        return _PAULIS[spec.kind][None, None]
+    return _seeded_unitaries(spec, n_senders, [(quench.master_seed, k)
+                                               for k in range(quench.realizations)])
+
+
+def _mean(values: np.ndarray) -> float:
+    """Mean of one contiguous row of capacities, summed in index order."""
+    return float(np.sum(values) / values.size)
+
+
+def _reduce(values: np.ndarray) -> QuenchedResult:
+    """Mean and standard error of one contiguous row of capacities."""
+    mean = _mean(values)
+    if values.size > 1:
+        stderr = float(np.std(values, ddof=1) / np.sqrt(values.size))
+    else:
+        stderr = 0.0
+    return QuenchedResult(mean, stderr, int(values.size))
+
+
+def _capacity_curve(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec,
+                    ps, unitaries: np.ndarray) -> np.ndarray:
+    """Identity-encoding capacities of the channel family ``spec``, one row
+    per p of ``ps`` and one column per realization of ``unitaries`` (see
+    ``_unitaries``).
+
+    The (p, realization) rows, p-major, are weighted, checked and evaluated
+    in slices of at most ``_CHUNK`` rows; each is bit-identical to a one-row
+    evaluation.  Each p's row is contiguous, so it reduces in realization
+    order.
+    """
+    weights = np.array([_channel_weights(spec.kind, spec.alpha, p) for p in ps])
+    n_r = len(unitaries)
+    values = np.empty((len(ps), n_r))
+    flat = values.reshape(-1)
+    for a in range(0, flat.size, _CHUNK):
+        rows = np.arange(a, min(a + _CHUNK, flat.size))
+        kraus = _kraus_rows(weights[rows // n_r, None], unitaries[rows % n_r],
+                            layout.n_senders)
+        flat[a:a + len(rows)] = _identity_capacities(rho, layout, kraus)
+    return values
+
+
 def quenched_capacity(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec,
                       qc: QuenchConfig,
                       opt: OptimizerConfig = OptimizerConfig()) -> QuenchedResult:
@@ -77,34 +145,23 @@ def quenched_capacity(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec,
 
     Realization k draws its Kraus sets from a generator seeded with
     (master_seed, k), so each value is independent of the others; the
-    reduction runs in index order.  The sets are drawn in batches of
-    ``_CHUNK`` realizations.  With the identity encoding each batch is
-    evaluated at once, each row bit-identical to a one-realization
-    evaluation; an optimized encoding is searched for one row at a time.
-    ``qc.threads`` has no effect.
+    reduction runs in index order.  With the identity encoding this is the
+    one-point case of a scan's capacity curve, evaluated in batches of
+    ``_CHUNK`` realizations; an optimized encoding is searched for one
+    realization at a time.  ``qc.threads`` has no effect.
     """
-    if qc.epsilon is not None:
-        spec = dataclasses.replace(spec, epsilon=qc.epsilon)
+    spec = _overridden(spec, qc)
     if not spec.is_random:
         raise AnalysisError("quenched averaging needs a random channel (epsilon > 0)")
-    seeds = [(qc.master_seed, k) for k in range(qc.realizations)]
-    chunks = (sample_kraus_batch(spec, layout.n_senders, seeds[i:i + _CHUNK])
-              for i in range(0, len(seeds), _CHUNK))
-    if qc.optimize_per_realization:
-        values = np.array([
-            evaluate(rho, layout, spec, opt=opt,
-                     kraus_override=[KrausSet(tuple(ops)) for ops in row]).capacity_bits
-            for chunk in chunks for row in chunk])
-    else:
-        values = np.concatenate([_identity_capacities(rho, layout, chunk)
-                                 for chunk in chunks])
-
-    mean = float(np.sum(values) / values.size)
-    if values.size > 1:
-        stderr = float(np.std(values, ddof=1) / np.sqrt(values.size))
-    else:
-        stderr = 0.0
-    return QuenchedResult(mean, stderr, int(values.size))
+    unitaries = _unitaries(spec, layout.n_senders, qc)
+    if not qc.optimize_per_realization:
+        return _reduce(_capacity_curve(rho, layout, spec, [spec.p], unitaries)[0])
+    kraus = _kraus_rows(_channel_weights(spec.kind, spec.alpha, spec.p),
+                        unitaries, layout.n_senders)
+    return _reduce(np.array([
+        evaluate(rho, layout, spec, opt=opt,
+                 kraus_override=[KrausSet(tuple(ops)) for ops in row]).capacity_bits
+        for row in kraus]))
 
 
 def mean_capacity(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec | None,
@@ -117,8 +174,7 @@ def mean_capacity(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec | None
     is one realization with zero standard error; ``optimize`` applies to it
     only, since quenched runs follow ``quench.optimize_per_realization``.
     """
-    if spec is not None and quench is not None and quench.epsilon is not None:
-        spec = dataclasses.replace(spec, epsilon=quench.epsilon)
+    spec = _overridden(spec, quench)
     if spec is None or not spec.is_random:
         cap = evaluate(rho, layout, spec, opt=opt, optimize=optimize).capacity_bits
         return QuenchedResult(cap, 0.0, 1)
@@ -127,36 +183,137 @@ def mean_capacity(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec | None
     return quenched_capacity(rho, layout, spec, quench, opt)
 
 
+@dataclass(eq=False)
+class _Scan:
+    """One scan problem: the state, its layout and channel family, how each
+    capacity is taken, and the scan grid.
+
+    It holds the problem's capacity curves, one per channel family (the spec
+    up to p), and the unitaries they draw; both live as long as the record,
+    which is one public call.
+    """
+    rho: np.ndarray
+    layout: PartyLayout
+    spec: ChannelSpec
+    opt: OptimizerConfig
+    optimize: bool
+    quench: QuenchConfig | None
+    scan_step: float
+    refine: float
+    threshold: float
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
+    _draws: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        for name in ("scan_step", "refine"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise AnalysisError(f"{name}={value} must be finite and positive")
+        if self.spec.is_random and self.quench is None:
+            raise AnalysisError("a random channel needs a QuenchConfig")
+
+    @property
+    def classical(self) -> float:
+        return float(self.layout.n_senders)
+
+    def curve(self, spec: ChannelSpec, ps) -> np.ndarray:
+        """Mean capacity of the family ``spec`` at each p of ``ps``; points
+        not read before are evaluated together."""
+        spec = _overridden(dataclasses.replace(spec, p=0.0), self.quench)
+        memo = self._memo.setdefault(spec, {})
+        new = [p for p in dict.fromkeys(ps) if p not in memo]
+        if new:
+            memo.update(zip(new, _curve_points(self, spec, new)))
+        return np.array([memo[p] for p in ps])
+
+    def unitaries(self, spec: ChannelSpec) -> np.ndarray:
+        key = (spec.kind, spec.epsilon, spec.draw_policy)
+        if key not in self._draws:
+            self._draws[key] = _unitaries(spec, self.layout.n_senders, self.quench)
+        return self._draws[key]
+
+
+def _curve_points(scan: _Scan, spec: ChannelSpec, ps: list[float]) -> list[float]:
+    """Mean capacities of the family ``spec`` at points not read before:
+    batched when the encoding is fixed, else one ``mean_capacity`` each."""
+    if spec.is_random:
+        batched = not scan.quench.optimize_per_realization
+    else:
+        batched = not scan.optimize or spec.is_covariant
+    if not batched:
+        return [mean_capacity(scan.rho, scan.layout, dataclasses.replace(spec, p=p),
+                              scan.opt, scan.optimize, scan.quench).mean_capacity_bits
+                for p in ps]
+    return [_mean(v) for v in _capacity_curve(scan.rho, scan.layout, spec, ps,
+                                               scan.unitaries(spec))]
+
+
 def _first_crossing(predicate, lo: float, hi: float, scan_step: float,
                     refine: float) -> float | None:
     """Smallest p in [lo, hi] where predicate flips to True.
 
-    Forward scan on a uniform grid, then bisection inside the first flipping
-    interval down to width <= refine.  Grid points are generated as
-    lo + k*scan_step so that round decimals are hit exactly.  Only the first
-    check, of lo itself, can return lo.
+    ``predicate`` maps a list of p to an array of bools.  Forward scan on a
+    uniform grid, evaluated in chunks of 1, 2, 4, ... points up to the first
+    chunk that flips, then bisection inside the first flipping interval down
+    to width <= refine.  Grid points are generated as lo + k*scan_step so
+    that round decimals are hit exactly.  Only the first check, of lo itself
+    (the first chunk), can return lo.
     """
-    if predicate(lo):
-        return lo
     n_steps = int(np.ceil((hi - lo) / scan_step))
-    prev = lo
-    hit = None
-    for k in range(1, n_steps + 1):
-        p = min(lo + k * scan_step, hi)
-        if predicate(p):
-            hit = p
-            break
-        prev = p
+    grid = [lo] + [min(lo + k * scan_step, hi) for k in range(1, n_steps + 1)]
+    hit, start, size = None, 0, 1
+    while hit is None and start < len(grid):
+        flips = predicate(grid[start:start + size])
+        if flips.any():
+            hit = start + int(np.argmax(flips))
+        start, size = start + size, 2 * size
     if hit is None:
         return None
-    a, b = prev, hit
+    if hit == 0:
+        return lo
+    a, b = grid[hit - 1], grid[hit]
     while b - a > refine:
         mid = 0.5 * (a + b)
-        if predicate(mid):
+        if predicate([mid])[0]:
             b = mid
         else:
             a = mid
     return b
+
+
+def _find_pc(scan: _Scan) -> float | None:
+    lo, hi = p_range(scan.spec)
+
+    def collapsed(ps) -> np.ndarray:
+        return scan.curve(scan.spec, ps) - scan.classical <= scan.threshold
+
+    p = _first_crossing(collapsed, lo, hi, scan.scan_step, scan.refine)
+    return None if p == lo else p   # collapsed at lo: no advantage to lose
+
+
+def _find_pr(scan: _Scan, p_c: float | None) -> float | None:
+    if p_c is None:
+        return None
+    _, hi = p_range(scan.spec)
+
+    def revived(ps) -> np.ndarray:
+        return scan.curve(scan.spec, ps) - scan.classical > scan.threshold
+
+    # start one refine-width past the collapse point
+    lo = min(p_c + scan.refine, hi)
+    return _first_crossing(revived, lo, hi, scan.scan_step, scan.refine)
+
+
+def _find_pa(scan: _Scan, spec_m: ChannelSpec) -> float | None:
+    spec_nm = scan.spec
+    lo_nm, hi_nm = p_range(spec_nm)
+    lo_m, hi_m = p_range(spec_m)
+    lo, hi = max(lo_nm, lo_m), min(hi_nm, hi_m)
+
+    def advantaged(ps) -> np.ndarray:
+        return scan.curve(spec_nm, ps) - scan.curve(spec_m, ps) > scan.threshold
+
+    return _first_crossing(advantaged, lo, hi, scan.scan_step, scan.refine)
 
 
 def find_pc(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec,
@@ -168,16 +325,8 @@ def find_pc(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec,
     Returns None when the noiseless capacity does not exceed the bound or
     the capacity never collapses inside the channel's p-range.
     """
-    lo, hi = p_range(spec)
-    classical = float(layout.n_senders)
-
-    def collapsed(p: float) -> bool:
-        cap = mean_capacity(rho, layout, dataclasses.replace(spec, p=p), opt,
-                            optimize, quench).mean_capacity_bits
-        return cap - classical <= threshold
-
-    p = _first_crossing(collapsed, lo, hi, scan_step, refine)
-    return None if p == lo else p   # collapsed at lo: no advantage to lose
+    return _find_pc(_Scan(rho, layout, spec, opt, optimize, quench, scan_step,
+                          refine, threshold))
 
 
 def find_pr(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec,
@@ -186,22 +335,9 @@ def find_pr(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec,
             optimize: bool = True, quench: QuenchConfig | None = None,
             p_c: float | None = None) -> float | None:
     """Smallest p >= p_c at which the capacity revives above the bound."""
-    if p_c is None:
-        p_c = find_pc(rho, layout, spec, opt, scan_step, refine, threshold,
-                      optimize, quench)
-    if p_c is None:
-        return None
-    _, hi = p_range(spec)
-    classical = float(layout.n_senders)
-
-    def revived(p: float) -> bool:
-        cap = mean_capacity(rho, layout, dataclasses.replace(spec, p=p), opt,
-                            optimize, quench).mean_capacity_bits
-        return cap - classical > threshold
-
-    # start one refine-width past the collapse point
-    lo = min(p_c + refine, hi)
-    return _first_crossing(revived, lo, hi, scan_step, refine)
+    scan = _Scan(rho, layout, spec, opt, optimize, quench, scan_step, refine,
+                 threshold)
+    return _find_pr(scan, _find_pc(scan) if p_c is None else p_c)
 
 
 def find_pa(rho: np.ndarray, layout: PartyLayout, spec_nm: ChannelSpec,
@@ -214,18 +350,8 @@ def find_pa(rho: np.ndarray, layout: PartyLayout, spec_nm: ChannelSpec,
         spec_m = dataclasses.replace(spec_nm, alpha=0.0)
     if spec_m.kind is not spec_nm.kind or spec_m.epsilon != spec_nm.epsilon:
         raise AnalysisError("Markovian reference must share channel kind and epsilon")
-    lo_nm, hi_nm = p_range(spec_nm)
-    lo_m, hi_m = p_range(spec_m)
-    lo, hi = max(lo_nm, lo_m), min(hi_nm, hi_m)
-
-    def capacity(spec: ChannelSpec, p: float) -> float:
-        return mean_capacity(rho, layout, dataclasses.replace(spec, p=p), opt,
-                             optimize, quench).mean_capacity_bits
-
-    def advantaged(p: float) -> bool:
-        return capacity(spec_nm, p) - capacity(spec_m, p) > threshold
-
-    return _first_crossing(advantaged, lo, hi, scan_step, refine)
+    return _find_pa(_Scan(rho, layout, spec_nm, opt, optimize, quench, scan_step,
+                          refine, threshold), spec_m)
 
 
 def critical_strengths(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec,
@@ -234,13 +360,13 @@ def critical_strengths(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec,
                        threshold: float = COLLAPSE_THRESHOLD,
                        optimize: bool = True,
                        quench: QuenchConfig | None = None) -> CriticalStrengths:
-    """All three critical strengths of one problem, sharing one scan setup."""
-    pc = find_pc(rho, layout, spec, opt, scan_step, refine, threshold,
-                 optimize, quench)
-    pr = find_pr(rho, layout, spec, opt, scan_step, refine, threshold,
-                 optimize, quench, p_c=pc)
-    pa = (find_pa(rho, layout, spec, None, opt, scan_step, refine, threshold,
-                  optimize, quench)
+    """All three critical strengths of one problem, on one shared curve (and
+    the Markovian one for p_a)."""
+    scan = _Scan(rho, layout, spec, opt, optimize, quench, scan_step, refine,
+                 threshold)
+    pc = _find_pc(scan)
+    pr = _find_pr(scan, pc)
+    pa = (_find_pa(scan, dataclasses.replace(spec, alpha=0.0))
           if spec.alpha > 0.0 else None)
     return CriticalStrengths(pc, pr, pa, refine)
 

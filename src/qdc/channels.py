@@ -164,10 +164,11 @@ def _channel_weights(kind: ChannelKind, alpha: float, p: float) -> np.ndarray:
 
 def _weighted(weights: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
     """Kraus operators sqrt(w_0) I, sqrt(w_j) U_j from ``(..., m-1, 2, 2)``
-    unitaries; the result has shape ``(..., m, 2, 2)``."""
+    unitaries and ``(..., m)`` weights; the result has shape
+    ``(..., m, 2, 2)``."""
     u = np.asarray(unitaries, dtype=complex)
     ident = np.broadcast_to(I2, u.shape[:-3] + (1, 2, 2))
-    return np.sqrt(weights)[:, None, None] * np.concatenate([ident, u], axis=-3)
+    return np.sqrt(weights)[..., None, None] * np.concatenate([ident, u], axis=-3)
 
 
 def kraus_dephasing(alpha: float, p: float, uz: np.ndarray = SIGMA_Z) -> KrausSet:
@@ -183,6 +184,10 @@ def kraus_depolarizing(alpha: float, p: float,
     weights = _channel_weights(ChannelKind.DEPOLARIZING, alpha, p)
     return KrausSet(tuple(_weighted(weights, [ux, uy, uz])))
 
+
+# the unitaries that follow the identity in a deterministic Kraus set
+_PAULIS = {ChannelKind.DEPHASING: np.array([SIGMA_Z]),
+           ChannelKind.DEPOLARIZING: np.array([SIGMA_X, SIGMA_Y, SIGMA_Z])}
 
 # parameter means of the unitaries that follow the identity, in Kraus order
 _DRAWN_MEANS = {
@@ -205,11 +210,20 @@ def _draw_params(spec: ChannelSpec, n_targets: int,
     return means + spec.epsilon * rng.standard_normal((rows,) + means.shape)
 
 
+def _draw_unitaries(spec: ChannelSpec, n_targets: int, rngs) -> np.ndarray:
+    """Unitaries that follow the identity, of shape (len(rngs), rows, m-1, 2, 2).
+
+    They depend on the kind, epsilon and draw policy of ``spec``, not on its
+    p or alpha.
+    """
+    return unitary_from_params(np.stack([_draw_params(spec, n_targets, rng)
+                                         for rng in rngs]))
+
+
 def _sample(spec: ChannelSpec, n_targets: int, rngs) -> np.ndarray:
     """Unchecked Kraus operators of shape (len(rngs), rows, m, 2, 2)."""
-    params = np.stack([_draw_params(spec, n_targets, rng) for rng in rngs])
     return _weighted(_channel_weights(spec.kind, spec.alpha, spec.p),
-                     unitary_from_params(params))
+                     _draw_unitaries(spec, n_targets, rngs))
 
 
 def sample_per_qubit_kraus(spec: ChannelSpec, n_targets: int,
@@ -221,23 +235,38 @@ def sample_per_qubit_kraus(spec: ChannelSpec, n_targets: int,
     return sets
 
 
+def _seeded_unitaries(spec: ChannelSpec, n_targets: int, seeds) -> np.ndarray:
+    """``_draw_unitaries`` with one generator per seed, seeded with
+    ``SeedSequence(seed)``."""
+    return _draw_unitaries(spec, n_targets,
+                           [np.random.default_rng(np.random.SeedSequence(s))
+                            for s in seeds])
+
+
+def _kraus_rows(weights: np.ndarray, unitaries: np.ndarray,
+                n_targets: int) -> np.ndarray:
+    """Checked Kraus operators of shape (B, n_targets, m, 2, 2) from
+    ``(B, rows, m-1, 2, 2)`` unitaries and the channel weights, ``(m,)`` for
+    all rows or ``(B, 1, m)`` one set per row."""
+    ops = _weighted(weights, unitaries)
+    _check_completeness(ops)
+    return np.broadcast_to(ops, (len(ops), n_targets) + ops.shape[2:])
+
+
 def sample_kraus_batch(spec: ChannelSpec, n_targets: int, seeds) -> np.ndarray:
     """Kraus operators of shape (len(seeds), n_targets, m, 2, 2).
 
     Row k holds what ``sample_per_qubit_kraus`` returns for a generator
     seeded with ``SeedSequence(seeds[k])``.
     """
-    ops = _sample(spec, n_targets, [np.random.default_rng(np.random.SeedSequence(s))
-                                    for s in seeds])
-    _check_completeness(ops)
-    return np.broadcast_to(ops, (len(seeds), n_targets) + ops.shape[2:])
+    return _kraus_rows(_channel_weights(spec.kind, spec.alpha, spec.p),
+                       _seeded_unitaries(spec, n_targets, seeds), n_targets)
 
 
 def deterministic_kraus(spec: ChannelSpec) -> KrausSet:
     """The exact-Pauli channel for the given spec (epsilon ignored)."""
-    if spec.kind is ChannelKind.DEPHASING:
-        return kraus_dephasing(spec.alpha, spec.p)
-    return kraus_depolarizing(spec.alpha, spec.p)
+    weights = _channel_weights(spec.kind, spec.alpha, spec.p)
+    return KrausSet(tuple(_weighted(weights, _PAULIS[spec.kind])))
 
 
 def _apply_local(rho: np.ndarray, per_target_ops, targets) -> np.ndarray:

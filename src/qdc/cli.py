@@ -476,15 +476,17 @@ def _table_rows_quenched(realizations, scan_step, refine, seed,
 def table(which, out, scan_step, refine, realizations, seed, threads):
     """Recompute one reference table and compare cell by cell."""
     opt = OptimizerConfig()
+    if scan_step is None:
+        scan_step = 5e-3 if which == "III" else 1e-3
     if which == "I":
-        rows = _table_rows_deterministic("I", ChannelKind.DEPHASING,
-                                         scan_step or 1e-3, refine, opt)
+        rows = _table_rows_deterministic("I", ChannelKind.DEPHASING, scan_step,
+                                         refine, opt)
     elif which == "II":
         rows = _table_rows_deterministic("II", ChannelKind.DEPOLARIZING,
-                                         scan_step or 1e-3, refine, opt)
+                                         scan_step, refine, opt)
     else:
-        rows = _table_rows_quenched(realizations, scan_step or 5e-3, refine,
-                                    seed, resolve_threads(threads))
+        rows = _table_rows_quenched(realizations, scan_step, refine, seed,
+                                    resolve_threads(threads))
     emit(rows, "csv", out)
     n_fail = sum(1 for r in rows if not r["pass"])
     click.echo(f"# {len(rows) - n_fail}/{len(rows)} cells within tolerance",

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from qdc import analysis
 from qdc.analysis import (AnalysisError, QuenchConfig, critical_strengths,
-                          find_pa, find_pc, find_pr, p_range,
+                          find_pa, find_pc, find_pr, mean_capacity, p_range,
                           quenched_capacity, sweep)
 from qdc.capacity import (PartyLayout, _identity_capacities,
                           capacity_one_receiver, evaluate)
@@ -106,7 +108,6 @@ def test_critical_strengths_bracket_and_ordering():
     assert cs.bracket_resolution == 1e-4
     # bracket verification: capacity straddles the threshold at the endpoints
     lay = PartyLayout(2, 1)
-    import dataclasses
     before = capacity_one_receiver(
         rho, lay, dataclasses.replace(spec, p=cs.p_c - 2e-4), optimize=False)
     at = capacity_one_receiver(
@@ -195,19 +196,149 @@ def test_optimized_quench_matches_one_realization_at_a_time(monkeypatch):
     assert res.std_error_bits == float(np.std(values, ddof=1) / np.sqrt(values.size))
 
 
+def _count_curve_points(monkeypatch) -> list[tuple]:
+    """Record each (channel family, p) the scans evaluate at the curve layer."""
+    points = []
+    curve_points = analysis._curve_points
+
+    def counted(scan, spec, ps):
+        points.extend((spec, p) for p in ps)
+        return curve_points(scan, spec, ps)
+
+    monkeypatch.setattr(analysis, "_curve_points", counted)
+    return points
+
+
 def test_find_pc_evaluates_lower_end_once(monkeypatch):
-    ps = []
-    mean_capacity = analysis.mean_capacity
-
-    def counted(rho, layout, spec, *args):
-        ps.append(spec.p)
-        return mean_capacity(rho, layout, spec, *args)
-
-    monkeypatch.setattr(analysis, "mean_capacity", counted)
+    points = _count_curve_points(monkeypatch)
     spec = ChannelSpec(ChannelKind.DEPHASING, 0.5, 0.0)
     pc = find_pc(build(GGHZ(3, 1 / np.sqrt(2))), PartyLayout(2, 1), spec,
                  scan_step=1e-2, refine=1e-3, optimize=False)
-    assert pc is not None and ps.count(0.0) == 1
+    assert pc is not None and [p for _, p in points].count(0.0) == 1
+
+
+@pytest.mark.parametrize("spec, quench, optimize", [
+    (ChannelSpec(ChannelKind.DEPHASING, 0.5, 0.0), None, False),
+    (ChannelSpec(ChannelKind.DEPOLARIZING, 0.5, 0.0, epsilon=0.5),
+     QuenchConfig(20, master_seed=1), False),
+    # optimized per point: read one point at a time, through the same memo
+    (ChannelSpec(ChannelKind.DEPHASING, 0.5, 0.0), None, True),
+])
+def test_critical_strengths_reads_each_curve_point_once(monkeypatch, spec, quench,
+                                                        optimize):
+    points = _count_curve_points(monkeypatch)
+    cs = critical_strengths(build(GGHZ(3, 1 / np.sqrt(2))), PartyLayout(2, 1),
+                            spec, OptimizerConfig(max_evaluations=60, restarts=1),
+                            scan_step=5e-2, refine=1e-3,
+                            optimize=optimize, quench=quench)
+    assert (cs.p_c, cs.p_a) != (None, None)
+    assert len(set(points)) == len(points)
+    # p_a's scan reads the Markovian curve besides the shared one
+    assert {s.alpha for s, _ in points} == {0.0, spec.alpha}
+
+
+@pytest.mark.parametrize("name", ["scan_step", "refine"])
+@pytest.mark.parametrize("value", [0.0, -0.01, np.nan, np.inf])
+def test_scans_reject_invalid_grid(name, value):
+    rho = build(GGHZ(3, 1 / np.sqrt(2)))
+    lay = PartyLayout(2, 1)
+    spec = ChannelSpec(ChannelKind.DEPHASING, 0.5, 0.0)
+    scan = {"scan_step": 1e-2, "refine": 1e-3, "optimize": False, name: value}
+    for find in (find_pc, find_pr, find_pa, critical_strengths):
+        with pytest.raises(AnalysisError, match=name):
+            find(rho, lay, spec, **scan)
+
+
+# --- per-point reference: the scalar forward scan and bisection -----------
+
+def _scalar_crossing(predicate, lo, hi, scan_step, refine):
+    if predicate(lo):
+        return lo
+    n_steps = int(np.ceil((hi - lo) / scan_step))
+    prev, hit = lo, None
+    for k in range(1, n_steps + 1):
+        p = min(lo + k * scan_step, hi)
+        if predicate(p):
+            hit = p
+            break
+        prev = p
+    if hit is None:
+        return None
+    a, b = prev, hit
+    while b - a > refine:
+        mid = 0.5 * (a + b)
+        if predicate(mid):
+            b = mid
+        else:
+            a = mid
+    return b
+
+
+def _chunked_quench_mean(rho, lay, spec, qc):
+    """Identity-encoding quenched mean, drawn and evaluated in chunks of
+    ``_CHUNK`` realizations, one p at a time."""
+    seeds = [(qc.master_seed, k) for k in range(qc.realizations)]
+    values = np.concatenate([
+        _identity_capacities(rho, lay, sample_kraus_batch(
+            spec, lay.n_senders, seeds[i:i + analysis._CHUNK]))
+        for i in range(0, len(seeds), analysis._CHUNK)])
+    return float(np.sum(values) / values.size)
+
+
+def _reference_strengths(rho, lay, spec, quench, scan_step, refine):
+    def cap(s, p):
+        s = dataclasses.replace(s, p=p)
+        if quench is None:
+            return mean_capacity(rho, lay, s, OPT, False).mean_capacity_bits
+        return _chunked_quench_mean(rho, lay, s, quench)
+
+    thr, classical = analysis.COLLAPSE_THRESHOLD, float(lay.n_senders)
+    lo, hi = p_range(spec)
+    pc = _scalar_crossing(lambda p: cap(spec, p) - classical <= thr,
+                          lo, hi, scan_step, refine)
+    pc = None if pc == lo else pc
+    pr = None if pc is None else _scalar_crossing(
+        lambda p: cap(spec, p) - classical > thr,
+        min(pc + refine, hi), hi, scan_step, refine)
+    m = dataclasses.replace(spec, alpha=0.0)
+    pa = _scalar_crossing(lambda p: cap(spec, p) - cap(m, p) > thr,
+                          lo, min(hi, p_range(m)[1]), scan_step, refine)
+    return pc, pr, pa
+
+
+X = 1 / np.sqrt(2)
+
+
+@pytest.mark.parametrize("state, lay, spec, quench", [
+    (GGHZ(3, X), PartyLayout(2, 1), ChannelSpec(ChannelKind.DEPHASING, 0.5, 0.0), None),
+    (GGHZ(5, X), PartyLayout(4, 1), ChannelSpec(ChannelKind.DEPHASING, 0.5, 0.0), None),
+    (GGHZ(4, X), PartyLayout(2, 2, split=1),
+     ChannelSpec(ChannelKind.DEPOLARIZING, 0.3, 0.0), None),
+    (WUniform(4), PartyLayout(3, 1), ChannelSpec(ChannelKind.DEPOLARIZING, 0.5, 0.0),
+     None),
+    (GGHZ(3, X), PartyLayout(2, 1),
+     ChannelSpec(ChannelKind.DEPOLARIZING, 0.5, 0.0, epsilon=0.5), QuenchConfig(11)),
+    (WUniform(3), PartyLayout(2, 1),
+     ChannelSpec(ChannelKind.DEPOLARIZING, 0.5, 0.0, epsilon=1.0,
+                 draw_policy=DrawPolicy.SHARED_ACROSS_QUBITS), QuenchConfig(11)),
+])
+def test_batched_scans_match_per_point_reference(monkeypatch, state, lay, spec,
+                                                 quench):
+    # 11 realizations in slices of 7 rows: slices cross both realization
+    # chunks and p-points
+    monkeypatch.setattr(analysis, "_CHUNK", 7)
+    rho = build(state)
+    scan = dict(scan_step=1e-2, refine=1e-3)
+    cs = critical_strengths(rho, lay, spec, OPT, optimize=False, quench=quench,
+                            **scan)
+    ref = _reference_strengths(rho, lay, spec, quench, **scan)
+    assert (cs.p_c, cs.p_r, cs.p_a) == ref
+    assert ref != (None, None, None)
+    if quench is not None:
+        p = 0.03
+        q = quenched_capacity(rho, lay, dataclasses.replace(spec, p=p), quench)
+        assert q.mean_capacity_bits == _chunked_quench_mean(
+            rho, lay, dataclasses.replace(spec, p=p), quench)
 
 
 def test_quenched_epsilon_override():

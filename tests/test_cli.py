@@ -76,7 +76,16 @@ def test_usage_errors_exit_2():
                     f"dephasing:alpha=0.3,p=0.2,eps={eps}"] for eps in ("inf", "nan")),
                  *(["capacity", "--state", "bell", "--senders", "1", "--channel",
                     "dephasing:alpha=0.5,p=0.2", *opts]
-                   for opts in (["--opt-restarts", "0"], ["--opt-evals", "3"]))):
+                   for opts in (["--opt-restarts", "0"], ["--opt-evals", "3"])),
+                 *(["critical", "--state", "bell", "--senders", "1", "--channel",
+                    "dephasing:alpha=0.5,p=0", "--no-optimize", option, value]
+                   for option, value in (("--refine", "0"), ("--refine", "-1"),
+                                         ("--scan-step", "0"), ("--scan-step", "nan"),
+                                         ("--scan-step", "-0.01"))),
+                 *(["table", "--which", which, option, value]
+                   for which in ("I", "III")
+                   for option, value in (("--refine", "0"), ("--scan-step", "0"),
+                                         ("--scan-step", "inf")))):
         res = runner.invoke(main, args)
         assert res.exit_code == 2, args
     res = runner.invoke(main, ["capacity", "--state", "bell", "--senders", "1"],
