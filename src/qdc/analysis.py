@@ -12,32 +12,34 @@ on the first grid interval where the detection predicate flips.  The forward
 grid is evaluated in chunks of 1, 2, 4, ... points, up to the first chunk
 that holds a flip.  The capacities come from the problem's curves, one per
 channel family (the spec up to p), memoized for the length of one public
-call, so that p_c, p_r and p_a read each point once.  A curve with a fixed
-encoding (the identity, or any for covariant depolarizing noise) is
+call, so that p_c, p_r and p_a read each point once.  Every curve is
 evaluated in batches: the Kraus sets of many p-points, and of every
 realization of a quenched channel, are stacked along the kernel's batch
-axis.  The unitaries a quenched channel draws do not depend on p or alpha,
-so each scan draws them once.  Other curves, with an encoding optimized per
-point or per realization, are read one point at a time from
-``mean_capacity``: the quenched mean for a random channel (epsilon > 0),
-the capacity itself for a deterministic one.
+axis, and the block states and receiver entropies are traced out once per
+scan.  With an encoding optimized per point or per realization, every
+L-BFGS-B start of every row of a batch runs in lockstep; no stop rule is
+shared between them, so no result depends on the batch it runs in.  The
+unitaries a quenched channel draws do not depend on p or alpha, so each
+scan draws them once.  Quenched means and sweeps along p are curves too.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .capacity import (COLLAPSE_THRESHOLD, PartyLayout, _identity_capacities,
-                       evaluate)
-from .channels import (_PAULIS, ChannelKind, ChannelSpec, KrausSet,
-                       _channel_weights, _kraus_rows, _seeded_unitaries)
+from .capacity import (COLLAPSE_THRESHOLD, PartyLayout, _capacities, _Marginals,
+                       _marginals, evaluate)
+from .channels import (_PAULIS, ChannelKind, ChannelSpec, _channel_weights,
+                       _kraus_rows, _seeded_unitaries)
 from .optimizer import OptimizerConfig
 
-# (p-point, realization) rows evaluated together with the identity encoding;
-# bounds the memory of the stacked block states (256 five-qubit states: 4 MB)
+# (p-point, realization) rows evaluated together, or optimizer problems run in
+# lockstep; bounds the memory of the stacked block states (256 five-qubit
+# states: 4 MB)
 _CHUNK = 256
 
 
@@ -115,26 +117,39 @@ def _reduce(values: np.ndarray) -> QuenchedResult:
     return QuenchedResult(mean, stderr, int(values.size))
 
 
-def _capacity_curve(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec,
-                    ps, unitaries: np.ndarray) -> np.ndarray:
-    """Identity-encoding capacities of the channel family ``spec``, one row
-    per p of ``ps`` and one column per realization of ``unitaries`` (see
-    ``_unitaries``).
+def _optimized(spec: ChannelSpec, optimize: bool, quench: QuenchConfig | None) -> bool:
+    """Whether the capacities of the family ``spec`` (after the quench's
+    epsilon override) optimize the encoding: per realization as the quench
+    says for a random channel; else as ``optimize`` says, unless the channel
+    is covariant depolarizing noise."""
+    if spec.is_random:
+        return quench.optimize_per_realization
+    return optimize and not spec.is_covariant
+
+
+def _capacity_curve(marginals: _Marginals, spec: ChannelSpec, ps,
+                    unitaries: np.ndarray, opt: OptimizerConfig = OptimizerConfig(),
+                    optimize: bool = False) -> np.ndarray:
+    """Capacities of the channel family ``spec``, one row per p of ``ps``
+    and one column per realization of ``unitaries`` (see ``_unitaries``),
+    for the state and layout of ``marginals`` (``capacity._marginals``).
 
     The (p, realization) rows, p-major, are weighted, checked and evaluated
-    in slices of at most ``_CHUNK`` rows; each is bit-identical to a one-row
-    evaluation.  Each p's row is contiguous, so it reduces in realization
-    order.
+    in slices of at most ``_CHUNK`` rows, or, with ``optimize``, of at most
+    ``_CHUNK`` optimizer problems (restarts + 1 per row, at least one row).
+    Each is bit-identical to a one-row evaluation.  Each p's row is
+    contiguous, so it reduces in realization order.
     """
     weights = np.array([_channel_weights(spec.kind, spec.alpha, p) for p in ps])
     n_r = len(unitaries)
     values = np.empty((len(ps), n_r))
     flat = values.reshape(-1)
-    for a in range(0, flat.size, _CHUNK):
-        rows = np.arange(a, min(a + _CHUNK, flat.size))
+    step = max(1, _CHUNK // (opt.restarts + 1)) if optimize else _CHUNK
+    for a in range(0, flat.size, step):
+        rows = np.arange(a, min(a + step, flat.size))
         kraus = _kraus_rows(weights[rows // n_r, None], unitaries[rows % n_r],
-                            layout.n_senders)
-        flat[a:a + len(rows)] = _identity_capacities(rho, layout, kraus)
+                            marginals.n_senders)
+        flat[a:a + len(rows)] = _capacities(marginals, kraus, opt, optimize)
     return values
 
 
@@ -145,23 +160,18 @@ def quenched_capacity(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec,
 
     Realization k draws its Kraus sets from a generator seeded with
     (master_seed, k), so each value is independent of the others; the
-    reduction runs in index order.  With the identity encoding this is the
-    one-point case of a scan's capacity curve, evaluated in batches of
-    ``_CHUNK`` realizations; an optimized encoding is searched for one
-    realization at a time.  ``qc.threads`` has no effect.
+    reduction runs in index order.  This is the one-point case of a scan's
+    capacity curve, evaluated in slices of realizations; with
+    ``qc.optimize_per_realization`` every start of every realization of a
+    slice runs in lockstep, each with its own stop rule.  ``qc.threads`` has
+    no effect.
     """
     spec = _overridden(spec, qc)
     if not spec.is_random:
         raise AnalysisError("quenched averaging needs a random channel (epsilon > 0)")
-    unitaries = _unitaries(spec, layout.n_senders, qc)
-    if not qc.optimize_per_realization:
-        return _reduce(_capacity_curve(rho, layout, spec, [spec.p], unitaries)[0])
-    kraus = _kraus_rows(_channel_weights(spec.kind, spec.alpha, spec.p),
-                        unitaries, layout.n_senders)
-    return _reduce(np.array([
-        evaluate(rho, layout, spec, opt=opt,
-                 kraus_override=[KrausSet(tuple(ops)) for ops in row]).capacity_bits
-        for row in kraus]))
+    return _reduce(_capacity_curve(_marginals(rho, layout), spec, [spec.p],
+                                   _unitaries(spec, layout.n_senders, qc), opt,
+                                   qc.optimize_per_realization)[0])
 
 
 def mean_capacity(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec | None,
@@ -189,8 +199,9 @@ class _Scan:
     capacity is taken, and the scan grid.
 
     It holds the problem's capacity curves, one per channel family (the spec
-    up to p), and the unitaries they draw; both live as long as the record,
-    which is one public call.
+    up to p), the unitaries they draw and the block states and receiver
+    entropies they share; all live as long as the record, which is one
+    public call.
     """
     rho: np.ndarray
     layout: PartyLayout
@@ -216,6 +227,10 @@ class _Scan:
     def classical(self) -> float:
         return float(self.layout.n_senders)
 
+    @functools.cached_property
+    def marginals(self) -> _Marginals:
+        return _marginals(self.rho, self.layout)
+
     def curve(self, spec: ChannelSpec, ps) -> np.ndarray:
         """Mean capacity of the family ``spec`` at each p of ``ps``; points
         not read before are evaluated together."""
@@ -234,18 +249,11 @@ class _Scan:
 
 
 def _curve_points(scan: _Scan, spec: ChannelSpec, ps: list[float]) -> list[float]:
-    """Mean capacities of the family ``spec`` at points not read before:
-    batched when the encoding is fixed, else one ``mean_capacity`` each."""
-    if spec.is_random:
-        batched = not scan.quench.optimize_per_realization
-    else:
-        batched = not scan.optimize or spec.is_covariant
-    if not batched:
-        return [mean_capacity(scan.rho, scan.layout, dataclasses.replace(spec, p=p),
-                              scan.opt, scan.optimize, scan.quench).mean_capacity_bits
-                for p in ps]
-    return [_mean(v) for v in _capacity_curve(scan.rho, scan.layout, spec, ps,
-                                               scan.unitaries(spec))]
+    """Mean capacities of the family ``spec`` at points not read before,
+    evaluated together."""
+    return [_mean(v) for v in _capacity_curve(
+        scan.marginals, spec, ps, scan.unitaries(spec), scan.opt,
+        _optimized(spec, scan.optimize, scan.quench))]
 
 
 def _first_crossing(predicate, lo: float, hi: float, scan_step: float,
@@ -380,8 +388,10 @@ def sweep(axis: str, grid: tuple[float, float, int], *, state=None,
 
     ``axis='state_param'`` varies the field named ``param`` of ``state``
     (e.g. ``x`` for gGHZ, ``b`` for gW).  Returns one row per grid point,
-    ordered by axis value.  ``threads`` is accepted for compatibility and
-    has no effect.
+    ordered by axis value.  Along ``p`` the grid is one capacity curve,
+    evaluated in batches; each row's mean and standard error reduce its own
+    realizations.  ``threads`` is accepted for compatibility and has no
+    effect.
     """
     from .states import build   # local import to avoid a cycle
 
@@ -389,34 +399,46 @@ def sweep(axis: str, grid: tuple[float, float, int], *, state=None,
     if steps < 1:
         raise AnalysisError("sweep needs at least one grid point")
     values = [lo] if steps == 1 else list(np.linspace(lo, hi, steps))
+    if rho is None and state is not None and axis != "state_param":
+        rho = build(state)
 
-    def row(value: float) -> dict:
-        spec_v, rho_v, state_v = spec, rho, state
+    def point(value: float) -> tuple[ChannelSpec | None, np.ndarray]:
+        spec_v, rho_v = spec, rho
         if axis == "p":
             spec_v = dataclasses.replace(spec, p=float(value))
         elif axis == "alpha":
             spec_v = dataclasses.replace(spec, alpha=float(value))
         elif axis == "state_param":
-            if state_v is None or param is None:
+            if state is None or param is None:
                 raise AnalysisError("state_param sweeps need state= and param=")
-            state_v = dataclasses.replace(state_v, **{param: float(value)})
+            rho_v = build(dataclasses.replace(state, **{param: float(value)}))
         else:
             raise AnalysisError(f"unknown sweep axis {axis!r}")
-        if rho_v is None or state_v is not state:
-            if state_v is None:
-                raise AnalysisError("sweep needs either rho= or state=")
-            rho_v = build(state_v)
+        if rho_v is None:
+            raise AnalysisError("sweep needs either rho= or state=")
+        return spec_v, rho_v
 
-        q = mean_capacity(rho_v, layout, spec_v, opt, optimize, quench)
-        classical = float(layout.n_senders)
-        return {
-            "axis": axis, "value": float(value),
-            "p": spec_v.p if spec_v is not None else "",
-            "alpha": spec_v.alpha if spec_v is not None else "",
-            "capacity_bits": q.mean_capacity_bits,
-            "classical_bound": classical,
-            "dense_codeable": q.mean_capacity_bits - classical > COLLAPSE_THRESHOLD,
-            "std_error": q.std_error_bits,
-        }
-
-    return [row(v) for v in values]
+    points = [point(v) for v in values]
+    if axis == "p":
+        # one curve: the state and the channel family are the same at every p
+        family = _overridden(spec, quench)
+        if family.is_random and quench is None:
+            raise AnalysisError("a random channel needs a QuenchConfig")
+        curve = _capacity_curve(_marginals(rho, layout), family,
+                                [spec_v.p for spec_v, _ in points],
+                                _unitaries(family, layout.n_senders, quench), opt,
+                                _optimized(family, optimize, quench))
+        results = [_reduce(row) for row in curve]
+    else:
+        results = [mean_capacity(rho_v, layout, spec_v, opt, optimize, quench)
+                   for spec_v, rho_v in points]
+    classical = float(layout.n_senders)
+    return [{
+        "axis": axis, "value": float(value),
+        "p": spec_v.p if spec_v is not None else "",
+        "alpha": spec_v.alpha if spec_v is not None else "",
+        "capacity_bits": q.mean_capacity_bits,
+        "classical_bound": classical,
+        "dense_codeable": q.mean_capacity_bits - classical > COLLAPSE_THRESHOLD,
+        "std_error": q.std_error_bits,
+    } for value, (spec_v, _), q in zip(values, points, results)]

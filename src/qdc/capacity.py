@@ -9,6 +9,15 @@ the optimizer's objective, ``_block_entropy_and_grad``, folds each sender's
 unitary into its Kraus operators and returns the block entropy with its
 exact gradient in the encoding parameters, from one more kernel pass with
 the adjoint operators.
+
+Every capacity, one or many, goes through one batched entry,
+``_output_entropies``: a single ``evaluate`` is its batch of one, and a
+quenched mean or a scan curve hands it many rows of Kraus operators at
+once.  The block states and receiver entropies it needs are traced out of
+rho once (``_marginals``) and may be shared by every call on the same state.
+An optimized block runs the (row, start) problems of all its rows in
+lockstep (``optimizer.minimize``), each with its own stop rule, so a row's
+result does not depend on the rows it runs with.
 """
 
 from __future__ import annotations
@@ -124,11 +133,6 @@ def encode(rho: np.ndarray, encoding: EncodingParams) -> np.ndarray:
     return _apply_local(rho, unitaries[:, None], range(len(unitaries)))
 
 
-def _receiver_entropies(rho: np.ndarray, layout: PartyLayout) -> list[float]:
-    return [von_neumann_entropy(partial_trace(rho, {r}))
-            for r in layout.receiver_indices]
-
-
 def _sender_kraus(spec: ChannelSpec | None, layout: PartyLayout,
                   kraus_override: list[KrausSet] | None,
                   rng: np.random.Generator | None) -> list[np.ndarray]:
@@ -163,9 +167,14 @@ _HALF_IZ = 0.5j * SIGMA_Z
 
 
 def _block_entropy_and_grad(block_rho: np.ndarray, ops,
-                            x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Block entropy after the encoding ``x`` (flat (omega, theta, delta)
-    per sender) and the senders' noise, and its gradient in ``x``.
+                            x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Block entropy after the encoding and the senders' noise, and its
+    gradient in the encoding, for each row of a batch.
+
+    ``x`` holds one flat encoding (omega, theta, delta per sender) per row,
+    ``(k, 3 * n)``, and ``ops[i]`` sender i's Kraus operators per row,
+    ``(k, m, 2, 2)``; the result is ``(k,)`` entropies and ``(k, 3 * n)``
+    gradients.  Each row is computed as a batch of one would compute it.
 
     Sender i's unitary U_i is folded into its Kraus operators as K U_i, so
     the output is one kernel pass.  With L = log2 of the output (0 on its
@@ -176,43 +185,93 @@ def _block_entropy_and_grad(block_rho: np.ndarray, ops,
     (With dU_i = A U_i, the same value is -2 Re Tr(A Tr_{not i}(sigma M'))
     for the encoded state sigma and M' = sum K^dag L K.)
     """
-    params = x.reshape(-1, 3)
+    params = x.reshape(len(x), -1, 3)
     u = unitary_from_params(params)
-    folded = [k @ ui for k, ui in zip(ops, u)]
+    folded = [k @ u[:, i, None] for i, k in enumerate(ops)]
     targets = range(len(folded))
     entropy, log_out = entropy_and_log2(_apply_local(block_rho, folded, targets))
     pulled_back = _apply_local(log_out, [f.conj().swapaxes(-1, -2) for f in folded],
                                targets)
     product = block_rho @ pulled_back
-    local = np.stack([partial_trace(product, {i}) for i in targets])
+    local = np.stack([partial_trace(product, {i}) for i in targets], axis=1)
     # R_z(delta)^dag (-i/2 Y) R_z(delta), written out
-    phase = np.exp(1j * params[:, 2])
+    phase = np.exp(1j * params[..., 2])
     g_theta = np.zeros_like(u)
-    g_theta[:, 0, 1], g_theta[:, 1, 0] = -0.5 * phase.conj(), 0.5 * phase
+    g_theta[..., 0, 1], g_theta[..., 1, 0] = -0.5 * phase.conj(), 0.5 * phase
     gens = np.stack([u.conj().swapaxes(-1, -2) @ _HALF_IZ @ u, g_theta,
-                     np.broadcast_to(_HALF_IZ, u.shape)], axis=1)
-    grad = -2.0 * np.einsum("ikab,iba->ik", gens, local).real
-    return entropy, grad.ravel()
+                     np.broadcast_to(_HALF_IZ, u.shape)], axis=-3)
+    # Re Tr(G local) term by term, summed in an order fixed by the number of
+    # senders alone (an einsum's order also depends on the batch shape): the
+    # orders numpy's einsum "ikab,iba->ik" takes without a batch axis.
+    local_t = local.swapaxes(-1, -2)[..., None, :, :]
+    t = gens.real * local_t.real - gens.imag * local_t.imag
+    t00, t01, t10, t11 = t[..., 0, 0], t[..., 0, 1], t[..., 1, 0], t[..., 1, 1]
+    if len(ops) == 1:
+        re = 0.0 + (t00 + t01) + (t10 + t11)
+    else:
+        re = 0.0 + t00 + t01 + t10 + t11
+    return entropy, -2.0 * re.reshape(len(x), -1)
 
 
-def _blocks(rho: np.ndarray, layout: PartyLayout, ops) -> list[tuple]:
-    """Each block's state, traced out of rho, with its senders' operators."""
-    return [(partial_trace(rho, senders + [receiver]), [ops[q] for q in senders])
-            for senders, receiver in layout.blocks]
+@dataclass(frozen=True, eq=False)
+class _Marginals:
+    """What every capacity of one state and layout shares, whatever the
+    channel: each block's state (its senders leading, its receiver last)
+    with the indices of its senders, and the receiver entropies."""
+    n_senders: int
+    blocks: tuple[tuple[np.ndarray, list[int]], ...]
+    receiver_terms: tuple[float, ...]
 
 
-def _identity_capacities(rho: np.ndarray, layout: PartyLayout,
-                         kraus: np.ndarray) -> np.ndarray:
-    """Identity-encoding capacity (or two-receiver bound) for each row of a
-    ``(B, n_senders, m, 2, 2)`` Kraus batch; the block states and receiver
-    marginals are traced out once for all rows."""
+def _marginals(rho: np.ndarray, layout: PartyLayout) -> _Marginals:
     layout.check(rho)
-    ops = [kraus[:, q] for q in range(layout.n_senders)]
-    outputs = np.max([_block_entropy(*block) for block in _blocks(rho, layout, ops)],
-                     axis=0)
-    classical = float(layout.n_senders)
-    return np.maximum(classical,
-                      classical + sum(_receiver_entropies(rho, layout)) - outputs)
+    return _Marginals(layout.n_senders,
+                      tuple((partial_trace(rho, senders + [receiver]), senders)
+                            for senders, receiver in layout.blocks),
+                      tuple(von_neumann_entropy(partial_trace(rho, {r}))
+                            for r in layout.receiver_indices))
+
+
+def _block_objective(block_rho: np.ndarray, ops, rows: np.ndarray,
+                     x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The optimizer's objective: rows index the batch of ``ops``."""
+    return _block_entropy_and_grad(block_rho, [o[rows] for o in ops], x)
+
+
+def _output_entropies(marg: _Marginals, ops, opt: OptimizerConfig,
+                      optimize: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Largest block entropy after the senders' noise, ``(B,)``, and the
+    encoding that reaches it, ``(B, 3 * n_senders)``, for each row of a
+    batch; ``ops[q]`` holds sender q's Kraus operators, ``(B, m, 2, 2)``.
+
+    Each block's state is traced out of rho before it is encoded: local
+    unitaries and noise on the traced qubits drop out, so the result is
+    exact.  With ``optimize``, each block entropy is minimized over the
+    unitaries of the block's own senders: its B x (restarts + 1) problems
+    run in one lockstep group.  Else the encoding is the identity and no
+    unitary is built.
+    """
+    n_rows = len(ops[0])
+    if not optimize:
+        return (np.max([_block_entropy(block, [ops[q] for q in senders])
+                        for block, senders in marg.blocks], axis=0),
+                np.zeros((n_rows, 3 * marg.n_senders)))
+    entropies, encodings = zip(*(
+        minimize(partial(_block_objective, block, [ops[q] for q in senders]),
+                 n_rows, len(senders), opt)
+        for block, senders in marg.blocks))
+    return np.max(entropies, axis=0), np.concatenate(encodings, axis=1)
+
+
+def _capacities(marg: _Marginals, kraus: np.ndarray,
+                opt: OptimizerConfig = OptimizerConfig(),
+                optimize: bool = False) -> np.ndarray:
+    """Capacity (or two-receiver bound) for each row of a
+    ``(B, n_senders, m, 2, 2)`` Kraus batch, with the identity encoding or,
+    with ``optimize``, the encoding optimized per row."""
+    outputs, _ = _output_entropies(marg, list(kraus.swapaxes(0, 1)), opt, optimize)
+    classical = float(marg.n_senders)
+    return np.maximum(classical, classical + sum(marg.receiver_terms) - outputs)
 
 
 def _capacity(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec | None,
@@ -220,34 +279,21 @@ def _capacity(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec | None,
               opt: OptimizerConfig = OptimizerConfig(),
               optimize: bool = True,
               rng: np.random.Generator | None = None) -> CapacityResult:
-    """Capacity (one block) or LOCC upper bound (two blocks).
+    """Capacity (one block) or LOCC upper bound (two blocks): the batch of
+    one of ``_output_entropies``.
 
-    Each block's state is traced out of rho before it is encoded: local
-    unitaries and noise on the traced qubits drop out, so the result is
-    exact.  Each block entropy is minimized over the unitaries of its own
-    senders, and the largest minimum enters the formula; the optimizer takes
-    the block entropy and its exact gradient from ``_block_entropy_and_grad``.
-    The encoding stays the identity, and no unitary is built, when
-    ``optimize`` is False (the lower bound used by quenched runs), without a
-    channel, or for deterministic depolarizing noise, which is covariant so
-    that the encoding drops out.
+    The largest block entropy enters the formula.  The encoding stays the
+    identity when ``optimize`` is False (the lower bound used by quenched
+    runs), without a channel, or for deterministic depolarizing noise, which
+    is covariant so that the encoding drops out.
     """
-    layout.check(rho)
+    marg = _marginals(rho, layout)
     ops = _sender_kraus(spec, layout, kraus_override, rng)
     covariant = spec is not None and spec.is_covariant and kraus_override is None
     fixed = not optimize or spec is None or covariant
-    entropies, encodings = [], []
-    for block_rho, block_ops in _blocks(rho, layout, ops):
-        n = len(block_ops)
-        if fixed:
-            val, best = _block_entropy(block_rho, block_ops), EncodingParams.identity(n)
-        else:
-            val, best = minimize(partial(_block_entropy_and_grad, block_rho, block_ops),
-                                 n, opt)
-        entropies.append(val)
-        encodings.extend(best.per_sender)
-    return _result(layout.n_senders, _receiver_entropies(rho, layout),
-                   max(entropies), EncodingParams(tuple(encodings)))
+    outputs, x = _output_entropies(marg, [o[None] for o in ops], opt, not fixed)
+    return _result(layout.n_senders, list(marg.receiver_terms), float(outputs[0]),
+                   EncodingParams.from_flat(x[0]))
 
 
 def capacity_noiseless(rho: np.ndarray, layout: PartyLayout) -> CapacityResult:

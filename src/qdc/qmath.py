@@ -1,9 +1,10 @@
 """Dense complex linear algebra for small multiqubit density matrices.
 
 Everything here works on plain ``numpy`` arrays of shape ``(d, d)`` with
-``d = 2**n`` and ``n <= 5`` (``von_neumann_entropy`` also takes a stack of
-them).  Qubit 0 is the most-significant tensor factor, i.e. the basis index
-of ``|q0 q1 ... q_{n-1}>`` is ``sum(q_k * 2**(n-1-k))``.
+``d = 2**n`` and ``n <= 5`` (``partial_trace``, ``von_neumann_entropy`` and
+``entropy_and_log2`` also take a stack of them).  Qubit 0 is the
+most-significant tensor factor, i.e. the basis index of ``|q0 q1 ... q_{n-1}>``
+is ``sum(q_k * 2**(n-1-k))``.
 """
 
 from __future__ import annotations
@@ -64,21 +65,24 @@ def partial_trace(rho: np.ndarray, keep: set[int] | list[int] | tuple[int, ...])
     """Trace out all qubits not in ``keep``.
 
     ``keep`` is a set of qubit indices (0 = leftmost factor).  The kept qubits
-    retain their relative order in the reduced matrix.
+    retain their relative order in the reduced matrix.  ``rho`` may carry
+    leading batch axes; each matrix of a stack is traced in the order of an
+    unbatched call, so it equals that call bit for bit.
     """
     keep = sorted(set(keep))
-    n = n_qubits(rho)
+    b = rho.ndim - 2
+    n = n_qubits(rho[(0,) * b])
     if not keep:
         raise QmathError("keep set must be nonempty")
     if keep[0] < 0 or keep[-1] >= n:
         raise QmathError(f"keep indices {keep} out of range for {n} qubits")
     traced = [q for q in range(n) if q not in keep]
     # reshape to a rank-2n tensor: one (row, col) index pair per qubit
-    t = rho.reshape([2] * (2 * n))
+    t = rho.reshape(rho.shape[:b] + (2,) * (2 * n))
     for q in reversed(traced):
-        t = np.trace(t, axis1=q, axis2=q + (t.ndim // 2))
+        t = np.trace(t, axis1=b + q, axis2=b + q + (t.ndim - b) // 2)
     d = 2 ** len(keep)
-    return t.reshape(d, d)
+    return t.reshape(rho.shape[:b] + (d, d))
 
 
 def hermitian_eigenvalues(mat: np.ndarray) -> np.ndarray:
@@ -111,13 +115,14 @@ def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
     return float(s) if s.ndim == 0 else s
 
 
-def entropy_and_log2(rho: np.ndarray) -> tuple[float, np.ndarray]:
-    """S(rho) in bits and the matrix log2(rho) of one density matrix, with
-    the eigenvalue convention of ``von_neumann_entropy``: the log is taken
-    as 0 on the kernel of rho."""
+def entropy_and_log2(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S(rho) in bits and the matrix log2(rho) for each matrix of a stack
+    ``(..., d, d)``, with the eigenvalue convention of
+    ``von_neumann_entropy``: the log is taken as 0 on the kernel of rho."""
     evals, vecs = np.linalg.eigh(rho)
     evals, logs = _clipped_log2(evals)
-    return float(-np.sum(evals * logs)), (vecs * logs) @ vecs.conj().T
+    return (-np.sum(evals * logs, axis=-1),
+            (vecs * logs[..., None, :]) @ vecs.conj().swapaxes(-1, -2))
 
 
 def shannon_entropy(probs) -> float:

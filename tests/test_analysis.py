@@ -7,7 +7,7 @@ from qdc import analysis
 from qdc.analysis import (AnalysisError, QuenchConfig, critical_strengths,
                           find_pa, find_pc, find_pr, mean_capacity, p_range,
                           quenched_capacity, sweep)
-from qdc.capacity import (PartyLayout, _identity_capacities,
+from qdc.capacity import (PartyLayout, _capacities, _marginals,
                           capacity_one_receiver, evaluate)
 from qdc.channels import (ChannelKind, ChannelSpec, DrawPolicy,
                           sample_kraus_batch, sample_per_qubit_kraus)
@@ -162,7 +162,7 @@ def test_batched_quench_matches_one_realization_at_a_time(state, lay, spec):
             spec, lay.n_senders, np.random.default_rng(np.random.SeedSequence((13, k))))
     ).capacity_bits for k in range(n)])
     batch = sample_kraus_batch(spec, lay.n_senders, [(13, k) for k in range(n)])
-    assert np.array_equal(_identity_capacities(rho, lay, batch), values)
+    assert np.array_equal(_capacities(_marginals(rho, lay), batch), values)
     res = quenched_capacity(rho, lay, spec, QuenchConfig(n, master_seed=13))
     assert res.realizations_used == n
     assert abs(res.mean_capacity_bits - np.sum(values) / n) < 1e-12
@@ -194,6 +194,24 @@ def test_optimized_quench_matches_one_realization_at_a_time(monkeypatch):
         3, master_seed=4, optimize_per_realization=True), opt)
     assert res.mean_capacity_bits == float(np.sum(values) / values.size)
     assert res.std_error_bits == float(np.std(values, ddof=1) / np.sqrt(values.size))
+
+
+@pytest.mark.parametrize("state, lay", [
+    (GGHZ(3, 1 / np.sqrt(2)), PartyLayout(2, 1)),
+    (GGHZ(4, 0.6), PartyLayout(2, 2, split=1)),     # two one-sender blocks
+])
+def test_optimized_quench_independent_of_group_size(monkeypatch, state, lay):
+    # every start of every realization of a slice runs in lockstep, each with
+    # its own stop rule: the slice a realization runs in changes nothing
+    rho = build(state)
+    spec = ChannelSpec(ChannelKind.DEPHASING, 0.8, 0.3, epsilon=0.5)
+    opt = OptimizerConfig(max_evaluations=60, restarts=1)   # some stop on maxfun
+    qc = QuenchConfig(7, master_seed=3, optimize_per_realization=True)
+    results = []
+    for chunk in (1, 5, 7, 256):            # 1, 2, 3 and all 7 realizations
+        monkeypatch.setattr(analysis, "_CHUNK", chunk)
+        results.append(quenched_capacity(rho, lay, spec, qc, opt))
+    assert all(r == results[0] for r in results)
 
 
 def _count_curve_points(monkeypatch) -> list[tuple]:
@@ -279,7 +297,7 @@ def _chunked_quench_mean(rho, lay, spec, qc):
     ``_CHUNK`` realizations, one p at a time."""
     seeds = [(qc.master_seed, k) for k in range(qc.realizations)]
     values = np.concatenate([
-        _identity_capacities(rho, lay, sample_kraus_batch(
+        _capacities(_marginals(rho, lay), sample_kraus_batch(
             spec, lay.n_senders, seeds[i:i + analysis._CHUNK]))
         for i in range(0, len(seeds), analysis._CHUNK)])
     return float(np.sum(values) / values.size)
@@ -371,6 +389,38 @@ def test_sweep_p_axis():
     assert [r["value"] for r in rows] == pytest.approx(np.linspace(0, 0.5, 6))
     assert rows[0]["capacity_bits"] == pytest.approx(3.0, abs=1e-9)
     assert rows[0]["dense_codeable"]
+
+
+@pytest.mark.parametrize("spec, optimize, quench", [
+    (ChannelSpec(ChannelKind.DEPHASING, 0.9, 0.0), False, None),
+    (ChannelSpec(ChannelKind.DEPHASING, 0.9, 0.0), True, None),
+    (ChannelSpec(ChannelKind.DEPOLARIZING, 0.3, 0.0, epsilon=0.7), False,
+     QuenchConfig(9, master_seed=2)),
+    (ChannelSpec(ChannelKind.DEPHASING, 0.8, 0.0, epsilon=0.5), False,
+     QuenchConfig(3, master_seed=2, optimize_per_realization=True)),
+])
+def test_sweep_p_matches_mean_capacity_per_point(spec, optimize, quench):
+    rho = build(GGHZ(3, 1 / np.sqrt(2)))
+    lay = PartyLayout(2, 1)
+    opt = OptimizerConfig(max_evaluations=120, restarts=1)
+    rows = sweep("p", (0.05, 0.3, 4), rho=rho, layout=lay, spec=spec, opt=opt,
+                 optimize=optimize, quench=quench)
+    for row in rows:
+        q = mean_capacity(rho, lay, dataclasses.replace(spec, p=row["p"]), opt,
+                          optimize, quench)
+        assert (row["capacity_bits"], row["std_error"]) == \
+            (q.mean_capacity_bits, q.std_error_bits)
+
+
+def test_scan_traces_block_states_once(monkeypatch):
+    calls = []
+    marginals = analysis._marginals
+    monkeypatch.setattr(analysis, "_marginals",
+                        lambda *args: calls.append(args) or marginals(*args))
+    critical_strengths(build(GGHZ(3, 1 / np.sqrt(2))), PartyLayout(2, 1),
+                       ChannelSpec(ChannelKind.DEPHASING, 0.5, 0.0),
+                       scan_step=5e-2, refine=1e-3, optimize=False)
+    assert len(calls) == 1
 
 
 def test_sweep_state_param_axis():

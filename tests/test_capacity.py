@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from qdc.capacity import (LayoutError, PartyLayout, _block_entropy,
-                          _block_entropy_and_grad,
+                          _block_entropy_and_grad, _block_objective,
                           bound_two_receivers, capacity_noiseless,
                           capacity_one_receiver, encode, evaluate)
 from qdc.channels import (ChannelKind, ChannelSpec, apply_local_channel,
-                          sample_per_qubit_kraus, unitary_from_params)
+                          sample_kraus_batch, sample_per_qubit_kraus,
+                          unitary_from_params)
 from qdc.optimizer import EncodingParams, OptimizerConfig
 from qdc.oracles import (bell_dephasing_spectrum, bell_depolarizing_spectrum,
                          theorem3_bound)
@@ -15,6 +16,13 @@ from qdc.qmath import (I2, partial_trace, shannon_entropy,
 from qdc.states import GGHZ, Bell, WUniform, build
 
 FAST_OPT = OptimizerConfig(max_evaluations=3000, restarts=2)
+
+
+def one_row(block_rho, ops, x):
+    """Entropy and gradient of one encoding: the objective's batch of one."""
+    entropy, grad = _block_entropy_and_grad(
+        block_rho, [np.asarray(o)[None] for o in ops], np.asarray(x)[None])
+    return entropy[0], grad[0]
 
 
 def test_party_layout_validation():
@@ -136,12 +144,12 @@ def test_objective_makes_one_kernel_pass(monkeypatch):
         passes.append(args)
         return kernel(*args)
 
-    def one_evaluation(objective, n_senders, opt):
-        x = np.linspace(0.3, 2.9, 3 * n_senders)
+    def one_evaluation(objective, n_rows, n_senders, opt):
+        x = np.tile(np.linspace(0.3, 2.9, 3 * n_senders), (n_rows, 1))
         passes.clear()
-        val, _ = objective(x)                 # a value and its gradient
+        val, _ = objective(np.arange(n_rows), x)    # values and their gradients
         evaluations.append(len(passes))
-        return val, EncodingParams.from_flat(x)
+        return val, x
 
     monkeypatch.setattr(qdc.capacity, "_apply_local", counted)
     monkeypatch.setattr(qdc.channels, "_apply_local", counted)
@@ -163,7 +171,7 @@ def test_identity_fold_equals_unfolded_call_bitwise():
             spec = ChannelSpec(kind, 0.4, 0.2, epsilon=0.6)
             ops = [np.asarray(ks.operators)
                    for ks in sample_per_qubit_kraus(spec, lay.n_senders, rng)]
-            val, _ = _block_entropy_and_grad(block, ops, np.zeros(3 * lay.n_senders))
+            val, _ = one_row(block, ops, np.zeros(3 * lay.n_senders))
             assert abs(val - _block_entropy(block, ops)) <= 1e-14
 
 
@@ -182,12 +190,38 @@ def test_block_entropy_gradient_matches_central_differences(state, lay):
         for senders, receiver in lay.blocks:
             block = (partial_trace(rho, senders + [receiver]), [ops[q] for q in senders])
             x = rng.uniform(0, 4 * np.pi, 3 * len(senders))
-            _, grad = _block_entropy_and_grad(*block, x)
+            _, grad = one_row(*block, x)
             steps = h * np.eye(x.size)
-            central = [(_block_entropy_and_grad(*block, x + e)[0]
-                        - _block_entropy_and_grad(*block, x - e)[0]) / (2 * h)
+            central = [(one_row(*block, x + e)[0] - one_row(*block, x - e)[0]) / (2 * h)
                        for e in steps]
             assert np.max(np.abs(grad - central)) <= 1e-7
+
+
+@pytest.mark.parametrize("state, lay", [
+    (GGHZ(3, 1 / np.sqrt(2)), PartyLayout(2, 1)),
+    (WUniform(4), PartyLayout(3, 1)),
+    (GGHZ(5, 0.8), PartyLayout(3, 2, split=2)),     # blocks of two senders and one
+])
+def test_batched_objective_rows_equal_one_row_calls(state, lay):
+    # the lockstep optimizer relies on it: a row must not depend on the rows
+    # it is evaluated with
+    rng = np.random.default_rng(12)
+    rho = build(state)
+    for kind in ChannelKind:
+        spec = ChannelSpec(kind, 0.4, 0.2, epsilon=0.6)
+        kraus = sample_kraus_batch(spec, lay.n_senders, [(3, k) for k in range(5)])
+        for senders, receiver in lay.blocks:
+            block = partial_trace(rho, senders + [receiver])
+            ops = [kraus[:, q] for q in senders]
+            x = rng.uniform(0, 4 * np.pi, (5, 3 * len(senders)))
+            values, grads = _block_entropy_and_grad(block, ops, x)
+            some = np.array([3, 1])
+            sub_values, sub_grads = _block_objective(block, ops, some, x[some])
+            assert np.array_equal(sub_values, values[some])
+            assert np.array_equal(sub_grads, grads[some])
+            for i in range(5):
+                value, grad = one_row(block, [o[i] for o in ops], x[i])
+                assert value == values[i] and np.array_equal(grad, grads[i])
 
 
 def test_optimization_never_hurts():
@@ -278,7 +312,7 @@ def test_trace_first_block_entropy_matches_full_register(state, lay):
         enc = EncodingParams.from_flat(rng.uniform(0, 2 * np.pi, 3 * lay.n_senders))
         for block in lay.blocks:
             senders, receiver = block
-            got, _ = _block_entropy_and_grad(
+            got, _ = one_row(
                 partial_trace(rho, senders + [receiver]),
                 [np.asarray(kraus[q].operators) for q in senders],
                 np.concatenate([enc.per_sender[q].as_array() for q in senders]))

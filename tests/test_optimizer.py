@@ -1,93 +1,104 @@
+from functools import partial
+
 import numpy as np
 import pytest
+import scipy.optimize
 
 import qdc.optimizer
-from qdc.capacity import PartyLayout, evaluate
-from qdc.channels import ChannelKind, ChannelSpec, sample_per_qubit_kraus
-from qdc.optimizer import (EncodingParams, OptimizerConfig, OptimizerConfigError,
-                           OptimizerError, minimize)
+from qdc.capacity import PartyLayout, _block_objective, evaluate
+from qdc.channels import (ChannelKind, ChannelSpec, sample_kraus_batch,
+                          sample_per_qubit_kraus)
+from qdc.optimizer import (_FTOL, _GTOL, EncodingParams, OptimizerConfig,
+                           OptimizerConfigError, OptimizerError, _lbfgsb, minimize)
+from qdc.qmath import partial_trace
 from qdc.states import GGHZ, build
 
 PERIOD = np.array([4 * np.pi, 2 * np.pi, 4 * np.pi])
 
 
-def quadratic(target):
-    def f(x: np.ndarray) -> tuple[float, np.ndarray]:
-        return float(np.sum((x - target)**2)), 2 * (x - target)
+def quadratic(targets):
+    """Batched objective with one target per row: rows index ``targets``."""
+    targets = np.atleast_2d(targets)
+
+    def f(rows: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        d = x - targets[rows]
+        return np.sum(d**2, axis=1), 2 * d
     return f
 
 
 def test_finds_quadratic_minimum():
-    target = np.array([1.0, 2.0, 3.0])
+    targets = np.array([[1.0, 2.0, 3.0], [3.0, 1.0, 0.5]])
     cfg = OptimizerConfig(max_evaluations=4000, seed=1, restarts=2)
-    val, enc = minimize(quadratic(target), 1, cfg)
-    assert val < 1e-8
-    assert np.max(np.abs(enc.to_flat() - target)) < 1e-3
+    val, x = minimize(quadratic(targets), 2, 1, cfg)
+    assert val.shape == (2,) and x.shape == (2, 3)
+    assert np.all(val < 1e-8)
+    assert np.max(np.abs(x - targets)) < 1e-3       # each row its own target
 
 
 def test_never_worse_than_identity():
     # objective minimized exactly at the identity encoding
     cfg = OptimizerConfig(max_evaluations=600, seed=0, restarts=1)
-    val, enc = minimize(quadratic(np.zeros(3)), 1, cfg)
-    assert val <= 1e-12
-    assert np.allclose(enc.to_flat(), 0.0)
+    val, x = minimize(quadratic(np.zeros(3)), 1, 1, cfg)
+    assert val[0] <= 1e-12
+    assert np.allclose(x, 0.0)
 
 
 def test_deterministic_for_fixed_seed():
     cfg = OptimizerConfig(max_evaluations=2000, seed=42, restarts=2)
     rng = np.random.default_rng(0)
     target = rng.uniform(0, 2 * np.pi, 6)
-    a = minimize(quadratic(target), 2, cfg)
-    b = minimize(quadratic(target), 2, cfg)
-    assert a[0] == b[0]
-    assert np.array_equal(a[1].to_flat(), b[1].to_flat())
+    a = minimize(quadratic(target), 1, 2, cfg)
+    b = minimize(quadratic(target), 1, 2, cfg)
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
+
+
+def periodic(centres):
+    """Periodic in (4 pi, 2 pi, 4 pi) per sender, one centre per row."""
+    centres = np.atleast_2d(centres)
+    freq = np.tile(2 * np.pi / PERIOD, centres.shape[1] // 3)
+
+    def f(rows, x):
+        z = freq * (x - centres[rows])
+        return np.sum(1 - np.cos(z), axis=1), freq * np.sin(z)
+    return f
 
 
 def test_respects_bounds():
-    # periodic in (4 pi, 2 pi, 4 pi) per sender, with its minimum at small
-    # negative angles: the search must cross zero, and the encoding it
-    # returns must lie in one period
-    centre = np.tile([-0.3, -0.2, -0.1], 2)
-    freq = np.tile(2 * np.pi / PERIOD, 2)
-
-    def periodic(x):
-        return (float(np.sum(1 - np.cos(freq * (x - centre)))),
-                freq * np.sin(freq * (x - centre)))
-
-    val, enc = minimize(periodic, 2, OptimizerConfig(max_evaluations=2000, seed=3))
-    x = enc.to_flat()
-    assert val < 1e-12
+    # minimum at small negative angles: the search must cross zero, and the
+    # encoding it returns must lie in one period
+    f = periodic(np.tile([-0.3, -0.2, -0.1], 2))
+    val, x = minimize(f, 1, 2, OptimizerConfig(max_evaluations=2000, seed=3))
+    assert val[0] < 1e-12
     assert np.all((0 <= x) & (x < np.tile(PERIOD, 2)))
-    assert abs(periodic(x)[0] - val) <= 1e-12
+    assert abs(f(np.array([0]), x)[0][0] - val[0]) <= 1e-12
 
 
 def test_starts_and_budget(monkeypatch):
-    runs = []
-    lbfgs = qdc.optimizer.scipy.optimize.minimize
+    calls = []
 
-    def recorded(f, x0, **kwargs):
-        runs.append((x0.copy(), kwargs))
-        return lbfgs(f, x0, **kwargs)
+    def recorded(objective, x0, maxfun):
+        calls.append((x0.copy(), maxfun))
+        return _lbfgsb(objective, x0, maxfun)
 
-    monkeypatch.setattr(qdc.optimizer.scipy.optimize, "minimize", recorded)
-    minimize(quadratic(np.ones(6)), 2, OptimizerConfig(max_evaluations=100, seed=5,
-                                                       restarts=3))
-    assert len(runs) == 4
-    assert np.array_equal(runs[0][0], np.zeros(6))            # the identity first
-    randoms = np.array([x0 for x0, _ in runs[1:]])
-    assert np.array_equal(randoms, np.random.default_rng(5).uniform(
-        0.0, np.tile(PERIOD, 2), size=(3, 6)))
-    for _, kwargs in runs:
-        assert kwargs["method"] == "L-BFGS-B" and kwargs["jac"] is True
-        assert "bounds" not in kwargs
-        assert kwargs["options"]["maxfun"] == 25
+    monkeypatch.setattr(qdc.optimizer, "_lbfgsb", recorded)
+    minimize(quadratic(np.ones((3, 6))), 3, 2,
+             OptimizerConfig(max_evaluations=100, seed=5, restarts=3))
+    assert len(calls) == 1               # every (row, start) in one lockstep group
+    x0, maxfun = calls[0]
+    assert maxfun == 25
+    starts = np.concatenate([np.zeros((1, 6)),          # the identity first
+                             np.random.default_rng(5).uniform(
+                                 0.0, np.tile(PERIOD, 2), size=(3, 6))])
+    assert np.array_equal(x0, np.tile(starts, (3, 1)))  # row-major (row, start)
 
 
 def test_non_finite_objective_raises():
-    def bad(x):
-        return np.nan, np.zeros_like(x)
-    with pytest.raises(OptimizerError):
-        minimize(bad, 1, OptimizerConfig(max_evaluations=500))
+    def bad(rows, x):
+        values = np.where(rows == 1, np.nan, 0.0)
+        return values, np.zeros_like(x)
+    with pytest.raises(OptimizerError, match=r"at \[0\. 0\. 0\.\]"):
+        minimize(bad, 2, 1, OptimizerConfig(max_evaluations=500))
 
 
 def test_config_validation():
@@ -97,6 +108,62 @@ def test_config_validation():
             OptimizerConfig(**kwargs)
     assert issubclass(OptimizerConfigError, ValueError)
     OptimizerConfig(max_evaluations=4)       # one evaluation per start
+
+
+def _quadratic_problems(n_problems):
+    """Quadratics of growing condition number: problem 0 (condition 1e4)
+    runs into maxfun, the others converge after different iterations."""
+    rng = np.random.default_rng(21)
+    n = 6
+    q, _ = np.linalg.qr(rng.normal(size=(n_problems, n, n)))
+    scales = np.array([np.logspace(0, 4 - 3.5 * (i > 0) - 0.1 * i, n)
+                       for i in range(n_problems)])
+    a = (q * scales[:, None, :]) @ q.swapaxes(-1, -2)
+    c = rng.normal(size=(n_problems, n))
+
+    def f(problems, x):
+        grad = np.einsum("kij,kj->ki", a[problems], x - c[problems])
+        return 0.5 * np.sum((x - c[problems]) * grad, axis=1), grad
+    return f, rng.uniform(-3, 3, size=(n_problems, n)), 20
+
+
+def _periodic_problems(n_problems):
+    rng = np.random.default_rng(22)
+    f = periodic(rng.uniform(-1, 1, size=(n_problems, 6)))
+    return f, rng.uniform(0, 4 * np.pi, size=(n_problems, 6)), 60
+
+
+def _capacity_problems(n_problems):
+    # the first block of GHZ 5q 3S-2R split 2 (senders 0, 1 and receiver 3),
+    # one random depolarizing realization per problem
+    rho = build(GGHZ(5, 0.8))
+    spec = ChannelSpec(ChannelKind.DEPOLARIZING, 0.4, 0.2, epsilon=0.6)
+    kraus = sample_kraus_batch(spec, 3, [(7, k) for k in range(n_problems)])
+    f = partial(_block_objective, partial_trace(rho, [0, 1, 3]),
+                [kraus[:, 0], kraus[:, 1]])
+    rng = np.random.default_rng(23)
+    return f, rng.uniform(0, 4 * np.pi, size=(n_problems, 6)), 40
+
+
+@pytest.mark.parametrize("n_problems", [1, 3, 7])
+@pytest.mark.parametrize("problems", [_quadratic_problems, _periodic_problems,
+                                      _capacity_problems])
+def test_lockstep_driver_matches_scipy_minimize(problems, n_problems):
+    # each problem alone through scipy's own loop over the same setulb
+    f, x0, maxfun = problems(n_problems)
+    runs = _lbfgsb(f, x0, maxfun)
+    for i, run in enumerate(runs):
+        want = scipy.optimize.minimize(
+            lambda x: tuple(v[0] for v in f(np.array([i]), x[None])), x0[i],
+            jac=True, method="L-BFGS-B",
+            options={"maxfun": maxfun, "ftol": _FTOL, "gtol": _GTOL})
+        assert run.fun == want.fun
+        assert np.array_equal(run.x, want.x)
+        assert (run.nfev, run.nit, run.message) == (want.nfev, want.nit, want.message)
+    if problems is _quadratic_problems and n_problems > 1:
+        assert runs[0].message.startswith("STOP: TOTAL NO. OF F,G EVALUATIONS")
+        assert {run.message.split(":")[0] for run in runs[1:]} == {"CONVERGENCE"}
+        assert len({run.nit for run in runs}) > 1
 
 
 # the Theorem-4 channel: GHZ 3q 2S-1R, dephasing a=0.8, p=0.3, eps=0.5
