@@ -220,6 +220,9 @@ class _Scan:
             value = getattr(self, name)
             if not 0.0 < value < np.inf:
                 raise AnalysisError(f"{name}={value} must be finite and positive")
+        if not 0.0 <= self.threshold < np.inf:
+            raise AnalysisError(f"threshold={self.threshold} must be finite and "
+                                "non-negative")
         if self.spec.is_random and self.quench is None:
             raise AnalysisError("a random channel needs a QuenchConfig")
 

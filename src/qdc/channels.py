@@ -317,7 +317,8 @@ def parse_channel(spec: str) -> ChannelSpec:
     """Parse a CLI channel specifier.
 
     Examples: ``dephasing:alpha=0.5,p=0.3``,
-    ``depolarizing:alpha=0.3,p=0.1,eps=0.7,draw=per-qubit``.
+    ``depolarizing:alpha=0.3,p=0.1,eps=0.7,draw=per-qubit``.  A key other
+    than these raises ``ChannelError``.
     """
     name, _, rest = spec.strip().partition(":")
     name = name.lower()
@@ -337,7 +338,11 @@ def parse_channel(spec: str) -> ChannelSpec:
     except ValueError:
         raise ChannelError(f"unknown draw policy in {spec!r}") from None
     try:
-        return ChannelSpec(kind, float(kv.pop("alpha", 0.0)), float(kv.pop("p")),
-                           float(kv.pop("eps", 0.0)), draw)
+        parsed = ChannelSpec(kind, float(kv.pop("alpha", 0.0)), float(kv.pop("p")),
+                             float(kv.pop("eps", 0.0)), draw)
     except KeyError as exc:
         raise ChannelError(f"channel {spec!r} is missing parameter {exc}") from None
+    if kv:
+        raise ChannelError(f"unknown channel parameter {', '.join(map(repr, kv))} "
+                           f"in {spec!r}")
+    return parsed

@@ -24,6 +24,9 @@ The objective maps row indices ``(k,)`` and a stack of flat encodings
 ``(k, 3 * n_senders)``.  The identity encoding is the first start and
 L-BFGS-B never ends above its start, so a row's value never exceeds its
 identity-encoding objective.
+
+scipy is imported on the first ``minimize`` call, not with this module, so
+fixed-encoding work never loads it.
 """
 
 from __future__ import annotations
@@ -32,9 +35,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-# the setulb(..., maxls, ln_task) signature of scipy's C L-BFGS-B, tested on 1.17
-from scipy.optimize._lbfgsb import setulb
-from scipy.optimize._lbfgsb_py import status_messages, task_messages
 
 from .channels import UnitaryParams
 
@@ -122,9 +122,9 @@ class _Run:
         self.maxfun, self.nit, self.nfev = maxfun, 0, 1
         self.seen, self.value = self.x.copy(), (f0, g0)
 
-    def advance(self) -> bool:
-        """Step until the run asks for a value at a new point (True) or
-        stops (False), as ``_minimize_lbfgsb``'s loop does."""
+    def advance(self, setulb) -> bool:
+        """Step ``setulb`` until the run asks for a value at a new point
+        (True) or stops (False), as ``_minimize_lbfgsb``'s loop does."""
         low, up, nbd = self.bounds
         while True:
             self.g = self.g.astype(np.float64)
@@ -150,10 +150,6 @@ class _Run:
         self.f, self.g = f, g
         self.nfev += 1
 
-    def result(self) -> _RunResult:
-        message = f"{status_messages[self.task[0]]}: {task_messages[self.task[1]]}"
-        return _RunResult(self.f, self.x, self.nfev, self.nit, message)
-
 
 def _lbfgsb(objective: Objective, x0: np.ndarray, maxfun: int) -> list[_RunResult]:
     """Unbounded L-BFGS-B from each row of ``x0`` (P, n), all in lockstep.
@@ -163,16 +159,22 @@ def _lbfgsb(objective: Objective, x0: np.ndarray, maxfun: int) -> list[_RunResul
     ``scipy.optimize.minimize(f_i, x0[i], jac=True, method="L-BFGS-B",
     options={"maxfun": maxfun, "ftol": _FTOL, "gtol": _GTOL})``.
     """
+    # the setulb(..., maxls, ln_task) signature of scipy's C L-BFGS-B, tested on 1.17
+    from scipy.optimize._lbfgsb import setulb
+    from scipy.optimize._lbfgsb_py import status_messages, task_messages
+
     values, grads = objective(np.arange(len(x0)), x0)    # scipy's call at x0
     runs = [_Run(x, maxfun, float(f), g) for x, f, g in zip(x0, values, grads)]
-    asking = [i for i, run in enumerate(runs) if run.advance()]
+    asking = [i for i, run in enumerate(runs) if run.advance(setulb)]
     while asking:
         values, grads = objective(np.array(asking),
                                   np.stack([runs[i].x for i in asking]))
         for i, f, g in zip(asking, values, grads):
             runs[i].take(float(f), g)
-        asking = [i for i in asking if runs[i].advance()]
-    return [run.result() for run in runs]
+        asking = [i for i in asking if runs[i].advance(setulb)]
+    return [_RunResult(run.f, run.x, run.nfev, run.nit,
+                       f"{status_messages[run.task[0]]}: {task_messages[run.task[1]]}")
+            for run in runs]
 
 
 def _checked(objective: Objective) -> Objective:

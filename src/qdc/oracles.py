@@ -26,7 +26,7 @@ class OracleReport:
 
 def _report(name: str, numeric: float, closed: float, tol: float) -> OracleReport:
     err = abs(numeric - closed)
-    return OracleReport(name, float(numeric), float(closed), float(err), err <= tol)
+    return OracleReport(name, float(numeric), float(closed), float(err), bool(err <= tol))
 
 
 def dephasing_coherence_factor(p: float, alpha: float) -> float:
@@ -131,9 +131,9 @@ def theorem1_check(n_senders: int, x: float, alpha: float, p: float,
     thetas_ok = all(
         abs(u.theta - np.pi * round(u.theta / np.pi)) <= 1e-2
         for u in res_opt.encoding.per_sender)
-    passed = (s_opt <= s_id + 1e-6) and thetas_ok
+    passed = bool(s_opt <= s_id + 1e-6) and thetas_ok
     return OracleReport(f"theorem1(N={n_senders}, x={x}, a={alpha}, p={p})",
-                        float(s_opt), float(s_id), abs(s_opt - s_id), passed)
+                        float(s_opt), float(s_id), float(abs(s_opt - s_id)), passed)
 
 
 def run_all_oracles(fast: bool = True, seed: int = 0) -> list[OracleReport]:

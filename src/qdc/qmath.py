@@ -10,7 +10,6 @@ is ``sum(q_k * 2**(n-1-k))``.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 HERMITICITY_TOL = 1e-8
 TRACE_TOL = 1e-10
@@ -89,8 +88,7 @@ def hermitian_eigenvalues(mat: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, sorted descending."""
     if not is_hermitian(mat):
         raise QmathError("matrix is not Hermitian within 1e-8")
-    evals = scipy.linalg.eigvalsh(mat)
-    return evals[::-1].copy()
+    return np.linalg.eigvalsh(mat)[::-1].copy()
 
 
 def _clipped_log2(evals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -144,7 +144,8 @@ def parse_state(spec: str) -> ResourceState:
     """Parse a CLI state specifier.
 
     Examples: ``gghz:n=3,x=0.7071``, ``gw3:a=0.5,b=0.25``,
-    ``gw4:a=0.5,b=0.2,c=0.1``, ``w:n=4``, ``bell``.
+    ``gw4:a=0.5,b=0.2,c=0.1``, ``w:n=4``, ``bell``.  A key the kind does not
+    take raises ``StateError``.
     """
     name, _, rest = spec.strip().partition(":")
     name = name.lower()
@@ -157,17 +158,22 @@ def parse_state(spec: str) -> ResourceState:
             kv[k.strip()] = float(v)
     try:
         if name == "bell":
-            return Bell()
-        if name == "gghz":
-            return GGHZ(int(kv.pop("n")), kv.pop("x"))
-        if name == "gw3":
-            return GW3(kv.pop("a"), kv.pop("b"))
-        if name == "gw4":
-            return GW4(kv.pop("a"), kv.pop("b"), kv.pop("c"))
-        if name == "w":
-            return WUniform(int(kv.pop("n")))
-        if name == "whalf":
-            return w_half(int(kv.pop("n")), kv.pop("b"), kv.pop("c", None))
+            state = Bell()
+        elif name == "gghz":
+            state = GGHZ(int(kv.pop("n")), kv.pop("x"))
+        elif name == "gw3":
+            state = GW3(kv.pop("a"), kv.pop("b"))
+        elif name == "gw4":
+            state = GW4(kv.pop("a"), kv.pop("b"), kv.pop("c"))
+        elif name == "w":
+            state = WUniform(int(kv.pop("n")))
+        elif name == "whalf":
+            state = w_half(int(kv.pop("n")), kv.pop("b"), kv.pop("c", None))
+        else:
+            raise StateError(f"unknown state kind {name!r}")
     except KeyError as exc:
         raise StateError(f"state {spec!r} is missing parameter {exc}") from None
-    raise StateError(f"unknown state kind {name!r}")
+    if kv:
+        raise StateError(f"unknown state parameter {', '.join(map(repr, kv))} "
+                         f"in {spec!r}")
+    return state

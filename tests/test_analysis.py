@@ -267,6 +267,18 @@ def test_scans_reject_invalid_grid(name, value):
             find(rho, lay, spec, **scan)
 
 
+@pytest.mark.parametrize("value", [-1e-9, np.nan, np.inf])
+def test_scans_reject_invalid_threshold(value):
+    rho = build(GGHZ(3, 1 / np.sqrt(2)))
+    lay = PartyLayout(2, 1)
+    spec = ChannelSpec(ChannelKind.DEPHASING, 0.5, 0.0)
+    scan = {"scan_step": 1e-2, "refine": 1e-3, "optimize": False}
+    for find in (find_pc, find_pr, find_pa, critical_strengths):
+        with pytest.raises(AnalysisError, match="threshold"):
+            find(rho, lay, spec, threshold=value, **scan)
+    find_pc(rho, lay, spec, threshold=0.0, **scan)     # zero is accepted
+
+
 # --- per-point reference: the scalar forward scan and bisection -----------
 
 def _scalar_crossing(predicate, lo, hi, scan_step, refine):

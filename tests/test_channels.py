@@ -266,3 +266,8 @@ def test_parse_channel():
         parse_channel("dephasing:alpha=0.5")
     with pytest.raises(ChannelError):
         parse_channel("dephasing:alpha=0.5,p=0.3,draw=sometimes")
+    # "epsilon" is not the key "eps": it must not run a deterministic channel
+    with pytest.raises(ChannelError, match="'epsilon'"):
+        parse_channel("dephasing:alpha=0.5,p=0.1,epsilon=0.5")
+    with pytest.raises(ChannelError, match="'foo', 'bar'"):
+        parse_channel("depolarizing:p=0.1,foo=1,bar=2")

@@ -81,7 +81,8 @@ def test_usage_errors_exit_2():
                     "dephasing:alpha=0.5,p=0", "--no-optimize", option, value]
                    for option, value in (("--refine", "0"), ("--refine", "-1"),
                                          ("--scan-step", "0"), ("--scan-step", "nan"),
-                                         ("--scan-step", "-0.01"))),
+                                         ("--scan-step", "-0.01"), ("--threshold", "nan"),
+                                         ("--threshold", "inf"), ("--threshold", "-1"))),
                  *(["table", "--which", which, option, value]
                    for which in ("I", "III")
                    for option, value in (("--refine", "0"), ("--scan-step", "0"),
@@ -130,6 +131,20 @@ def test_validate_passes():
     res = invoke("validate")
     assert res.exit_code == 0
     assert "FAIL" not in res.output
+    res = invoke("validate", "--format", "json")
+    assert res.exit_code == 0
+    reports = json.loads(res.output)
+    assert reports and all(r["passed"] is True for r in reports)
+
+
+def test_unknown_spec_keys_exit_2():
+    for state, senders, channel, key in (
+            ("bell", "1", "dephasing:alpha=0.5,p=0.1,epsilon=0.5", "epsilon"),
+            ("gghz:n=3,x=0.7,foo=1", "2", "dephasing:p=0.1", "foo")):
+        res = runner.invoke(main, ["capacity", "--state", state, "--senders",
+                                   senders, "--channel", channel, "--no-optimize"])
+        assert res.exit_code == 2, key
+        assert f"'{key}'" in res.output
 
 
 def test_config_file_defaults(tmp_path):

@@ -1,0 +1,50 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from qdc.capacity import PartyLayout, evaluate
+from qdc.channels import ChannelKind, ChannelSpec
+from qdc.optimizer import OptimizerConfig
+from qdc.states import GGHZ, build
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# pytest's own process has imported scipy already, so the check runs in a
+# fresh interpreter
+SCRIPT = """
+import sys
+
+import numpy as np
+
+import qdc
+import qdc.cli
+from qdc.analysis import QuenchConfig, critical_strengths, quenched_capacity
+from qdc.capacity import PartyLayout, evaluate
+from qdc.channels import ChannelKind, ChannelSpec
+from qdc.optimizer import OptimizerConfig
+from qdc.states import GGHZ, build
+
+rho, layout = build(GGHZ(3, 0.8)), PartyLayout(2, 1)
+spec = ChannelSpec(ChannelKind.DEPHASING, 0.5, 0.2)
+evaluate(rho, layout, spec, optimize=False)
+quenched_capacity(rho, layout, ChannelSpec(ChannelKind.DEPOLARIZING, 0.3, 0.05, 0.5),
+                  QuenchConfig(realizations=20))
+critical_strengths(rho, layout, ChannelSpec(ChannelKind.DEPHASING, 0.5, 0.0),
+                   scan_step=1e-2, refine=1e-3, optimize=False)
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+assert not loaded, loaded
+res = evaluate(rho, layout, spec, opt=OptimizerConfig(max_evaluations=400, restarts=2))
+print(res.capacity_bits.hex())
+"""
+
+
+def test_fixed_encoding_work_never_imports_scipy():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", SCRIPT], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    want = evaluate(build(GGHZ(3, 0.8)), PartyLayout(2, 1),
+                    ChannelSpec(ChannelKind.DEPHASING, 0.5, 0.2),
+                    opt=OptimizerConfig(max_evaluations=400, restarts=2))
+    # the optimized run loads L-BFGS-B on its first call and gives the same bits
+    assert out.stdout.split() == [want.capacity_bits.hex()]

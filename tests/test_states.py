@@ -79,3 +79,6 @@ def test_parse_state():
         parse_state("foo:n=3")
     with pytest.raises(StateError):
         parse_state("gghz:n3")
+    for spec in ("gghz:n=3,x=0.7,foo=1", "bell:x=0.5", "whalf:n=3,b=0.2,d=0.1"):
+        with pytest.raises(StateError, match="unknown state parameter"):
+            parse_state(spec)
