@@ -10,17 +10,20 @@ Critical strengths of a noisy dense-coding problem:
 All three are located by a forward scan over a p-grid followed by bisection
 on the first grid interval where the detection predicate flips.  The forward
 grid is evaluated in chunks of 1, 2, 4, ... points, up to the first chunk
-that holds a flip.  The capacities come from the problem's curves, one per
-channel family (the spec up to p), memoized for the length of one public
-call, so that p_c, p_r and p_a read each point once.  Every curve is
-evaluated in batches: the Kraus sets of many p-points, and of every
-realization of a quenched channel, are stacked along the kernel's batch
-axis, and the block states and receiver entropies are traced out once per
-scan.  With an encoding optimized per point or per realization, every
-L-BFGS-B start of every row of a batch runs in lockstep; no stop rule is
-shared between them, so no result depends on the batch it runs in.  The
-unitaries a quenched channel draws do not depend on p or alpha, so each
-scan draws them once.  Quenched means and sweeps along p are curves too.
+that holds a flip.
+
+Every capacity this module takes with a channel is read through one record,
+``_Curves``, the only code that decides whether a channel family (the spec
+up to p) is random, which unitaries its Kraus sets hold and whether the
+encoding is optimized.  It keeps each point's row of per-realization
+capacities for one public call, so p_c, p_r and p_a read each point once.
+A curve is evaluated in batches: the Kraus sets of many p-points, and of
+every realization of a quenched channel, are stacked along the kernel's
+batch axis.  The block states and receiver entropies are traced out, and
+the unitaries of a quenched channel (which do not depend on p or alpha)
+drawn, once per record.  With an optimized encoding, every L-BFGS-B start
+of every row of a batch runs in lockstep with its own stop rule, so no
+result depends on the batch it runs in.
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ class CriticalStrengths:
 @dataclass(frozen=True)
 class QuenchConfig:
     realizations: int = 4000
-    epsilon: float | None = None     # overrides the channel spec when set
     master_seed: int = 0
     optimize_per_realization: bool = False
     threads: int = 1                 # accepted for compatibility; no effect
@@ -83,25 +85,6 @@ def p_range(spec: ChannelSpec) -> tuple[float, float]:
     return 0.0, hi
 
 
-def _overridden(spec: ChannelSpec | None, quench: QuenchConfig | None):
-    """The spec with ``quench.epsilon`` in place of its own, when set."""
-    if spec is not None and quench is not None and quench.epsilon is not None:
-        return dataclasses.replace(spec, epsilon=quench.epsilon)
-    return spec
-
-
-def _unitaries(spec: ChannelSpec, n_senders: int,
-               quench: QuenchConfig | None) -> np.ndarray:
-    """The unitaries that follow the identity in every realization's Kraus
-    sets, ``(R, rows, m-1, 2, 2)``: realization k drawn from a generator
-    seeded with (master_seed, k) for a random channel, the exact Paulis
-    (one realization) for a deterministic one."""
-    if not spec.is_random:
-        return _PAULIS[spec.kind][None, None]
-    return _seeded_unitaries(spec, n_senders, [(quench.master_seed, k)
-                                               for k in range(quench.realizations)])
-
-
 def _mean(values: np.ndarray) -> float:
     """Mean of one contiguous row of capacities, summed in index order."""
     return float(np.sum(values) / values.size)
@@ -117,22 +100,14 @@ def _reduce(values: np.ndarray) -> QuenchedResult:
     return QuenchedResult(mean, stderr, int(values.size))
 
 
-def _optimized(spec: ChannelSpec, optimize: bool, quench: QuenchConfig | None) -> bool:
-    """Whether the capacities of the family ``spec`` (after the quench's
-    epsilon override) optimize the encoding: per realization as the quench
-    says for a random channel; else as ``optimize`` says, unless the channel
-    is covariant depolarizing noise."""
-    if spec.is_random:
-        return quench.optimize_per_realization
-    return optimize and not spec.is_covariant
-
-
 def _capacity_curve(marginals: _Marginals, spec: ChannelSpec, ps,
                     unitaries: np.ndarray, opt: OptimizerConfig = OptimizerConfig(),
                     optimize: bool = False) -> np.ndarray:
     """Capacities of the channel family ``spec``, one row per p of ``ps``
-    and one column per realization of ``unitaries`` (see ``_unitaries``),
-    for the state and layout of ``marginals`` (``capacity._marginals``).
+    and one column per realization of ``unitaries`` (``(R, rows, m-1, 2,
+    2)``, the unitaries that follow the identity in each realization's
+    Kraus sets), for the state and layout of ``marginals``
+    (``capacity._marginals``).
 
     The (p, realization) rows, p-major, are weighted, checked and evaluated
     in slices of at most ``_CHUNK`` rows, or, with ``optimize``, of at most
@@ -153,6 +128,54 @@ def _capacity_curve(marginals: _Marginals, spec: ChannelSpec, ps,
     return values
 
 
+@dataclass(eq=False)
+class _Curves:
+    """The capacity curves of one state and layout, and how each capacity
+    is taken.  It holds the block states and receiver entropies they share,
+    the unitaries each random kind, epsilon and draw policy draws, and per
+    channel family each point's row of per-realization capacities."""
+    rho: np.ndarray
+    layout: PartyLayout
+    opt: OptimizerConfig
+    optimize: bool
+    quench: QuenchConfig | None
+    _draws: dict = field(default_factory=dict, init=False, repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    @functools.cached_property
+    def marginals(self) -> _Marginals:
+        return _marginals(self.rho, self.layout)
+
+    def rows(self, spec: ChannelSpec, ps) -> list[np.ndarray]:
+        """Per-realization capacities of the family ``spec`` at each p of
+        ``ps``; points not read before are evaluated together.  A random
+        family draws realization k from a generator seeded with
+        (master_seed, k) and optimizes as the quench says; a deterministic one
+        is one realization of the exact Paulis, optimized as ``optimize``
+        says unless it is covariant."""
+        if spec.is_random and self.quench is None:
+            raise AnalysisError("a random channel needs a QuenchConfig")
+        family = dataclasses.replace(spec, p=0.0)
+        memo = self._memo.setdefault(family, {})
+        new = [p for p in dict.fromkeys(ps) if p not in memo]
+        if new:
+            if spec.is_random:
+                key = (spec.kind, spec.epsilon, spec.draw_policy)
+                if key not in self._draws:
+                    self._draws[key] = _seeded_unitaries(
+                        spec, self.layout.n_senders,
+                        [(self.quench.master_seed, k)
+                         for k in range(self.quench.realizations)])
+                unitaries = self._draws[key]
+                optimize = self.quench.optimize_per_realization
+            else:
+                unitaries = _PAULIS[spec.kind][None, None]
+                optimize = self.optimize and not spec.is_covariant
+            memo.update(zip(new, _capacity_curve(self.marginals, family, new,
+                                                 unitaries, self.opt, optimize)))
+        return [memo[p] for p in ps]
+
+
 def quenched_capacity(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec,
                       qc: QuenchConfig,
                       opt: OptimizerConfig = OptimizerConfig()) -> QuenchedResult:
@@ -166,12 +189,9 @@ def quenched_capacity(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec,
     slice runs in lockstep, each with its own stop rule.  ``qc.threads`` has
     no effect.
     """
-    spec = _overridden(spec, qc)
     if not spec.is_random:
         raise AnalysisError("quenched averaging needs a random channel (epsilon > 0)")
-    return _reduce(_capacity_curve(_marginals(rho, layout), spec, [spec.p],
-                                   _unitaries(spec, layout.n_senders, qc), opt,
-                                   qc.optimize_per_realization)[0])
+    return _reduce(_Curves(rho, layout, opt, False, qc).rows(spec, [spec.p])[0])
 
 
 def mean_capacity(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec | None,
@@ -179,41 +199,25 @@ def mean_capacity(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec | None
                   quench: QuenchConfig | None = None) -> QuenchedResult:
     """The quenched mean if the channel is random, else the capacity itself.
 
-    The channel counts as random after ``quench.epsilon`` has overridden the
-    spec's epsilon.  A deterministic channel (or ``spec=None``, no channel)
-    is one realization with zero standard error; ``optimize`` applies to it
-    only, since quenched runs follow ``quench.optimize_per_realization``.
+    A deterministic channel (or ``spec=None``, no channel) is one
+    realization with zero standard error; ``optimize`` applies to it only,
+    since quenched runs follow ``quench.optimize_per_realization``.
     """
-    spec = _overridden(spec, quench)
-    if spec is None or not spec.is_random:
-        cap = evaluate(rho, layout, spec, opt=opt, optimize=optimize).capacity_bits
+    if spec is None:
+        cap = evaluate(rho, layout, None, opt=opt, optimize=optimize).capacity_bits
         return QuenchedResult(cap, 0.0, 1)
-    if quench is None:
-        raise AnalysisError("a random channel needs a QuenchConfig")
-    return quenched_capacity(rho, layout, spec, quench, opt)
+    return _reduce(_Curves(rho, layout, opt, optimize, quench).rows(spec, [spec.p])[0])
 
 
 @dataclass(eq=False)
 class _Scan:
-    """One scan problem: the state, its layout and channel family, how each
-    capacity is taken, and the scan grid.
-
-    It holds the problem's capacity curves, one per channel family (the spec
-    up to p), the unitaries they draw and the block states and receiver
-    entropies they share; all live as long as the record, which is one
-    public call.
-    """
-    rho: np.ndarray
-    layout: PartyLayout
+    """One scan problem: the channel family it scans, the scan grid and the
+    capacity curves it reads."""
     spec: ChannelSpec
-    opt: OptimizerConfig
-    optimize: bool
-    quench: QuenchConfig | None
+    curves: _Curves
     scan_step: float
     refine: float
     threshold: float
-    _memo: dict = field(default_factory=dict, init=False, repr=False)
-    _draws: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for name in ("scan_step", "refine"):
@@ -223,40 +227,14 @@ class _Scan:
         if not 0.0 <= self.threshold < np.inf:
             raise AnalysisError(f"threshold={self.threshold} must be finite and "
                                 "non-negative")
-        if self.spec.is_random and self.quench is None:
-            raise AnalysisError("a random channel needs a QuenchConfig")
 
     @property
     def classical(self) -> float:
-        return float(self.layout.n_senders)
-
-    @functools.cached_property
-    def marginals(self) -> _Marginals:
-        return _marginals(self.rho, self.layout)
+        return float(self.curves.layout.n_senders)
 
     def curve(self, spec: ChannelSpec, ps) -> np.ndarray:
-        """Mean capacity of the family ``spec`` at each p of ``ps``; points
-        not read before are evaluated together."""
-        spec = _overridden(dataclasses.replace(spec, p=0.0), self.quench)
-        memo = self._memo.setdefault(spec, {})
-        new = [p for p in dict.fromkeys(ps) if p not in memo]
-        if new:
-            memo.update(zip(new, _curve_points(self, spec, new)))
-        return np.array([memo[p] for p in ps])
-
-    def unitaries(self, spec: ChannelSpec) -> np.ndarray:
-        key = (spec.kind, spec.epsilon, spec.draw_policy)
-        if key not in self._draws:
-            self._draws[key] = _unitaries(spec, self.layout.n_senders, self.quench)
-        return self._draws[key]
-
-
-def _curve_points(scan: _Scan, spec: ChannelSpec, ps: list[float]) -> list[float]:
-    """Mean capacities of the family ``spec`` at points not read before,
-    evaluated together."""
-    return [_mean(v) for v in _capacity_curve(
-        scan.marginals, spec, ps, scan.unitaries(spec), scan.opt,
-        _optimized(spec, scan.optimize, scan.quench))]
+        """Mean capacity of the family ``spec`` at each p of ``ps``."""
+        return np.array([_mean(row) for row in self.curves.rows(spec, ps)])
 
 
 def _first_crossing(predicate, lo: float, hi: float, scan_step: float,
@@ -336,8 +314,8 @@ def find_pc(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec,
     Returns None when the noiseless capacity does not exceed the bound or
     the capacity never collapses inside the channel's p-range.
     """
-    return _find_pc(_Scan(rho, layout, spec, opt, optimize, quench, scan_step,
-                          refine, threshold))
+    return _find_pc(_Scan(spec, _Curves(rho, layout, opt, optimize, quench),
+                          scan_step, refine, threshold))
 
 
 def find_pr(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec,
@@ -346,8 +324,8 @@ def find_pr(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec,
             optimize: bool = True, quench: QuenchConfig | None = None,
             p_c: float | None = None) -> float | None:
     """Smallest p >= p_c at which the capacity revives above the bound."""
-    scan = _Scan(rho, layout, spec, opt, optimize, quench, scan_step, refine,
-                 threshold)
+    scan = _Scan(spec, _Curves(rho, layout, opt, optimize, quench), scan_step,
+                 refine, threshold)
     return _find_pr(scan, _find_pc(scan) if p_c is None else p_c)
 
 
@@ -361,8 +339,8 @@ def find_pa(rho: np.ndarray, layout: PartyLayout, spec_nm: ChannelSpec,
         spec_m = dataclasses.replace(spec_nm, alpha=0.0)
     if spec_m.kind is not spec_nm.kind or spec_m.epsilon != spec_nm.epsilon:
         raise AnalysisError("Markovian reference must share channel kind and epsilon")
-    return _find_pa(_Scan(rho, layout, spec_nm, opt, optimize, quench, scan_step,
-                          refine, threshold), spec_m)
+    return _find_pa(_Scan(spec_nm, _Curves(rho, layout, opt, optimize, quench),
+                          scan_step, refine, threshold), spec_m)
 
 
 def critical_strengths(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec,
@@ -373,8 +351,8 @@ def critical_strengths(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec,
                        quench: QuenchConfig | None = None) -> CriticalStrengths:
     """All three critical strengths of one problem, on one shared curve (and
     the Markovian one for p_a)."""
-    scan = _Scan(rho, layout, spec, opt, optimize, quench, scan_step, refine,
-                 threshold)
+    scan = _Scan(spec, _Curves(rho, layout, opt, optimize, quench), scan_step,
+                 refine, threshold)
     pc = _find_pc(scan)
     pr = _find_pr(scan, pc)
     pa = (_find_pa(scan, dataclasses.replace(spec, alpha=0.0))
@@ -424,14 +402,8 @@ def sweep(axis: str, grid: tuple[float, float, int], *, state=None,
     points = [point(v) for v in values]
     if axis == "p":
         # one curve: the state and the channel family are the same at every p
-        family = _overridden(spec, quench)
-        if family.is_random and quench is None:
-            raise AnalysisError("a random channel needs a QuenchConfig")
-        curve = _capacity_curve(_marginals(rho, layout), family,
-                                [spec_v.p for spec_v, _ in points],
-                                _unitaries(family, layout.n_senders, quench), opt,
-                                _optimized(family, optimize, quench))
-        results = [_reduce(row) for row in curve]
+        curves = _Curves(rho, layout, opt, optimize, quench)
+        results = [_reduce(row) for row in curves.rows(spec, [s.p for s, _ in points])]
     else:
         results = [mean_capacity(rho_v, layout, spec_v, opt, optimize, quench)
                    for spec_v, rho_v in points]

@@ -28,8 +28,7 @@ from functools import partial
 import numpy as np
 
 from .channels import (ChannelSpec, KrausSet, _apply_local,
-                       deterministic_kraus, sample_per_qubit_kraus,
-                       unitary_from_params)
+                       deterministic_kraus, unitary_from_params)
 from .optimizer import EncodingParams, OptimizerConfig, minimize
 from .qmath import (I2, SIGMA_Z, entropy_and_log2, partial_trace,
                     von_neumann_entropy)
@@ -134,8 +133,7 @@ def encode(rho: np.ndarray, encoding: EncodingParams) -> np.ndarray:
 
 
 def _sender_kraus(spec: ChannelSpec | None, layout: PartyLayout,
-                  kraus_override: list[KrausSet] | None,
-                  rng: np.random.Generator | None) -> list[np.ndarray]:
+                  kraus_override: list[KrausSet] | None) -> list[np.ndarray]:
     """Each sender's Kraus operators as an ``(m, 2, 2)`` array."""
     if kraus_override is not None:
         if len(kraus_override) != layout.n_senders:
@@ -144,9 +142,7 @@ def _sender_kraus(spec: ChannelSpec | None, layout: PartyLayout,
     elif spec is None:
         sets = [_NO_NOISE] * layout.n_senders
     elif spec.is_random:
-        if rng is None:
-            raise ValueError("random channel needs either kraus_override or an rng")
-        sets = sample_per_qubit_kraus(spec, layout.n_senders, rng)
+        raise ValueError("a random channel needs kraus_override")
     else:
         sets = [deterministic_kraus(spec)] * layout.n_senders
     return [np.asarray(ks.operators) for ks in sets]
@@ -277,8 +273,7 @@ def _capacities(marg: _Marginals, kraus: np.ndarray,
 def _capacity(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec | None,
               kraus_override: list[KrausSet] | None = None,
               opt: OptimizerConfig = OptimizerConfig(),
-              optimize: bool = True,
-              rng: np.random.Generator | None = None) -> CapacityResult:
+              optimize: bool = True) -> CapacityResult:
     """Capacity (one block) or LOCC upper bound (two blocks): the batch of
     one of ``_output_entropies``.
 
@@ -288,7 +283,7 @@ def _capacity(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec | None,
     is covariant so that the encoding drops out.
     """
     marg = _marginals(rho, layout)
-    ops = _sender_kraus(spec, layout, kraus_override, rng)
+    ops = _sender_kraus(spec, layout, kraus_override)
     covariant = spec is not None and spec.is_covariant and kraus_override is None
     fixed = not optimize or spec is None or covariant
     outputs, x = _output_entropies(marg, [o[None] for o in ops], opt, not fixed)
@@ -304,23 +299,21 @@ def capacity_noiseless(rho: np.ndarray, layout: PartyLayout) -> CapacityResult:
 def capacity_one_receiver(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec | None,
                           kraus_override: list[KrausSet] | None = None,
                           opt: OptimizerConfig = OptimizerConfig(),
-                          optimize: bool = True,
-                          rng: np.random.Generator | None = None) -> CapacityResult:
+                          optimize: bool = True) -> CapacityResult:
     """Noisy capacity with N senders and a single receiver."""
     if layout.n_receivers != 1:
         raise LayoutError("capacity_one_receiver needs a one-receiver layout")
-    return _capacity(rho, layout, spec, kraus_override, opt, optimize, rng)
+    return _capacity(rho, layout, spec, kraus_override, opt, optimize)
 
 
 def bound_two_receivers(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec | None,
                         kraus_override: list[KrausSet] | None = None,
                         opt: OptimizerConfig = OptimizerConfig(),
-                        optimize: bool = True,
-                        rng: np.random.Generator | None = None) -> CapacityResult:
+                        optimize: bool = True) -> CapacityResult:
     """Noisy LOCC upper bound with two receivers."""
     if layout.n_receivers != 2:
         raise LayoutError("bound_two_receivers needs a two-receiver layout")
-    return _capacity(rho, layout, spec, kraus_override, opt, optimize, rng)
+    return _capacity(rho, layout, spec, kraus_override, opt, optimize)
 
 
 def evaluate(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec | None,

@@ -318,7 +318,8 @@ def parse_channel(spec: str) -> ChannelSpec:
 
     Examples: ``dephasing:alpha=0.5,p=0.3``,
     ``depolarizing:alpha=0.3,p=0.1,eps=0.7,draw=per-qubit``.  A key other
-    than these raises ``ChannelError``.
+    than these, a repeated key and a value that is not a number raise
+    ``ChannelError``.
     """
     name, _, rest = spec.strip().partition(":")
     name = name.lower()
@@ -330,18 +331,24 @@ def parse_channel(spec: str) -> ChannelSpec:
     if rest:
         for item in rest.split(","):
             k, _, v = item.partition("=")
+            k = k.strip()
             if not v:
                 raise ChannelError(f"malformed channel parameter {item!r} in {spec!r}")
-            kv[k.strip()] = v.strip()
+            if k in kv:
+                raise ChannelError(f"repeated channel parameter {k!r} in {spec!r}")
+            kv[k] = v.strip()
     try:
         draw = DrawPolicy(kv.pop("draw", "per-qubit"))
     except ValueError:
         raise ChannelError(f"unknown draw policy in {spec!r}") from None
     try:
-        parsed = ChannelSpec(kind, float(kv.pop("alpha", 0.0)), float(kv.pop("p")),
-                             float(kv.pop("eps", 0.0)), draw)
+        numbers = (float(kv.pop("alpha", 0.0)), float(kv.pop("p")),
+                   float(kv.pop("eps", 0.0)))
     except KeyError as exc:
         raise ChannelError(f"channel {spec!r} is missing parameter {exc}") from None
+    except ValueError as exc:
+        raise ChannelError(f"channel {spec!r}: {exc}") from None
+    parsed = ChannelSpec(kind, *numbers, draw)
     if kv:
         raise ChannelError(f"unknown channel parameter {', '.join(map(repr, kv))} "
                            f"in {spec!r}")

@@ -332,6 +332,9 @@ def quench(state_spec, senders, receivers, split, channel_spec,
     """Quenched mean capacity over random channel realizations."""
     if channel_spec is None:
         raise click.UsageError("quench requires --channel")
+    if no_optimize and optimize_per_realization:
+        raise click.UsageError("--no-optimize and --optimize-per-realization "
+                               "exclude each other")
     _, rho, layout, spec = build_problem(state_spec, senders, receivers,
                                          split, channel_spec)
     opt = opt_config(opt_evals, opt_seed, opt_restarts)

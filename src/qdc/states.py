@@ -145,7 +145,8 @@ def parse_state(spec: str) -> ResourceState:
 
     Examples: ``gghz:n=3,x=0.7071``, ``gw3:a=0.5,b=0.25``,
     ``gw4:a=0.5,b=0.2,c=0.1``, ``w:n=4``, ``bell``.  A key the kind does not
-    take raises ``StateError``.
+    take, a repeated key, a value that is not a finite number and an ``n``
+    that is not an integer raise ``StateError``.
     """
     name, _, rest = spec.strip().partition(":")
     name = name.lower()
@@ -153,9 +154,19 @@ def parse_state(spec: str) -> ResourceState:
     if rest:
         for item in rest.split(","):
             k, _, v = item.partition("=")
+            k = k.strip()
             if not v:
                 raise StateError(f"malformed state parameter {item!r} in {spec!r}")
-            kv[k.strip()] = float(v)
+            if k in kv:
+                raise StateError(f"repeated state parameter {k!r} in {spec!r}")
+            try:
+                value = float(v)
+            except ValueError:
+                value = np.nan
+            if not (value.is_integer() if k == "n" else np.isfinite(value)):
+                raise StateError(f"state parameter {k}={v.strip()!r} in {spec!r} is not "
+                                 f"{'an integer' if k == 'n' else 'a finite number'}")
+            kv[k] = value
     try:
         if name == "bell":
             state = Bell()

@@ -217,13 +217,13 @@ def test_optimized_quench_independent_of_group_size(monkeypatch, state, lay):
 def _count_curve_points(monkeypatch) -> list[tuple]:
     """Record each (channel family, p) the scans evaluate at the curve layer."""
     points = []
-    curve_points = analysis._curve_points
+    capacity_curve = analysis._capacity_curve
 
-    def counted(scan, spec, ps):
+    def counted(marginals, spec, ps, *args):
         points.extend((spec, p) for p in ps)
-        return curve_points(scan, spec, ps)
+        return capacity_curve(marginals, spec, ps, *args)
 
-    monkeypatch.setattr(analysis, "_curve_points", counted)
+    monkeypatch.setattr(analysis, "_capacity_curve", counted)
     return points
 
 
@@ -371,17 +371,6 @@ def test_batched_scans_match_per_point_reference(monkeypatch, state, lay, spec,
             rho, lay, dataclasses.replace(spec, p=p), quench)
 
 
-def test_quenched_epsilon_override():
-    rho = build(GGHZ(3, 1 / np.sqrt(2)))
-    lay = PartyLayout(2, 1)
-    spec = ChannelSpec(ChannelKind.DEPOLARIZING, 0.3, 0.08, epsilon=0.1)
-    a = quenched_capacity(rho, lay, spec, QuenchConfig(100, epsilon=0.7, master_seed=3))
-    b = quenched_capacity(
-        rho, lay, ChannelSpec(ChannelKind.DEPOLARIZING, 0.3, 0.08, epsilon=0.7),
-        QuenchConfig(100, master_seed=3))
-    assert a.mean_capacity_bits == b.mean_capacity_bits
-
-
 def test_quenched_stderr_scaling():
     rho = build(GGHZ(3, 1 / np.sqrt(2)))
     lay = PartyLayout(2, 1)
@@ -424,6 +413,38 @@ def test_sweep_p_matches_mean_capacity_per_point(spec, optimize, quench):
             (q.mean_capacity_bits, q.std_error_bits)
 
 
+@pytest.mark.parametrize("state, lay", [
+    (GGHZ(3, 1 / np.sqrt(2)), PartyLayout(2, 1)),
+    (GGHZ(4, 0.6), PartyLayout(2, 2, split=1)),
+])
+@pytest.mark.parametrize("spec", [
+    ChannelSpec(ChannelKind.DEPHASING, 0.8, 0.3),
+    ChannelSpec(ChannelKind.DEPOLARIZING, 0.3, 0.2),     # covariant
+])
+@pytest.mark.parametrize("optimize", [False, True])
+def test_mean_capacity_deterministic_is_evaluate(state, lay, spec, optimize):
+    rho = build(state)
+    opt = OptimizerConfig(max_evaluations=120, restarts=1)
+    q = mean_capacity(rho, lay, spec, opt, optimize)
+    cap = evaluate(rho, lay, spec, opt=opt, optimize=optimize).capacity_bits
+    assert (q.mean_capacity_bits, q.std_error_bits, q.realizations_used) == \
+        (cap, 0.0, 1)
+
+
+def test_random_channel_needs_quench_config():
+    rho = build(GGHZ(3, 1 / np.sqrt(2)))
+    lay = PartyLayout(2, 1)
+    spec = ChannelSpec(ChannelKind.DEPHASING, 0.5, 0.1, epsilon=0.5)
+    for run in (lambda: mean_capacity(rho, lay, spec, optimize=False),
+                lambda: sweep("p", (0.1, 0.3, 3), rho=rho, layout=lay, spec=spec,
+                              optimize=False),
+                lambda: find_pc(rho, lay, spec, scan_step=1e-2, optimize=False),
+                lambda: critical_strengths(rho, lay, spec, scan_step=1e-2,
+                                           optimize=False)):
+        with pytest.raises(AnalysisError, match="needs a QuenchConfig"):
+            run()
+
+
 def test_scan_traces_block_states_once(monkeypatch):
     calls = []
     marginals = analysis._marginals
@@ -457,25 +478,3 @@ def test_sweep_single_step_and_errors():
     with pytest.raises(AnalysisError):
         sweep("p", (0, 1, 0), state=GGHZ(3, 0.5), layout=PartyLayout(2, 1),
               spec=ChannelSpec(ChannelKind.DEPHASING, 0.5, 0.0))
-
-
-def test_epsilon_override_decides_quenched_or_deterministic():
-    # QuenchConfig.epsilon overrides the spec before the choice is made:
-    # 0.0 makes a random channel deterministic, > 0 a deterministic one random
-    rho = build(GGHZ(3, 1 / np.sqrt(2)))
-    lay = PartyLayout(2, 1)
-    det = ChannelSpec(ChannelKind.DEPHASING, 0.5, 0.0)
-    rand = ChannelSpec(ChannelKind.DEPHASING, 0.5, 0.0, epsilon=0.5)
-    off = QuenchConfig(realizations=10, epsilon=0.0)
-    scan = dict(scan_step=0.01, refine=1e-3, optimize=False)
-    assert find_pc(rho, lay, rand, OPT, quench=off, **scan) == \
-        find_pc(rho, lay, det, OPT, **scan)
-    grid = (0.1, 0.3, 3)
-    rows = sweep("p", grid, rho=rho, layout=lay, spec=rand, optimize=False,
-                 quench=off)
-    assert rows == sweep("p", grid, rho=rho, layout=lay, spec=det,
-                         optimize=False)
-    on = QuenchConfig(realizations=10, epsilon=0.5)
-    rows = sweep("p", grid, rho=rho, layout=lay, spec=det, optimize=False,
-                 quench=on)
-    assert all(r["std_error"] > 0 for r in rows)

@@ -271,3 +271,8 @@ def test_parse_channel():
         parse_channel("dephasing:alpha=0.5,p=0.1,epsilon=0.5")
     with pytest.raises(ChannelError, match="'foo', 'bar'"):
         parse_channel("depolarizing:p=0.1,foo=1,bar=2")
+    for spec, match in (("dephasing:p=abc", "convert string to float: 'abc'"),
+                        ("dephasing:alpha=x,p=0.1", "convert string to float: 'x'"),
+                        ("dephasing:p=0.1,p=0.2", "repeated channel parameter 'p'")):
+        with pytest.raises(ChannelError, match=match):
+            parse_channel(spec)

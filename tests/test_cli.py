@@ -74,6 +74,19 @@ def test_usage_errors_exit_2():
                  ["critical", "--state", "bell", "--senders", "1"],
                  *(["capacity", "--state", "bell", "--senders", "1", "--channel",
                     f"dephasing:alpha=0.3,p=0.2,eps={eps}"] for eps in ("inf", "nan")),
+                 # specifier values that are not (integer) numbers, repeated keys
+                 *(["capacity", "--state", state, "--senders", senders, "--channel",
+                    channel, "--no-optimize"]
+                   for state, senders, channel in (
+                       ("gghz:n=3,x=abc", "2", "dephasing:p=0.1"),
+                       ("bell", "1", "dephasing:p=abc"),
+                       ("w:n=nan", "2", "dephasing:p=0.1"),
+                       ("gghz:n=3.7,x=0.7", "2", "dephasing:p=0.1"),
+                       ("bell", "1", "dephasing:p=0.1,p=0.2"),
+                       ("gghz:n=3,x=0.7,x=0.5", "2", "dephasing:p=0.1"))),
+                 ["quench", "--state", "bell", "--senders", "1", "--channel",
+                  "dephasing:alpha=0.3,p=0.1,eps=0.5", "--no-optimize",
+                  "--optimize-per-realization"],
                  *(["capacity", "--state", "bell", "--senders", "1", "--channel",
                     "dephasing:alpha=0.5,p=0.2", *opts]
                    for opts in (["--opt-restarts", "0"], ["--opt-evals", "3"])),

@@ -79,6 +79,14 @@ def test_parse_state():
         parse_state("foo:n=3")
     with pytest.raises(StateError):
         parse_state("gghz:n3")
+    assert parse_state("w:n=3.0") == WUniform(3)
+    for spec, match in (("gghz:n=3,x=abc", "not a finite number"),
+                        ("w:n=nan", "not an integer"),
+                        ("gw3:a=inf,b=0.2", "not a finite number"),
+                        ("gghz:n=3.7,x=0.7", "not an integer"),
+                        ("gghz:n=3,x=0.7,x=0.5", "repeated state parameter 'x'")):
+        with pytest.raises(StateError, match=match):
+            parse_state(spec)
     for spec in ("gghz:n=3,x=0.7,foo=1", "bell:x=0.5", "whalf:n=3,b=0.2,d=0.1"):
         with pytest.raises(StateError, match="unknown state parameter"):
             parse_state(spec)
