@@ -379,6 +379,8 @@ def sweep(axis: str, grid: tuple[float, float, int], *, state=None,
     lo, hi, steps = grid
     if steps < 1:
         raise AnalysisError("sweep needs at least one grid point")
+    if spec is None and axis in ("p", "alpha"):
+        raise AnalysisError(f"a sweep along {axis} needs a channel")
     values = [lo] if steps == 1 else list(np.linspace(lo, hi, steps))
     if rho is None and state is not None and axis != "state_param":
         rho = build(state)

@@ -210,7 +210,7 @@ def run_guard(f):
 @problem_options
 @optimizer_options
 @output_options
-@click.option("--realizations", type=int, default=None,
+@click.option("--realizations", type=click.IntRange(min=1), default=4000,
               help="Quenched realizations when the channel is random.")
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Master seed for random-channel realizations.")
@@ -222,7 +222,7 @@ def capacity(state_spec, senders, receivers, split, channel_spec,
     _, rho, layout, spec = build_problem(state_spec, senders, receivers,
                                          split, channel_spec)
     opt = opt_config(opt_evals, opt_seed, opt_restarts)
-    qc = QuenchConfig(realizations=realizations or 4000, master_seed=seed,
+    qc = QuenchConfig(realizations=realizations, master_seed=seed,
                       threads=resolve_threads(threads))
     res = mean_capacity(rho, layout, spec, opt, not no_optimize, qc)
     quenched = spec is not None and spec.is_random
@@ -247,7 +247,7 @@ def capacity(state_spec, senders, receivers, split, channel_spec,
 @click.option("--hi", type=float, required=True)
 @click.option("--steps", type=int, required=True)
 @click.option("--param", default=None, help="State field for state_param sweeps.")
-@click.option("--realizations", type=int, default=None)
+@click.option("--realizations", type=click.IntRange(min=1), default=4000)
 @click.option("--seed", type=int, default=0, show_default=True)
 @run_guard
 def sweep_cmd(state_spec, senders, receivers, split, channel_spec,
@@ -259,8 +259,7 @@ def sweep_cmd(state_spec, senders, receivers, split, channel_spec,
     opt = opt_config(opt_evals, opt_seed, opt_restarts)
     quench = None
     if spec is not None and spec.is_random:
-        quench = QuenchConfig(realizations=realizations or 4000,
-                              master_seed=seed,
+        quench = QuenchConfig(realizations=realizations, master_seed=seed,
                               optimize_per_realization=not no_optimize)
     rows = sweep(axis, (lo, hi, steps), state=state, rho=rho, layout=layout,
                  spec=spec, opt=opt, optimize=not no_optimize, quench=quench,
@@ -268,7 +267,7 @@ def sweep_cmd(state_spec, senders, receivers, split, channel_spec,
     records = []
     for row in rows:
         row_spec = spec
-        if spec is not None and axis in ("p", "alpha"):
+        if axis in ("p", "alpha"):
             row_spec = dataclasses.replace(spec, **{axis: row["value"]})
         records.append(make_record(
             state_spec, layout, row_spec, capacity_bits=row["capacity_bits"],
@@ -288,7 +287,7 @@ def sweep_cmd(state_spec, senders, receivers, split, channel_spec,
 @click.option("--refine", type=float, default=1e-4, show_default=True)
 @click.option("--threshold", type=float, default=COLLAPSE_THRESHOLD,
               show_default=True)
-@click.option("--realizations", type=int, default=None)
+@click.option("--realizations", type=click.IntRange(min=1), default=4000)
 @click.option("--seed", type=int, default=0, show_default=True)
 @run_guard
 def critical(state_spec, senders, receivers, split, channel_spec,
@@ -302,8 +301,7 @@ def critical(state_spec, senders, receivers, split, channel_spec,
     opt = opt_config(opt_evals, opt_seed, opt_restarts)
     quench = None
     if spec.is_random:
-        quench = QuenchConfig(realizations=realizations or 4000,
-                              master_seed=seed,
+        quench = QuenchConfig(realizations=realizations, master_seed=seed,
                               optimize_per_realization=not no_optimize,
                               threads=resolve_threads(threads))
     cs = critical_strengths(rho, layout, spec, opt, scan_step, refine,

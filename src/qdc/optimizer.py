@@ -25,13 +25,17 @@ The objective maps row indices ``(k,)`` and a stack of flat encodings
 L-BFGS-B never ends above its start, so a row's value never exceeds its
 identity-encoding objective.
 
-scipy is imported on the first ``minimize`` call, not with this module, so
-fixed-encoding work never loads it.
+scipy supplies only ``setulb``: its compiled file is loaded alone, on the first
+``minimize`` call, and no qdc run imports ``scipy.optimize``.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.util
+import os
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from typing import Callable
 
 import numpy as np
@@ -94,14 +98,33 @@ _MAXCOR, _MAXLS, _MAXITER = 10, 20, 15000
 _FG, _NEW_X, _STOP = 3, 1, 5
 
 
+@functools.cache
+def _load_lbfgsb():
+    """scipy's compiled ``optimize/_lbfgsb`` module, loaded alone from its file
+    (``import scipy.optimize`` takes ~0.4 s) and registered under no ``scipy.*``
+    name, so a later ``import scipy.optimize`` still finds its own."""
+    scipy_dir, = importlib.util.find_spec("scipy").submodule_search_locations
+    path = os.path.join(scipy_dir, "optimize", "_lbfgsb" + EXTENSION_SUFFIXES[0])
+    if not os.path.isfile(path):
+        from importlib.metadata import version
+        raise ImportError(f"scipy {version('scipy')} has no {path}; qdc calls its "
+                          "setulb(..., maxls, ln_task), tested on scipy 1.17")
+    loader = ExtensionFileLoader("qdc._lbfgsb", path)
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_loader(loader.name, loader))
+    loader.exec_module(module)
+    return module
+
+
 @dataclass(frozen=True)
 class _RunResult:
-    """The fields of ``scipy.optimize.minimize``'s result for one problem."""
+    """``scipy.optimize.minimize``'s result for one problem; ``stop`` is
+    setulb's (status, task) code pair behind its message."""
     fun: float
     x: np.ndarray
     nfev: int
     nit: int
-    message: str
+    stop: tuple[int, int]
 
 
 class _Run:
@@ -159,10 +182,7 @@ def _lbfgsb(objective: Objective, x0: np.ndarray, maxfun: int) -> list[_RunResul
     ``scipy.optimize.minimize(f_i, x0[i], jac=True, method="L-BFGS-B",
     options={"maxfun": maxfun, "ftol": _FTOL, "gtol": _GTOL})``.
     """
-    # the setulb(..., maxls, ln_task) signature of scipy's C L-BFGS-B, tested on 1.17
-    from scipy.optimize._lbfgsb import setulb
-    from scipy.optimize._lbfgsb_py import status_messages, task_messages
-
+    setulb = _load_lbfgsb().setulb
     values, grads = objective(np.arange(len(x0)), x0)    # scipy's call at x0
     runs = [_Run(x, maxfun, float(f), g) for x, f, g in zip(x0, values, grads)]
     asking = [i for i, run in enumerate(runs) if run.advance(setulb)]
@@ -172,8 +192,7 @@ def _lbfgsb(objective: Objective, x0: np.ndarray, maxfun: int) -> list[_RunResul
         for i, f, g in zip(asking, values, grads):
             runs[i].take(float(f), g)
         asking = [i for i in asking if runs[i].advance(setulb)]
-    return [_RunResult(run.f, run.x, run.nfev, run.nit,
-                       f"{status_messages[run.task[0]]}: {task_messages[run.task[1]]}")
+    return [_RunResult(run.f, run.x, run.nfev, run.nit, tuple(map(int, run.task)))
             for run in runs]
 
 

@@ -96,6 +96,16 @@ def test_usage_errors_exit_2():
                                          ("--scan-step", "0"), ("--scan-step", "nan"),
                                          ("--scan-step", "-0.01"), ("--threshold", "nan"),
                                          ("--threshold", "inf"), ("--threshold", "-1"))),
+                 # a p or alpha sweep without a channel
+                 *(["sweep", "--state", "bell", "--senders", "1", "--axis", axis,
+                    "--lo", "0", "--hi", "0.1", "--steps", "2", "--no-optimize"]
+                   for axis in ("p", "alpha")),
+                 *([cmd, "--state", "bell", "--senders", "1", "--channel",
+                    "dephasing:p=0.1,eps=0.5", "--realizations", n, *extra]
+                   for cmd, extra in (("capacity", []), ("critical", []),
+                                      ("sweep", ["--axis", "p", "--lo", "0",
+                                                 "--hi", "0.1", "--steps", "2"]))
+                   for n in ("0", "-1")),
                  *(["table", "--which", which, option, value]
                    for which in ("I", "III")
                    for option, value in (("--refine", "0"), ("--scan-step", "0"),
@@ -190,3 +200,6 @@ def test_capacity_random_channel_uses_quenched_mean():
     rec = json.loads(res.output)
     assert rec["realizations"] == 100
     assert rec["std_error"] > 0
+    res = invoke("capacity", "--state", "bell", "--senders", "1",
+                 "--channel", "dephasing:alpha=0.3,p=0.1,eps=0.5")
+    assert json.loads(res.output)["realizations"] == 4000

@@ -3,6 +3,7 @@ from functools import partial
 import numpy as np
 import pytest
 import scipy.optimize
+from scipy.optimize._lbfgsb_py import status_messages, task_messages
 
 import qdc.optimizer
 from qdc.capacity import PartyLayout, _block_objective, evaluate
@@ -145,6 +146,12 @@ def _capacity_problems(n_problems):
     return f, rng.uniform(0, 4 * np.pi, size=(n_problems, 6)), 40
 
 
+def message(run) -> str:
+    """The stop message ``scipy.optimize.minimize`` builds from setulb's codes."""
+    status, task = run.stop
+    return f"{status_messages[status]}: {task_messages[task]}"
+
+
 @pytest.mark.parametrize("n_problems", [1, 3, 7])
 @pytest.mark.parametrize("problems", [_quadratic_problems, _periodic_problems,
                                       _capacity_problems])
@@ -159,10 +166,10 @@ def test_lockstep_driver_matches_scipy_minimize(problems, n_problems):
             options={"maxfun": maxfun, "ftol": _FTOL, "gtol": _GTOL})
         assert run.fun == want.fun
         assert np.array_equal(run.x, want.x)
-        assert (run.nfev, run.nit, run.message) == (want.nfev, want.nit, want.message)
+        assert (run.nfev, run.nit, message(run)) == (want.nfev, want.nit, want.message)
     if problems is _quadratic_problems and n_problems > 1:
-        assert runs[0].message.startswith("STOP: TOTAL NO. OF F,G EVALUATIONS")
-        assert {run.message.split(":")[0] for run in runs[1:]} == {"CONVERGENCE"}
+        assert message(runs[0]).startswith("STOP: TOTAL NO. OF F,G EVALUATIONS")
+        assert {message(run).split(":")[0] for run in runs[1:]} == {"CONVERGENCE"}
         assert len({run.nit for run in runs}) > 1
 
 
