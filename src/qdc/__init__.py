@@ -7,8 +7,8 @@ from .capacity import (CapacityResult, PartyLayout, bound_two_receivers,
                        capacity_noiseless, capacity_one_receiver, evaluate)
 from .channels import (ChannelKind, ChannelSpec, DrawPolicy, KrausSet,
                        UnitaryParams, apply_local_channel, deterministic_kraus,
-                       kraus_dephasing, kraus_depolarizing, parse_channel,
-                       sample_per_qubit_kraus, unitary_from_params)
+                       parse_channel, sample_per_qubit_kraus,
+                       unitary_from_params)
 from .optimizer import EncodingParams, OptimizerConfig, minimize
 from .states import (GGHZ, GW3, GW4, Bell, ResourceState, WUniform, build,
                      parse_state, state_qubits, statevector, w_half)
@@ -21,9 +21,8 @@ __all__ = [
     "CapacityResult", "PartyLayout", "bound_two_receivers",
     "capacity_noiseless", "capacity_one_receiver", "evaluate",
     "ChannelKind", "ChannelSpec", "DrawPolicy", "KrausSet", "UnitaryParams",
-    "apply_local_channel", "deterministic_kraus", "kraus_dephasing",
-    "kraus_depolarizing", "parse_channel", "sample_per_qubit_kraus",
-    "unitary_from_params",
+    "apply_local_channel", "deterministic_kraus", "parse_channel",
+    "sample_per_qubit_kraus", "unitary_from_params",
     "EncodingParams", "OptimizerConfig", "minimize",
     "GGHZ", "GW3", "GW4", "Bell", "ResourceState", "WUniform", "build",
     "parse_state", "state_qubits", "statevector", "w_half",

@@ -36,8 +36,8 @@ import numpy as np
 
 from .capacity import (COLLAPSE_THRESHOLD, PartyLayout, _capacities, _Marginals,
                        _marginals, evaluate)
-from .channels import (_PAULIS, ChannelKind, ChannelSpec, _channel_weights,
-                       _kraus_rows, _seeded_unitaries)
+from .channels import (_PAULIS, ChannelSpec, _channel_weights, _kraus_rows,
+                       _seeded_unitaries, p_range)
 from .optimizer import OptimizerConfig
 
 # (p-point, realization) rows evaluated together, or optimizer problems run in
@@ -68,6 +68,8 @@ class QuenchConfig:
     def __post_init__(self):
         if self.realizations < 1:
             raise AnalysisError("realizations must be positive")
+        if self.master_seed < 0:
+            raise AnalysisError(f"master_seed={self.master_seed} must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -75,14 +77,6 @@ class QuenchedResult:
     mean_capacity_bits: float
     std_error_bits: float
     realizations_used: int
-
-
-def p_range(spec: ChannelSpec) -> tuple[float, float]:
-    """Valid noise-strength interval of a channel family."""
-    if spec.kind is ChannelKind.DEPHASING:
-        return 0.0, 0.5
-    hi = 1.0 if spec.alpha == 0.0 else min(1.0, 1.0 / (3.0 * spec.alpha))
-    return 0.0, hi
 
 
 def _mean(values: np.ndarray) -> float:
@@ -186,8 +180,7 @@ def quenched_capacity(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec,
     reduction runs in index order.  This is the one-point case of a scan's
     capacity curve, evaluated in slices of realizations; with
     ``qc.optimize_per_realization`` every start of every realization of a
-    slice runs in lockstep, each with its own stop rule.  ``qc.threads`` has
-    no effect.
+    slice runs in lockstep, each with its own stop rule.
     """
     if not spec.is_random:
         raise AnalysisError("quenched averaging needs a random channel (epsilon > 0)")
@@ -293,11 +286,10 @@ def _find_pr(scan: _Scan, p_c: float | None) -> float | None:
     return _first_crossing(revived, lo, hi, scan.scan_step, scan.refine)
 
 
-def _find_pa(scan: _Scan, spec_m: ChannelSpec) -> float | None:
-    spec_nm = scan.spec
-    lo_nm, hi_nm = p_range(spec_nm)
-    lo_m, hi_m = p_range(spec_m)
-    lo, hi = max(lo_nm, lo_m), min(hi_nm, hi_m)
+def _find_pa(scan: _Scan) -> float | None:
+    # the Markovian reference's p-range holds the non-Markovian one
+    spec_nm, spec_m = scan.spec, dataclasses.replace(scan.spec, alpha=0.0)
+    lo, hi = p_range(spec_nm)
 
     def advantaged(ps) -> np.ndarray:
         return scan.curve(spec_nm, ps) - scan.curve(spec_m, ps) > scan.threshold
@@ -321,26 +313,22 @@ def find_pc(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec,
 def find_pr(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec,
             opt: OptimizerConfig = OptimizerConfig(), scan_step: float = 1e-3,
             refine: float = 1e-4, threshold: float = COLLAPSE_THRESHOLD,
-            optimize: bool = True, quench: QuenchConfig | None = None,
-            p_c: float | None = None) -> float | None:
-    """Smallest p >= p_c at which the capacity revives above the bound."""
+            optimize: bool = True, quench: QuenchConfig | None = None) -> float | None:
+    """Smallest p >= p_c at which the capacity revives above the bound; p_c
+    is found on the same scan."""
     scan = _Scan(spec, _Curves(rho, layout, opt, optimize, quench), scan_step,
                  refine, threshold)
-    return _find_pr(scan, _find_pc(scan) if p_c is None else p_c)
+    return _find_pr(scan, _find_pc(scan))
 
 
 def find_pa(rho: np.ndarray, layout: PartyLayout, spec_nm: ChannelSpec,
-            spec_m: ChannelSpec | None = None,
             opt: OptimizerConfig = OptimizerConfig(), scan_step: float = 1e-3,
             refine: float = 1e-4, threshold: float = COLLAPSE_THRESHOLD,
             optimize: bool = True, quench: QuenchConfig | None = None) -> float | None:
-    """Smallest p where the non-Markovian capacity exceeds the Markovian one."""
-    if spec_m is None:
-        spec_m = dataclasses.replace(spec_nm, alpha=0.0)
-    if spec_m.kind is not spec_nm.kind or spec_m.epsilon != spec_nm.epsilon:
-        raise AnalysisError("Markovian reference must share channel kind and epsilon")
+    """Smallest p where the non-Markovian capacity exceeds the Markovian one
+    (the same family at alpha = 0)."""
     return _find_pa(_Scan(spec_nm, _Curves(rho, layout, opt, optimize, quench),
-                          scan_step, refine, threshold), spec_m)
+                          scan_step, refine, threshold))
 
 
 def critical_strengths(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec,
@@ -355,8 +343,7 @@ def critical_strengths(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec,
                  refine, threshold)
     pc = _find_pc(scan)
     pr = _find_pr(scan, pc)
-    pa = (_find_pa(scan, dataclasses.replace(spec, alpha=0.0))
-          if spec.alpha > 0.0 else None)
+    pa = _find_pa(scan) if spec.alpha > 0.0 else None
     return CriticalStrengths(pc, pr, pa, refine)
 
 
@@ -364,15 +351,15 @@ def sweep(axis: str, grid: tuple[float, float, int], *, state=None,
           rho: np.ndarray | None = None, layout: PartyLayout,
           spec: ChannelSpec | None, opt: OptimizerConfig = OptimizerConfig(),
           optimize: bool = True, quench: QuenchConfig | None = None,
-          param: str | None = None, threads: int = 1) -> list[dict]:
+          param: str | None = None) -> list[dict]:
     """Capacity along one axis: ``p``, ``alpha`` or a state parameter.
 
-    ``axis='state_param'`` varies the field named ``param`` of ``state``
-    (e.g. ``x`` for gGHZ, ``b`` for gW).  Returns one row per grid point,
+    ``axis='state_param'`` varies the float field named ``param`` of
+    ``state``: ``x`` for gGHZ, ``a`` or ``b`` for gW3, ``a``, ``b`` or ``c``
+    for gW4 (W and Bell states have none).  Returns one row per grid point,
     ordered by axis value.  Along ``p`` the grid is one capacity curve,
     evaluated in batches; each row's mean and standard error reduce its own
-    realizations.  ``threads`` is accepted for compatibility and has no
-    effect.
+    realizations.
     """
     from .states import build   # local import to avoid a cycle
 
@@ -381,6 +368,13 @@ def sweep(axis: str, grid: tuple[float, float, int], *, state=None,
         raise AnalysisError("sweep needs at least one grid point")
     if spec is None and axis in ("p", "alpha"):
         raise AnalysisError(f"a sweep along {axis} needs a channel")
+    if axis == "state_param":
+        if state is None or param is None:
+            raise AnalysisError("state_param sweeps need state= and param=")
+        names = [f.name for f in dataclasses.fields(state) if f.type in (float, "float")]
+        if param not in names:
+            raise AnalysisError(f"{type(state).__name__} has no float field {param!r} "
+                                f"to sweep (fields: {', '.join(names) or 'none'})")
     values = [lo] if steps == 1 else list(np.linspace(lo, hi, steps))
     if rho is None and state is not None and axis != "state_param":
         rho = build(state)
@@ -392,8 +386,6 @@ def sweep(axis: str, grid: tuple[float, float, int], *, state=None,
         elif axis == "alpha":
             spec_v = dataclasses.replace(spec, alpha=float(value))
         elif axis == "state_param":
-            if state is None or param is None:
-                raise AnalysisError("state_param sweeps need state= and param=")
             rho_v = build(dataclasses.replace(state, **{param: float(value)}))
         else:
             raise AnalysisError(f"unknown sweep axis {axis!r}")

@@ -109,14 +109,10 @@ class ChannelSpec:
             raise ChannelError(f"alpha={self.alpha} outside [0, 1]")
         if not 0.0 <= self.epsilon < np.inf:
             raise ChannelError(f"epsilon={self.epsilon} must be finite and >= 0")
-        if self.kind is ChannelKind.DEPHASING:
-            if not 0.0 <= self.p <= 0.5:
-                raise ChannelError(f"dephasing p={self.p} outside [0, 1/2]")
-        else:
-            p_max = 1.0 if self.alpha == 0.0 else min(1.0, 1.0 / (3.0 * self.alpha))
-            if not 0.0 <= self.p <= p_max + 1e-12:
-                raise ChannelError(
-                    f"depolarizing p={self.p} outside [0, {p_max}] for alpha={self.alpha}")
+        lo, hi = p_range(self)
+        if not lo <= self.p <= hi + 1e-12:
+            raise ChannelError(f"{self.kind.value} p={self.p} outside [{lo}, {hi}] "
+                               f"for alpha={self.alpha}")
 
     @property
     def is_random(self) -> bool:
@@ -126,6 +122,14 @@ class ChannelSpec:
     def is_covariant(self) -> bool:
         """Deterministic depolarizing commutes with the full Pauli set."""
         return self.kind is ChannelKind.DEPOLARIZING and not self.is_random
+
+
+def p_range(spec: ChannelSpec) -> tuple[float, float]:
+    """Valid noise-strength interval of a channel family."""
+    if spec.kind is ChannelKind.DEPHASING:
+        return 0.0, 0.5
+    hi = 1.0 if spec.alpha == 0.0 else min(1.0, 1.0 / (3.0 * spec.alpha))
+    return 0.0, hi
 
 
 def _check_completeness(ops: np.ndarray) -> None:
@@ -169,20 +173,6 @@ def _weighted(weights: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
     u = np.asarray(unitaries, dtype=complex)
     ident = np.broadcast_to(I2, u.shape[:-3] + (1, 2, 2))
     return np.sqrt(weights)[..., None, None] * np.concatenate([ident, u], axis=-3)
-
-
-def kraus_dephasing(alpha: float, p: float, uz: np.ndarray = SIGMA_Z) -> KrausSet:
-    """Dephasing Kraus pair {sqrt((1-ap)(1-p)) I, sqrt((1+a(1-p))p) Uz}."""
-    weights = _channel_weights(ChannelKind.DEPHASING, alpha, p)
-    return KrausSet(tuple(_weighted(weights, [uz])))
-
-
-def kraus_depolarizing(alpha: float, p: float,
-                       ux: np.ndarray = SIGMA_X, uy: np.ndarray = SIGMA_Y,
-                       uz: np.ndarray = SIGMA_Z) -> KrausSet:
-    """Depolarizing Kraus quadruple per the non-Markovian weights."""
-    weights = _channel_weights(ChannelKind.DEPOLARIZING, alpha, p)
-    return KrausSet(tuple(_weighted(weights, [ux, uy, uz])))
 
 
 # the unitaries that follow the identity in a deterministic Kraus set

@@ -11,8 +11,6 @@ import csv
 import dataclasses
 import io
 import json
-import os
-import sys
 
 import click
 import numpy as np
@@ -160,20 +158,7 @@ def output_options(f):
     f = click.option("--format", "fmt_name", type=click.Choice(["json", "csv"]),
                      default="json", show_default=True)(f)
     f = click.option("--out", type=click.Path(dir_okay=False), default=None)(f)
-    f = click.option("--threads", type=int, default=None,
-                     help="Accepted for compatibility; has no effect "
-                          "(default: QDC_THREADS or 1).")(f)
     return f
-
-
-def resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        env = os.environ.get("QDC_THREADS", "1")
-        try:
-            threads = int(env)
-        except ValueError:
-            raise click.UsageError(f"QDC_THREADS={env!r} is not an integer") from None
-    return max(1, threads)
 
 
 def build_problem(state_spec, senders, receivers, split, channel_spec):
@@ -217,13 +202,12 @@ def run_guard(f):
 @run_guard
 def capacity(state_spec, senders, receivers, split, channel_spec,
              opt_evals, opt_seed, opt_restarts, no_optimize, fmt_name, out,
-             threads, realizations, seed):
+             realizations, seed):
     """Evaluate one capacity (or two-receiver bound)."""
     _, rho, layout, spec = build_problem(state_spec, senders, receivers,
                                          split, channel_spec)
     opt = opt_config(opt_evals, opt_seed, opt_restarts)
-    qc = QuenchConfig(realizations=realizations, master_seed=seed,
-                      threads=resolve_threads(threads))
+    qc = QuenchConfig(realizations=realizations, master_seed=seed)
     res = mean_capacity(rho, layout, spec, opt, not no_optimize, qc)
     quenched = spec is not None and spec.is_random
     rec = make_record(state_spec, layout, spec,
@@ -252,7 +236,7 @@ def capacity(state_spec, senders, receivers, split, channel_spec,
 @run_guard
 def sweep_cmd(state_spec, senders, receivers, split, channel_spec,
               opt_evals, opt_seed, opt_restarts, no_optimize, fmt_name, out,
-              threads, axis, lo, hi, steps, param, realizations, seed):
+              axis, lo, hi, steps, param, realizations, seed):
     """Capacity along a grid of p, alpha or a state parameter."""
     state, rho, layout, spec = build_problem(state_spec, senders, receivers,
                                              split, channel_spec)
@@ -263,7 +247,7 @@ def sweep_cmd(state_spec, senders, receivers, split, channel_spec,
                               optimize_per_realization=not no_optimize)
     rows = sweep(axis, (lo, hi, steps), state=state, rho=rho, layout=layout,
                  spec=spec, opt=opt, optimize=not no_optimize, quench=quench,
-                 param=param, threads=resolve_threads(threads))
+                 param=param)
     records = []
     for row in rows:
         row_spec = spec
@@ -292,7 +276,7 @@ def sweep_cmd(state_spec, senders, receivers, split, channel_spec,
 @run_guard
 def critical(state_spec, senders, receivers, split, channel_spec,
              opt_evals, opt_seed, opt_restarts, no_optimize, fmt_name, out,
-             threads, scan_step, refine, threshold, realizations, seed):
+             scan_step, refine, threshold, realizations, seed):
     """Critical strengths p_c, p_r, p_a for one problem."""
     if channel_spec is None:
         raise click.UsageError("critical requires --channel")
@@ -302,8 +286,7 @@ def critical(state_spec, senders, receivers, split, channel_spec,
     quench = None
     if spec.is_random:
         quench = QuenchConfig(realizations=realizations, master_seed=seed,
-                              optimize_per_realization=not no_optimize,
-                              threads=resolve_threads(threads))
+                              optimize_per_realization=not no_optimize)
     cs = critical_strengths(rho, layout, spec, opt, scan_step, refine,
                             threshold, optimize=not no_optimize, quench=quench)
     rec = make_record(state_spec, layout, spec, opt_seed=opt_seed,
@@ -326,7 +309,7 @@ def critical(state_spec, senders, receivers, split, channel_spec,
 @run_guard
 def quench(state_spec, senders, receivers, split, channel_spec,
            opt_evals, opt_seed, opt_restarts, no_optimize, fmt_name, out,
-           threads, realizations, seed, optimize_per_realization):
+           realizations, seed, optimize_per_realization):
     """Quenched mean capacity over random channel realizations."""
     if channel_spec is None:
         raise click.UsageError("quench requires --channel")
@@ -337,8 +320,7 @@ def quench(state_spec, senders, receivers, split, channel_spec,
                                          split, channel_spec)
     opt = opt_config(opt_evals, opt_seed, opt_restarts)
     qc = QuenchConfig(realizations=realizations, master_seed=seed,
-                      optimize_per_realization=optimize_per_realization,
-                      threads=resolve_threads(threads))
+                      optimize_per_realization=optimize_per_realization)
     res = quenched_capacity(rho, layout, spec, qc, opt)
     rec = make_record(state_spec, layout, spec,
                       capacity_bits=res.mean_capacity_bits,
@@ -442,8 +424,7 @@ def _table_rows_deterministic(which: str, kind: ChannelKind, scan_step, refine,
     return rows
 
 
-def _table_rows_quenched(realizations, scan_step, refine, seed,
-                         threads) -> list[dict]:
+def _table_rows_quenched(realizations, scan_step, refine, seed) -> list[dict]:
     rows = []
     opt = OptimizerConfig()
     for (family, ns, nr), grid in TABLE_III.items():
@@ -451,8 +432,7 @@ def _table_rows_quenched(realizations, scan_step, refine, seed,
         for alpha, refs in zip(TABLE_III_ALPHAS, grid):
             for eps, ref in zip(TABLE_III_EPSILONS, refs):
                 spec = ChannelSpec(ChannelKind.DEPOLARIZING, alpha, 0.0, eps)
-                qc = QuenchConfig(realizations=realizations, master_seed=seed,
-                                  threads=threads)
+                qc = QuenchConfig(realizations=realizations, master_seed=seed)
                 value = find_pc(rho, layout, spec, opt, scan_step, refine,
                                 optimize=False, quench=qc)
                 ok = value is not None and abs(value - ref) <= 0.02
@@ -472,9 +452,8 @@ def _table_rows_quenched(realizations, scan_step, refine, seed,
 @click.option("--refine", type=float, default=1e-4, show_default=True)
 @click.option("--realizations", type=int, default=4000, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--threads", type=int, default=None)
 @run_guard
-def table(which, out, scan_step, refine, realizations, seed, threads):
+def table(which, out, scan_step, refine, realizations, seed):
     """Recompute one reference table and compare cell by cell."""
     opt = OptimizerConfig()
     if scan_step is None:
@@ -486,8 +465,7 @@ def table(which, out, scan_step, refine, realizations, seed, threads):
         rows = _table_rows_deterministic("II", ChannelKind.DEPOLARIZING,
                                          scan_step, refine, opt)
     else:
-        rows = _table_rows_quenched(realizations, scan_step, refine, seed,
-                                    resolve_threads(threads))
+        rows = _table_rows_quenched(realizations, scan_step, refine, seed)
     emit(rows, "csv", out)
     n_fail = sum(1 for r in rows if not r["pass"])
     click.echo(f"# {len(rows) - n_fail}/{len(rows)} cells within tolerance",

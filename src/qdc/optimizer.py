@@ -62,6 +62,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise OptimizerConfigError("restarts must be >= 1")
+        if self.seed < 0:
+            raise OptimizerConfigError(f"seed={self.seed} must be non-negative")
         if self.max_evaluations < self.restarts + 1:
             raise OptimizerConfigError(
                 f"max_evaluations {self.max_evaluations} must be at least one "

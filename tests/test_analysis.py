@@ -74,12 +74,11 @@ def test_find_pr_revival_and_markovian_absence():
     rho = build(GGHZ(3, 1 / np.sqrt(2)))
     nm = ChannelSpec(ChannelKind.DEPHASING, 0.9, 0.0)
     pc = find_pc(rho, lay, nm, OPT, optimize=False)
-    pr = find_pr(rho, lay, nm, OPT, optimize=False, p_c=pc)
+    pr = find_pr(rho, lay, nm, OPT, optimize=False)
     assert pc is not None and pr is not None
     assert pc <= pr <= pc + 0.02
     m = ChannelSpec(ChannelKind.DEPHASING, 0.0, 0.0)
-    pc_m = find_pc(rho, lay, m, OPT, optimize=False)
-    assert find_pr(rho, lay, m, OPT, optimize=False, p_c=pc_m) is None
+    assert find_pr(rho, lay, m, OPT, optimize=False) is None
 
 
 def test_find_pa_matches_closed_form():
@@ -89,14 +88,6 @@ def test_find_pa_matches_closed_form():
         nm = ChannelSpec(ChannelKind.DEPHASING, alpha, 0.0)
         pa = find_pa(rho, lay, nm, optimize=False)
         assert pa == pytest.approx(pa_closed_form(alpha), abs=1e-3)
-
-
-def test_find_pa_rejects_mismatched_reference():
-    rho = build(GGHZ(3, 1 / np.sqrt(2)))
-    nm = ChannelSpec(ChannelKind.DEPHASING, 0.5, 0.0)
-    m = ChannelSpec(ChannelKind.DEPOLARIZING, 0.0, 0.0)
-    with pytest.raises(AnalysisError):
-        find_pa(rho, PartyLayout(2, 1), nm, m)
 
 
 def test_critical_strengths_bracket_and_ordering():
@@ -478,3 +469,10 @@ def test_sweep_single_step_and_errors():
     with pytest.raises(AnalysisError):
         sweep("p", (0, 1, 0), state=GGHZ(3, 0.5), layout=PartyLayout(2, 1),
               spec=ChannelSpec(ChannelKind.DEPHASING, 0.5, 0.0))
+    # only a float field of the state can be swept
+    for state, param, grid, fields in ((GGHZ(3, 0.7), "y", (0.5, 0.7, 2), "x"),
+                                       (GGHZ(3, 0.7), "n_qubits", (3, 4, 2), "x"),
+                                       (WUniform(3), "n_qubits", (3, 4, 2), "none")):
+        with pytest.raises(AnalysisError, match=f"fields: {fields}"):
+            sweep("state_param", grid, state=state, layout=PartyLayout(2, 1),
+                  spec=None, param=param)

@@ -6,8 +6,7 @@ from qdc.qmath import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, dm_from_statevector
 from qdc.channels import (ChannelError, ChannelKind, ChannelSpec, DrawPolicy,
                           KrausSet, _apply_local, _check_completeness,
                           apply_local_channel, deterministic_kraus,
-                          kraus_dephasing, kraus_depolarizing, parse_channel,
-                          pauli_means, sample_kraus_batch,
+                          parse_channel, pauli_means, sample_kraus_batch,
                           sample_per_qubit_kraus, unitary_from_params,
                           UnitaryParams)
 
@@ -34,14 +33,14 @@ def test_unitary_from_params_is_unitary(omega, theta, delta):
 
 
 def test_dephasing_weights():
-    ks = kraus_dephasing(0.5, 0.3)
+    ks = deterministic_kraus(ChannelSpec(ChannelKind.DEPHASING, 0.5, 0.3))
     # (1 - 0.5*0.3)(1 - 0.3) = 0.595 and (1 + 0.5*0.7)*0.3 = 0.405
     assert np.allclose(ks.operators[0], np.sqrt(0.595) * I2)
     assert np.allclose(ks.operators[1], np.sqrt(0.405) * SIGMA_Z)
 
 
 def test_depolarizing_weights():
-    ks = kraus_depolarizing(0.5, 0.2)
+    ks = deterministic_kraus(ChannelSpec(ChannelKind.DEPOLARIZING, 0.5, 0.2))
     # (1 - 3*0.5*0.2)(1 - 0.2) = 0.56 and (1 + 3*0.5*0.8)*0.2/3 = 0.44/3
     assert np.allclose(ks.operators[0], np.sqrt(0.56) * I2)
     for op, pauli in zip(ks.operators[1:], (SIGMA_X, SIGMA_Y, SIGMA_Z)):

@@ -109,22 +109,30 @@ def test_usage_errors_exit_2():
                  *(["table", "--which", which, option, value]
                    for which in ("I", "III")
                    for option, value in (("--refine", "0"), ("--scan-step", "0"),
-                                         ("--scan-step", "inf")))):
+                                         ("--scan-step", "inf"))),
+                 # negative seeds
+                 ["capacity", "--state", "bell", "--senders", "1", "--opt-seed", "-1",
+                  "--channel", "dephasing:p=0.1"],
+                 *([cmd, "--state", "bell", "--senders", "1", "--channel",
+                    "dephasing:p=0.1,eps=0.5", "--realizations", "2", "--seed", "-1"]
+                   for cmd in ("quench", "capacity")),
+                 ["table", "--which", "III", "--realizations", "2", "--seed", "-1"],
+                 # a state_param sweep of a field that is not a float of the state
+                 *(["sweep", "--state", "gghz:n=3,x=0.7", "--senders", "2",
+                    "--axis", "state_param", "--param", param, "--lo", lo,
+                    "--hi", hi, "--steps", "2", "--no-optimize"]
+                   for param, lo, hi in (("y", "0.5", "0.7"), ("n_qubits", "3", "4")))):
         res = runner.invoke(main, args)
         assert res.exit_code == 2, args
-    res = runner.invoke(main, ["capacity", "--state", "bell", "--senders", "1"],
-                        env={"QDC_THREADS": "two"})
-    assert res.exit_code == 2
 
 
-def test_quench_reproducible_and_thread_independent():
+def test_quench_reproducible():
     args = ["quench", "--state", "gghz:n=3,x=0.70711", "--senders", "2",
             "--channel", "depolarizing:alpha=0.3,p=0.05,eps=0.5",
             "--realizations", "200", "--seed", "7"]
     a = json.loads(invoke(*args).output)
-    b = json.loads(invoke(*args, "--threads", "4").output)
-    c = json.loads(invoke(*args, env={"QDC_THREADS": "3"}).output)
-    assert a["capacity_bits"] == b["capacity_bits"] == c["capacity_bits"]
+    b = json.loads(invoke(*args).output)
+    assert a["capacity_bits"] == b["capacity_bits"]
     assert a["std_error"] == b["std_error"]
     assert a["realizations"] == 200 and a["master_seed"] == 7
 
@@ -172,8 +180,10 @@ def test_unknown_spec_keys_exit_2():
 
 def test_config_file_defaults(tmp_path):
     cfg = tmp_path / "run.cfg"
+    # a key that names no flag of the command is ignored
     cfg.write_text("state = bell\nsenders = 1\n"
-                   "channel = dephasing:alpha=0.5,p=0.1\nno-optimize = true\n")
+                   "channel = dephasing:alpha=0.5,p=0.1\nno-optimize = true\n"
+                   "threads = 2\n")
     res = invoke("--config", str(cfg), "capacity")
     assert res.exit_code == 0
     rec = json.loads(res.output)

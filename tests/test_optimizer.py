@@ -104,7 +104,7 @@ def test_non_finite_objective_raises():
 
 def test_config_validation():
     for kwargs in ({"restarts": 0}, {"max_evaluations": 3},
-                   {"max_evaluations": 1, "restarts": 1}):
+                   {"max_evaluations": 1, "restarts": 1}, {"seed": -1}):
         with pytest.raises(OptimizerConfigError):
             OptimizerConfig(**kwargs)
     assert issubclass(OptimizerConfigError, ValueError)

@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -32,3 +33,13 @@ def test_benchmark_workloads_build(monkeypatch):
     for workload in workloads.WORKLOADS.values():
         ops = workload.make(workloads.DEFAULT_SEED, True)
         assert ops and all(callable(op.run) for op in ops), workload.name
+
+
+def test_benchmark_reduced_operations_pass_their_checks(monkeypatch):
+    # one reduced pass on the default seed, checked as the benchmark checks
+    # it, so a library change that breaks a workload's calls fails here
+    workloads = load("workloads", monkeypatch)
+    expected = json.loads((PERFBENCH / "expected.json").read_text())
+    for workload in workloads.WORKLOADS.values():
+        for op in workload.make(workloads.DEFAULT_SEED, True):
+            assert op.check(op.run(), expected[op.key], True) == [], op.key
