@@ -14,16 +14,18 @@ that holds a flip.
 
 Every capacity this module takes with a channel is read through one record,
 ``_Curves``, the only code that decides whether a channel family (the spec
-up to p) is random, which unitaries its Kraus sets hold and whether the
-encoding is optimized.  It keeps each point's row of per-realization
-capacities for one public call, so p_c, p_r and p_a read each point once.
-A curve is evaluated in batches: the Kraus sets of many p-points, and of
-every realization of a quenched channel, are stacked along the kernel's
-batch axis.  The block states and receiver entropies are traced out, and
-the unitaries of a quenched channel (which do not depend on p or alpha)
-drawn, once per record.  With an optimized encoding, every L-BFGS-B start
-of every row of a batch runs in lockstep with its own stop rule, so no
-result depends on the batch it runs in.
+up to p) is random, which channel basis it uses and whether the encoding is
+optimized.  It keeps each point's row of per-realization capacities for one
+public call, so p_c, p_r and p_a read each point once.  A curve is evaluated
+in batches: the noise superoperators of many p-points, and of every
+realization of a quenched channel, are stacked along the kernel's batch
+axis; each is the point's channel weights contracted with a basis
+I (x) I, U_1 (x) conj(U_1), ...  The block states and receiver entropies are
+traced out, and a quenched channel's unitaries (which do not depend on p or
+alpha) drawn and made a basis, once per record; the exact-Pauli bases are
+real, so a deterministic curve of a real state runs in real arithmetic.
+With an optimized encoding, every L-BFGS-B start of every row of a batch
+runs in lockstep with its own stop rule, so no result depends on the batch.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ import numpy as np
 
 from .capacity import (COLLAPSE_THRESHOLD, PartyLayout, _capacities, _Marginals,
                        _marginals, evaluate)
-from .channels import (_PAULIS, ChannelSpec, _channel_weights, _kraus_rows,
-                       _seeded_unitaries, p_range)
+from .channels import (_PAULI_BASES, ChannelSpec, _basis, _channel_weights,
+                       _seeded_unitaries, _superops, p_range)
 from .optimizer import OptimizerConfig
 
 # (p-point, realization) rows evaluated together, or optimizer problems run in
@@ -79,14 +81,10 @@ class QuenchedResult:
     realizations_used: int
 
 
-def _mean(values: np.ndarray) -> float:
-    """Mean of one contiguous row of capacities, summed in index order."""
-    return float(np.sum(values) / values.size)
-
-
 def _reduce(values: np.ndarray) -> QuenchedResult:
-    """Mean and standard error of one contiguous row of capacities."""
-    mean = _mean(values)
+    """Mean and standard error of one contiguous row of capacities, summed
+    in index order."""
+    mean = float(np.sum(values) / values.size)
     if values.size > 1:
         stderr = float(np.std(values, ddof=1) / np.sqrt(values.size))
     else:
@@ -95,30 +93,28 @@ def _reduce(values: np.ndarray) -> QuenchedResult:
 
 
 def _capacity_curve(marginals: _Marginals, spec: ChannelSpec, ps,
-                    unitaries: np.ndarray, opt: OptimizerConfig = OptimizerConfig(),
+                    basis: np.ndarray, opt: OptimizerConfig = OptimizerConfig(),
                     optimize: bool = False) -> np.ndarray:
-    """Capacities of the channel family ``spec``, one row per p of ``ps``
-    and one column per realization of ``unitaries`` (``(R, rows, m-1, 2,
-    2)``, the unitaries that follow the identity in each realization's
-    Kraus sets), for the state and layout of ``marginals``
-    (``capacity._marginals``).
+    """Capacities of the channel family ``spec`` (its p aside), one row per p
+    of ``ps`` and one column per realization of ``basis`` (``(R, rows, m, 4,
+    4)``, one row per sender or one for all), for the state and layout of
+    ``marginals`` (``capacity._marginals``).
 
-    The (p, realization) rows, p-major, are weighted, checked and evaluated
-    in slices of at most ``_CHUNK`` rows, or, with ``optimize``, of at most
+    The (p, realization) rows, p-major, are weighted and evaluated in
+    slices of at most ``_CHUNK`` rows, or, with ``optimize``, of at most
     ``_CHUNK`` optimizer problems (restarts + 1 per row, at least one row).
     Each is bit-identical to a one-row evaluation.  Each p's row is
     contiguous, so it reduces in realization order.
     """
     weights = np.array([_channel_weights(spec.kind, spec.alpha, p) for p in ps])
-    n_r = len(unitaries)
+    n_r = len(basis)
     values = np.empty((len(ps), n_r))
     flat = values.reshape(-1)
     step = max(1, _CHUNK // (opt.restarts + 1)) if optimize else _CHUNK
     for a in range(0, flat.size, step):
         rows = np.arange(a, min(a + step, flat.size))
-        kraus = _kraus_rows(weights[rows // n_r, None], unitaries[rows % n_r],
-                            marginals.n_senders)
-        flat[a:a + len(rows)] = _capacities(marginals, kraus, opt, optimize)
+        sups = _superops(weights[rows // n_r, None], basis[rows % n_r])
+        flat[a:a + len(rows)] = _capacities(marginals, sups, opt, optimize)
     return values
 
 
@@ -126,8 +122,9 @@ def _capacity_curve(marginals: _Marginals, spec: ChannelSpec, ps,
 class _Curves:
     """The capacity curves of one state and layout, and how each capacity
     is taken.  It holds the block states and receiver entropies they share,
-    the unitaries each random kind, epsilon and draw policy draws, and per
-    channel family each point's row of per-realization capacities."""
+    the channel basis of the unitaries each random kind, epsilon and draw
+    policy draws, and per channel family each point's row of
+    per-realization capacities."""
     rho: np.ndarray
     layout: PartyLayout
     opt: OptimizerConfig
@@ -149,24 +146,24 @@ class _Curves:
         says unless it is covariant."""
         if spec.is_random and self.quench is None:
             raise AnalysisError("a random channel needs a QuenchConfig")
-        family = dataclasses.replace(spec, p=0.0)
+        family = (spec.kind, spec.alpha, spec.epsilon, spec.draw_policy)
         memo = self._memo.setdefault(family, {})
         new = [p for p in dict.fromkeys(ps) if p not in memo]
         if new:
             if spec.is_random:
                 key = (spec.kind, spec.epsilon, spec.draw_policy)
                 if key not in self._draws:
-                    self._draws[key] = _seeded_unitaries(
+                    self._draws[key] = _basis(_seeded_unitaries(
                         spec, self.layout.n_senders,
                         [(self.quench.master_seed, k)
-                         for k in range(self.quench.realizations)])
-                unitaries = self._draws[key]
+                         for k in range(self.quench.realizations)]))
+                basis = self._draws[key]
                 optimize = self.quench.optimize_per_realization
             else:
-                unitaries = _PAULIS[spec.kind][None, None]
+                basis = _PAULI_BASES[spec.kind]
                 optimize = self.optimize and not spec.is_covariant
-            memo.update(zip(new, _capacity_curve(self.marginals, family, new,
-                                                 unitaries, self.opt, optimize)))
+            memo.update(zip(new, _capacity_curve(self.marginals, spec, new,
+                                                 basis, self.opt, optimize)))
         return [memo[p] for p in ps]
 
 
@@ -226,8 +223,10 @@ class _Scan:
         return float(self.curves.layout.n_senders)
 
     def curve(self, spec: ChannelSpec, ps) -> np.ndarray:
-        """Mean capacity of the family ``spec`` at each p of ``ps``."""
-        return np.array([_mean(row) for row in self.curves.rows(spec, ps)])
+        """Mean capacity of the family ``spec`` at each p of ``ps``: each
+        row summed in index order, as ``_reduce`` sums it."""
+        rows = np.array(self.curves.rows(spec, ps))
+        return np.sum(rows, axis=1) / rows.shape[1]
 
 
 def _first_crossing(predicate, lo: float, hi: float, scan_step: float,

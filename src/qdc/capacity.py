@@ -3,18 +3,20 @@
 Conventions: qubit order is senders first, receivers last.  With N senders
 the classical bound is N bits.  Noise acts on the transmitted sender qubits
 only, so receiver marginals are always taken from the pre-channel state.
-Encoding with U and then noise {K} is the one local channel {K U}.  A
-fixed-encoding capacity is one kernel pass per block (``_block_entropy``);
-the optimizer's objective, ``_block_entropy_and_grad``, folds each sender's
-unitary into its Kraus operators and returns the block entropy with its
-exact gradient in the encoding parameters, from one more kernel pass with
-the adjoint operators.
+Each sender's noise is a 4x4 superoperator S, and encoding with U and then
+noise is the one superoperator S (U (x) conj(U)).  A fixed-encoding capacity
+is one kernel pass per block (``_block_entropy``); the optimizer's objective,
+``_block_entropy_and_grad``, folds each sender's unitary into its noise and
+returns the block entropy with its exact gradient in the encoding
+parameters, from one more kernel pass with the adjoint superoperators.
 
 Every capacity, one or many, goes through one batched entry,
 ``_output_entropies``: a single ``evaluate`` is its batch of one, and a
-quenched mean or a scan curve hands it many rows of Kraus operators at
+quenched mean or a scan curve hands it many rows of superoperators at
 once.  The block states and receiver entropies it needs are traced out of
 rho once (``_marginals``) and may be shared by every call on the same state.
+A block state with no imaginary part is kept real: with exact-Pauli noise
+and the identity encoding its capacity then runs in real arithmetic.
 An optimized block runs the (row, start) problems of all its rows in
 lockstep (``optimizer.minimize``), each with its own stop rule, so a row's
 result does not depend on the rows it runs with.
@@ -27,11 +29,11 @@ from functools import partial
 
 import numpy as np
 
-from .channels import (ChannelSpec, KrausSet, _apply_local,
+from .channels import (ChannelSpec, KrausSet, _apply_local, _kron_conj,
                        deterministic_kraus, unitary_from_params)
 from .optimizer import EncodingParams, OptimizerConfig, minimize
-from .qmath import (I2, SIGMA_Z, entropy_and_log2, partial_trace,
-                    von_neumann_entropy)
+from .qmath import (I2, SIGMA_Z, _real_if_exact, entropy_and_log2,
+                    partial_trace, von_neumann_entropy)
 
 # surplus over the classical bound above which a capacity counts as dense
 # codeable; at or below it the capacity has collapsed
@@ -129,12 +131,13 @@ def _result(n_senders: int, receiver_terms: list[float], output_entropy: float,
 def encode(rho: np.ndarray, encoding: EncodingParams) -> np.ndarray:
     """Apply one local unitary per sender; the senders are the leading qubits."""
     unitaries = unitary_from_params(encoding.to_flat().reshape(-1, 3))
-    return _apply_local(rho, unitaries[:, None], range(len(unitaries)))
+    return _apply_local(rho, _real_if_exact(_kron_conj(unitaries)),
+                        range(len(unitaries)))
 
 
-def _sender_kraus(spec: ChannelSpec | None, layout: PartyLayout,
-                  kraus_override: list[KrausSet] | None) -> list[np.ndarray]:
-    """Each sender's Kraus operators as an ``(m, 2, 2)`` array."""
+def _sender_superops(spec: ChannelSpec | None, layout: PartyLayout,
+                     kraus_override: list[KrausSet] | None) -> list[np.ndarray]:
+    """Each sender's noise superoperator, ``(4, 4)``."""
     if kraus_override is not None:
         if len(kraus_override) != layout.n_senders:
             raise LayoutError("kraus_override must supply one KrausSet per sender")
@@ -145,45 +148,45 @@ def _sender_kraus(spec: ChannelSpec | None, layout: PartyLayout,
         raise ValueError("a random channel needs kraus_override")
     else:
         sets = [deterministic_kraus(spec)] * layout.n_senders
-    return [np.asarray(ks.operators) for ks in sets]
+    return [ks.superop for ks in sets]
 
 
-def _block_entropy(block_rho: np.ndarray, ops) -> float | np.ndarray:
+def _block_entropy(block_rho: np.ndarray, sups) -> float | np.ndarray:
     """Entropy of one block (its senders leading, its receiver last) after
     the senders' noise, with the identity encoding.
 
-    ``ops[i]`` holds sender i's Kraus operators, ``(m, 2, 2)`` or with a
+    ``sups[i]`` is sender i's noise superoperator, ``(4, 4)`` or with a
     leading batch axis (then the entropy is one per row).
     """
-    return von_neumann_entropy(_apply_local(block_rho, ops, range(len(ops))))
+    return von_neumann_entropy(_apply_local(block_rho, sups, range(len(sups))))
 
 
 # U^dag dU/d(delta) for U = R_z(omega) R_y(theta) R_z(delta)
 _HALF_IZ = 0.5j * SIGMA_Z
 
 
-def _block_entropy_and_grad(block_rho: np.ndarray, ops,
+def _block_entropy_and_grad(block_rho: np.ndarray, sups,
                             x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Block entropy after the encoding and the senders' noise, and its
     gradient in the encoding, for each row of a batch.
 
     ``x`` holds one flat encoding (omega, theta, delta per sender) per row,
-    ``(k, 3 * n)``, and ``ops[i]`` sender i's Kraus operators per row,
-    ``(k, m, 2, 2)``; the result is ``(k,)`` entropies and ``(k, 3 * n)``
+    ``(k, 3 * n)``, and ``sups[i]`` sender i's noise superoperator per row,
+    ``(k, 4, 4)``; the result is ``(k,)`` entropies and ``(k, 3 * n)``
     gradients.  Each row is computed as a batch of one would compute it.
 
-    Sender i's unitary U_i is folded into its Kraus operators as K U_i, so
-    the output is one kernel pass.  With L = log2 of the output (0 on its
+    Sender i's unitary is folded into its noise as S_i (U_i (x) conj(U_i)),
+    so the output is one kernel pass.  With L = log2 of the output (0 on its
     kernel), dS = -Tr(d rho_out L).  For a parameter with dU_i = U_i G this
-    is -2 Re Tr(G Tr_{not i}(rho M)), where M = sum (K U)^dag L (K U) is one
-    kernel pass with the adjoint operators; G = U^dag (i/2 Z) U for omega,
+    is -2 Re Tr(G Tr_{not i}(rho M)), where M is one kernel pass of L with
+    the conjugate transposes (adjoints); G = U^dag (i/2 Z) U for omega,
     R_z(delta)^dag (-i/2 Y) R_z(delta) for theta and (i/2) Z for delta.
     (With dU_i = A U_i, the same value is -2 Re Tr(A Tr_{not i}(sigma M'))
-    for the encoded state sigma and M' = sum K^dag L K.)
+    for the encoded state sigma and M' the adjoint of the noise applied to L.)
     """
     params = x.reshape(len(x), -1, 3)
     u = unitary_from_params(params)
-    folded = [k @ u[:, i, None] for i, k in enumerate(ops)]
+    folded = [s @ _kron_conj(u[:, i]) for i, s in enumerate(sups)]
     targets = range(len(folded))
     entropy, log_out = entropy_and_log2(_apply_local(block_rho, folded, targets))
     pulled_back = _apply_local(log_out, [f.conj().swapaxes(-1, -2) for f in folded],
@@ -202,7 +205,7 @@ def _block_entropy_and_grad(block_rho: np.ndarray, ops,
     local_t = local.swapaxes(-1, -2)[..., None, :, :]
     t = gens.real * local_t.real - gens.imag * local_t.imag
     t00, t01, t10, t11 = t[..., 0, 0], t[..., 0, 1], t[..., 1, 0], t[..., 1, 1]
-    if len(ops) == 1:
+    if len(sups) == 1:
         re = 0.0 + (t00 + t01) + (t10 + t11)
     else:
         re = 0.0 + t00 + t01 + t10 + t11
@@ -213,7 +216,8 @@ def _block_entropy_and_grad(block_rho: np.ndarray, ops,
 class _Marginals:
     """What every capacity of one state and layout shares, whatever the
     channel: each block's state (its senders leading, its receiver last)
-    with the indices of its senders, and the receiver entropies."""
+    (real if every entry is) with the indices of its senders, and the
+    receiver entropies."""
     n_senders: int
     blocks: tuple[tuple[np.ndarray, list[int]], ...]
     receiver_terms: tuple[float, ...]
@@ -222,23 +226,23 @@ class _Marginals:
 def _marginals(rho: np.ndarray, layout: PartyLayout) -> _Marginals:
     layout.check(rho)
     return _Marginals(layout.n_senders,
-                      tuple((partial_trace(rho, senders + [receiver]), senders)
-                            for senders, receiver in layout.blocks),
+                      tuple((_real_if_exact(partial_trace(rho, senders + [r])), senders)
+                            for senders, r in layout.blocks),
                       tuple(von_neumann_entropy(partial_trace(rho, {r}))
                             for r in layout.receiver_indices))
 
 
-def _block_objective(block_rho: np.ndarray, ops, rows: np.ndarray,
+def _block_objective(block_rho: np.ndarray, sups, rows: np.ndarray,
                      x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The optimizer's objective: rows index the batch of ``ops``."""
-    return _block_entropy_and_grad(block_rho, [o[rows] for o in ops], x)
+    """The optimizer's objective: rows index the batch of ``sups``."""
+    return _block_entropy_and_grad(block_rho, [s[rows] for s in sups], x)
 
 
-def _output_entropies(marg: _Marginals, ops, opt: OptimizerConfig,
+def _output_entropies(marg: _Marginals, sups, opt: OptimizerConfig,
                       optimize: bool) -> tuple[np.ndarray, np.ndarray]:
     """Largest block entropy after the senders' noise, ``(B,)``, and the
     encoding that reaches it, ``(B, 3 * n_senders)``, for each row of a
-    batch; ``ops[q]`` holds sender q's Kraus operators, ``(B, m, 2, 2)``.
+    batch; ``sups[q]`` holds sender q's noise superoperators, ``(B, 4, 4)``.
 
     Each block's state is traced out of rho before it is encoded: local
     unitaries and noise on the traced qubits drop out, so the result is
@@ -247,25 +251,27 @@ def _output_entropies(marg: _Marginals, ops, opt: OptimizerConfig,
     run in one lockstep group.  Else the encoding is the identity and no
     unitary is built.
     """
-    n_rows = len(ops[0])
+    n_rows = len(sups[0])
     if not optimize:
-        return (np.max([_block_entropy(block, [ops[q] for q in senders])
+        return (np.max([_block_entropy(block, [sups[q] for q in senders])
                         for block, senders in marg.blocks], axis=0),
                 np.zeros((n_rows, 3 * marg.n_senders)))
     entropies, encodings = zip(*(
-        minimize(partial(_block_objective, block, [ops[q] for q in senders]),
+        minimize(partial(_block_objective, block, [sups[q] for q in senders]),
                  n_rows, len(senders), opt)
         for block, senders in marg.blocks))
     return np.max(entropies, axis=0), np.concatenate(encodings, axis=1)
 
 
-def _capacities(marg: _Marginals, kraus: np.ndarray,
+def _capacities(marg: _Marginals, sups: np.ndarray,
                 opt: OptimizerConfig = OptimizerConfig(),
                 optimize: bool = False) -> np.ndarray:
-    """Capacity (or two-receiver bound) for each row of a
-    ``(B, n_senders, m, 2, 2)`` Kraus batch, with the identity encoding or,
-    with ``optimize``, the encoding optimized per row."""
-    outputs, _ = _output_entropies(marg, list(kraus.swapaxes(0, 1)), opt, optimize)
+    """Capacity (or two-receiver bound) for each row of a batch of noise
+    superoperators, ``(B, n_senders, 4, 4)`` or ``(B, 1, 4, 4)`` for one
+    shared by all senders, with the identity encoding or, with ``optimize``,
+    the encoding optimized per row."""
+    per_sender = list(sups.swapaxes(0, 1)) * (marg.n_senders // sups.shape[1])
+    outputs, _ = _output_entropies(marg, per_sender, opt, optimize)
     classical = float(marg.n_senders)
     return np.maximum(classical, classical + sum(marg.receiver_terms) - outputs)
 
@@ -283,10 +289,10 @@ def _capacity(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec | None,
     is covariant so that the encoding drops out.
     """
     marg = _marginals(rho, layout)
-    ops = _sender_kraus(spec, layout, kraus_override)
+    sups = _sender_superops(spec, layout, kraus_override)
     covariant = spec is not None and spec.is_covariant and kraus_override is None
     fixed = not optimize or spec is None or covariant
-    outputs, x = _output_entropies(marg, [o[None] for o in ops], opt, not fixed)
+    outputs, x = _output_entropies(marg, [s[None] for s in sups], opt, not fixed)
     return _result(layout.n_senders, list(marg.receiver_terms), float(outputs[0]),
                    EncodingParams.from_flat(x[0]))
 

@@ -2,8 +2,11 @@
 
 A single-qubit channel realization is a ``KrausSet``; ``apply_local_channel``
 applies one per designated sender qubit, through the module's single kernel
-for local operators.  ``sample_kraus_batch`` draws many seeded realizations
-as one array, which the kernel takes with a leading batch axis.
+for local operators, which takes each target's 4x4 superoperator with an
+optional leading batch axis.  A channel of weights w_j on I, U_1, ... is
+sum_j w_j U_j (x) conj(U_j): the basis of the U_j (``_basis``) is built once,
+and each p contracts its weights with it (``_superops``).  The exact-Pauli
+bases are real (P (x) conj(P) is), so on a real state they keep it real.
 
 The channel weights are
 
@@ -19,12 +22,13 @@ Pauli triples.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .qmath import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, n_qubits
+from .qmath import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, _real_if_exact, n_qubits
 
 COMPLETENESS_TOL = 1e-10
 
@@ -143,14 +147,20 @@ def _check_completeness(ops: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:
-    """Ordered single-qubit Kraus operators with sum K^dag K = I."""
+    """Ordered single-qubit Kraus operators with sum K^dag K = I, and the
+    superoperator the kernel applies: sum_K K (x) conj(K), or for a set built
+    here from weights and unitaries ``_superops`` of their basis, as a curve
+    computes it."""
     operators: tuple = field()
+    superop: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         for k in self.operators:
             if k.shape != (2, 2):
                 raise ChannelError("Kraus operators must be 2x2")
         _check_completeness(np.reshape(self.operators, (-1, 2, 2)))
+        if self.superop is None:
+            object.__setattr__(self, "superop", _superop(self.operators))
 
 
 def _channel_weights(kind: ChannelKind, alpha: float, p: float) -> np.ndarray:
@@ -175,9 +185,39 @@ def _weighted(weights: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
     return np.sqrt(weights)[..., None, None] * np.concatenate([ident, u], axis=-3)
 
 
-# the unitaries that follow the identity in a deterministic Kraus set
+def _kron_conj(u: np.ndarray) -> np.ndarray:
+    """U (x) conj(U), the superoperator of rho -> U rho U^dag, for each 2x2 U."""
+    return (u[..., :, None, :, None] * u.conj()[..., None, :, None, :]).reshape(
+        u.shape[:-2] + (4, 4))
+
+
+def _superop(ops) -> np.ndarray:
+    """sum_K K (x) conj(K) of each ``(..., m, 2, 2)`` Kraus set; real if exact."""
+    return _real_if_exact(_kron_conj(np.asarray(ops)).sum(axis=-3))
+
+
+def _basis(unitaries) -> np.ndarray:
+    """I (x) I, U_1 (x) conj(U_1), ... of ``(..., m-1, 2, 2)`` unitaries; real if
+    exact.  Weights sum to one, so U_j's completeness is each channel's."""
+    u = np.asarray(unitaries, dtype=complex)
+    _check_completeness(u[..., None, :, :])
+    ident = np.broadcast_to(np.eye(4), u.shape[:-3] + (1, 4, 4))
+    return _real_if_exact(np.concatenate([ident, _kron_conj(u)], axis=-3))
+
+
+def _superops(weights: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """sum_j w_j B_j for ``(..., m)`` weights and an ``(..., m, 4, 4)`` basis,
+    term by term in index order, the same way whatever the batch shape."""
+    out = weights[..., 0, None, None] * basis[..., 0, :, :]
+    for j in range(1, basis.shape[-3]):
+        out = out + weights[..., j, None, None] * basis[..., j, :, :]
+    return out
+
+
+# the unitaries that follow the identity in a deterministic Kraus set, and their basis
 _PAULIS = {ChannelKind.DEPHASING: np.array([SIGMA_Z]),
            ChannelKind.DEPOLARIZING: np.array([SIGMA_X, SIGMA_Y, SIGMA_Z])}
+_PAULI_BASES = {kind: _basis(u)[None, None] for kind, u in _PAULIS.items()}
 
 # parameter means of the unitaries that follow the identity, in Kraus order
 _DRAWN_MEANS = {
@@ -186,40 +226,26 @@ _DRAWN_MEANS = {
 }
 
 
-def _draw_params(spec: ChannelSpec, n_targets: int,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Euler parameters of shape (rows, m-1, 3): one row per target, or a
-    single row shared by all targets.
-
-    All are drawn at once.  ``rng.normal(mean, eps)`` computes
-    mean + eps * z from one standard normal z per value, so this yields the
-    values of drawing the triples one at a time with it.
-    """
+def _draw_unitaries(spec: ChannelSpec, n_targets: int, rngs) -> np.ndarray:
+    """Unitaries that follow the identity, of shape (len(rngs), rows, m-1, 2, 2):
+    one row per target, or one shared by all.  They depend on the kind,
+    epsilon and draw policy of ``spec``, not on its p or alpha.  Each
+    generator draws its parameters at once: ``rng.normal(mean, eps)`` is
+    mean + eps * z for one standard normal z, so the values are those of
+    drawing the triples one at a time with it."""
     rows = 1 if spec.draw_policy is DrawPolicy.SHARED_ACROSS_QUBITS else n_targets
     means = _DRAWN_MEANS[spec.kind]
-    return means + spec.epsilon * rng.standard_normal((rows,) + means.shape)
-
-
-def _draw_unitaries(spec: ChannelSpec, n_targets: int, rngs) -> np.ndarray:
-    """Unitaries that follow the identity, of shape (len(rngs), rows, m-1, 2, 2).
-
-    They depend on the kind, epsilon and draw policy of ``spec``, not on its
-    p or alpha.
-    """
-    return unitary_from_params(np.stack([_draw_params(spec, n_targets, rng)
-                                         for rng in rngs]))
-
-
-def _sample(spec: ChannelSpec, n_targets: int, rngs) -> np.ndarray:
-    """Unchecked Kraus operators of shape (len(rngs), rows, m, 2, 2)."""
-    return _weighted(_channel_weights(spec.kind, spec.alpha, spec.p),
-                     _draw_unitaries(spec, n_targets, rngs))
+    return unitary_from_params(np.stack([
+        means + spec.epsilon * rng.standard_normal((rows,) + means.shape)
+        for rng in rngs]))
 
 
 def sample_per_qubit_kraus(spec: ChannelSpec, n_targets: int,
                            rng: np.random.Generator) -> list[KrausSet]:
     """One KrausSet per target qubit, honoring the draw policy."""
-    sets = [KrausSet(tuple(ops)) for ops in _sample(spec, n_targets, [rng])[0]]
+    w = _channel_weights(spec.kind, spec.alpha, spec.p)
+    u = _draw_unitaries(spec, n_targets, [rng])[0]
+    sets = [KrausSet(tuple(k), s) for k, s in zip(_weighted(w, u), _superops(w, _basis(u)))]
     if spec.draw_policy is DrawPolicy.SHARED_ACROSS_QUBITS:
         return sets * n_targets
     return sets
@@ -233,59 +259,57 @@ def _seeded_unitaries(spec: ChannelSpec, n_targets: int, seeds) -> np.ndarray:
                             for s in seeds])
 
 
-def _kraus_rows(weights: np.ndarray, unitaries: np.ndarray,
-                n_targets: int) -> np.ndarray:
-    """Checked Kraus operators of shape (B, n_targets, m, 2, 2) from
-    ``(B, rows, m-1, 2, 2)`` unitaries and the channel weights, ``(m,)`` for
-    all rows or ``(B, 1, m)`` one set per row."""
-    ops = _weighted(weights, unitaries)
-    _check_completeness(ops)
-    return np.broadcast_to(ops, (len(ops), n_targets) + ops.shape[2:])
-
-
 def sample_kraus_batch(spec: ChannelSpec, n_targets: int, seeds) -> np.ndarray:
     """Kraus operators of shape (len(seeds), n_targets, m, 2, 2).
 
     Row k holds what ``sample_per_qubit_kraus`` returns for a generator
     seeded with ``SeedSequence(seeds[k])``.
     """
-    return _kraus_rows(_channel_weights(spec.kind, spec.alpha, spec.p),
-                       _seeded_unitaries(spec, n_targets, seeds), n_targets)
+    ops = _weighted(_channel_weights(spec.kind, spec.alpha, spec.p),
+                    _seeded_unitaries(spec, n_targets, seeds))
+    _check_completeness(ops)
+    return np.broadcast_to(ops, (len(ops), n_targets) + ops.shape[2:])
 
 
 def deterministic_kraus(spec: ChannelSpec) -> KrausSet:
     """The exact-Pauli channel for the given spec (epsilon ignored)."""
     weights = _channel_weights(spec.kind, spec.alpha, spec.p)
-    return KrausSet(tuple(_weighted(weights, _PAULIS[spec.kind])))
+    return KrausSet(tuple(_weighted(weights, _PAULIS[spec.kind])),
+                    _superops(weights, _PAULI_BASES[spec.kind][0, 0]))
 
 
-def _apply_local(rho: np.ndarray, per_target_ops, targets) -> np.ndarray:
-    """sum_K K rho K^dag for each target's 2x2 operators, identity elsewhere.
+@functools.cache
+def _axis_orders(n: int, q: int, b: int) -> tuple[tuple, tuple]:
+    """The transposes that bring qubit q's row and column axes of a rank-2n
+    tensor to the front, after ``b`` batch axes, and that put them back."""
+    order = [q, n + q] + [a for a in range(2 * n) if a not in (q, n + q)]
+    batch = tuple(range(b))
+    return (batch + tuple(b + a for a in order),
+            batch + tuple(b + order.index(a) for a in range(2 * n)))
+
+
+def _apply_local(rho: np.ndarray, superops, targets) -> np.ndarray:
+    """Each target's 4x4 superoperator applied to its qubit, identity elsewhere.
 
     The state is viewed as a rank-2n tensor (row axes 0..n-1, column axes
-    n..2n-1); each target's superoperator sum_K K (x) conj(K) is contracted
-    into its row and column axis, so no operator is lifted to the register.
+    n..2n-1); each target's superoperator is contracted into its row and
+    column axis, so no operator is lifted to the register.
 
-    ``rho`` (``(d, d)``) and each target's operators (``(m, 2, 2)``) may carry
-    one leading batch axis; the result is batched if any input is.  Each
-    batch row is computed by the same matrix product as an unbatched call,
-    so it equals that call bit for bit.
+    ``rho`` (``(d, d)``) and each target's superoperator (``(4, 4)``) may
+    carry one leading batch axis; the result is batched if any input is.
+    Each batch row is computed by the same matrix product as an unbatched
+    call, so it equals that call bit for bit.  Real inputs give a real result.
     """
     d = rho.shape[-1]
     n = d.bit_length() - 1
     t = rho.reshape(rho.shape[:-2] + (2,) * (2 * n))
-    for ops, q in zip(per_target_ops, targets):
-        k = np.asarray(ops)
-        sup = np.einsum("...mab,...mdc->...adbc", k, k.conj())
-        # target axes first, then the others in order; the batch axis leads
-        order = [q, n + q] + [a for a in range(2 * n) if a not in (q, n + q)]
+    for sup, q in zip(superops, targets):
         b = t.ndim - 2 * n
-        front = t.transpose(list(range(b)) + [b + a for a in order])
-        out = (sup.reshape(sup.shape[:-4] + (4, 4))
-               @ front.reshape(front.shape[:b] + (4, -1)))
+        front = t.transpose(_axis_orders(n, q, b)[0])
+        out = sup @ front.reshape(front.shape[:b] + (4, -1))
         b = out.ndim - 2
         t = out.reshape(out.shape[:b] + (2,) * (2 * n)).transpose(
-            list(range(b)) + [b + order.index(a) for a in range(2 * n)])
+            _axis_orders(n, q, b)[1])
     return t.reshape(t.shape[:-2 * n] + (d, d))
 
 
@@ -300,7 +324,7 @@ def apply_local_channel(rho: np.ndarray, per_qubit_kraus: list[KrausSet],
     for t in targets:
         if not 0 <= t < n:
             raise ChannelError(f"target {t} out of range for {n} qubits")
-    return _apply_local(rho, [ks.operators for ks in per_qubit_kraus], targets)
+    return _apply_local(rho, [ks.superop for ks in per_qubit_kraus], targets)
 
 
 def parse_channel(spec: str) -> ChannelSpec:

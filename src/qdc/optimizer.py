@@ -145,19 +145,19 @@ class _Run:
         self.dsave = np.zeros(29)
         self.bounds = np.zeros(n), np.zeros(n), np.zeros(n, np.int32)  # none
         self.maxfun, self.nit, self.nfev = maxfun, 0, 1
-        self.seen, self.value = self.x.copy(), (f0, g0)
+        self.seen, self.value = self.x.copy(), (f0, np.asarray(g0, np.float64))
 
     def advance(self, setulb) -> bool:
         """Step ``setulb`` until the run asks for a value at a new point
-        (True) or stops (False), as ``_minimize_lbfgsb``'s loop does."""
+        (True) or stops (False), as ``_minimize_lbfgsb``'s loop does (setulb
+        only reads g: its float64 copy is made once, in ``take``)."""
         low, up, nbd = self.bounds
         while True:
-            self.g = self.g.astype(np.float64)
             setulb(_MAXCOR, self.x, low, up, nbd, self.f, self.g,
                    _FACTR, _GTOL, self.wa, self.iwa, self.task,
                    self.lsave, self.isave, self.dsave, _MAXLS, self.ln_task)
             if self.task[0] == _FG:
-                if not np.array_equal(self.x, self.seen):
+                if not (self.x == self.seen).all():     # np.array_equal, faster
                     return True
                 self.f, self.g = self.value
             elif self.task[0] == _NEW_X:
@@ -171,6 +171,7 @@ class _Run:
                 return False
 
     def take(self, f: float, g: np.ndarray) -> None:
+        g = np.asarray(g, np.float64)
         self.seen, self.value = self.x.copy(), (f, g)
         self.f, self.g = f, g
         self.nfev += 1

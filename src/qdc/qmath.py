@@ -42,6 +42,11 @@ def dm_from_statevector(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
+def _real_if_exact(a: np.ndarray) -> np.ndarray:
+    """``a``, or its real part if its imaginary part is exactly zero."""
+    return np.ascontiguousarray(a.real) if np.iscomplexobj(a) and not a.imag.any() else a
+
+
 def is_hermitian(mat: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     return bool(np.max(np.abs(mat - mat.conj().T)) <= tol)
 
@@ -97,7 +102,7 @@ def _clipped_log2(evals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rank-deficient states; one below -PSD_TOL raises."""
     if evals.min() < -PSD_TOL:
         raise QmathError(f"PSD violation: eigenvalue {evals.min()} < -{PSD_TOL}")
-    evals = np.clip(evals, 0.0, None)
+    evals = np.maximum(evals, 0.0)     # np.clip(evals, 0.0, None), without its overhead
     return evals, np.log2(evals, out=np.zeros_like(evals), where=evals > 0.0)
 
 

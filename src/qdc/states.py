@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import dm_from_statevector
+from .qmath import _real_if_exact, dm_from_statevector
 
 
 class StateError(ValueError):
@@ -43,7 +43,7 @@ class GW3:
     b: float
 
     def __post_init__(self):
-        if self.a < 0 or self.b < 0 or self.a + self.b > 1.0 + 1e-12:
+        if not (min(self.a, self.b) >= 0 and self.a + self.b <= 1.0 + 1e-12):  # NaN fails
             raise StateError(f"GW3 weights a={self.a}, b={self.b} invalid")
 
 
@@ -54,7 +54,8 @@ class GW4:
     c: float
 
     def __post_init__(self):
-        if min(self.a, self.b, self.c) < 0 or self.a + self.b + self.c > 1.0 + 1e-12:
+        total = self.a + self.b + self.c     # NaN if any weight is
+        if not (min(self.a, self.b, self.c) >= 0 and total <= 1.0 + 1e-12):
             raise StateError(f"GW4 weights ({self.a}, {self.b}, {self.c}) invalid")
 
 
@@ -80,13 +81,13 @@ def w_half(n_qubits: int, b: float, c: float | None = None) -> ResourceState:
     if n_qubits == 3:
         if c is not None:
             raise StateError("3-qubit w_half takes a single weight b")
-        if b < 0 or b > 0.5 + 1e-12:
+        if not 0 <= b <= 0.5 + 1e-12:
             raise StateError(f"w_half(3): b={b} outside [0, 1/2]")
         return GW3(0.5, b)
     if n_qubits == 4:
         if c is None:
             raise StateError("4-qubit w_half needs weights b and c")
-        if b < 0 or c < 0 or b + c > 0.5 + 1e-12:
+        if not (min(b, c) >= 0 and b + c <= 0.5 + 1e-12):
             raise StateError(f"w_half(4): b={b}, c={c} invalid")
         return GW4(0.5, b, c)
     raise StateError(f"w_half supports 3 or 4 qubits, got {n_qubits}")
@@ -126,8 +127,8 @@ def statevector(state: ResourceState) -> np.ndarray:
 
 
 def build(state: ResourceState) -> np.ndarray:
-    """Pure-state density matrix of a resource state."""
-    return dm_from_statevector(statevector(state))
+    """Pure-state density matrix of a resource state (real: so are its amplitudes)."""
+    return _real_if_exact(dm_from_statevector(statevector(state)))
 
 
 def state_qubits(state: ResourceState) -> int:

@@ -9,8 +9,8 @@ from qdc.analysis import (AnalysisError, QuenchConfig, critical_strengths,
                           quenched_capacity, sweep)
 from qdc.capacity import (PartyLayout, _capacities, _marginals,
                           capacity_one_receiver, evaluate)
-from qdc.channels import (ChannelKind, ChannelSpec, DrawPolicy,
-                          sample_kraus_batch, sample_per_qubit_kraus)
+from qdc.channels import (ChannelError, ChannelKind, ChannelSpec, DrawPolicy,
+                          _superop, sample_kraus_batch, sample_per_qubit_kraus)
 from qdc.optimizer import OptimizerConfig
 from qdc.oracles import bell_depolarizing_threshold, pa_closed_form, pc_closed_form
 from qdc.states import GGHZ, Bell, WUniform, build
@@ -148,11 +148,12 @@ def test_quenched_thread_count_invariance():
 def test_batched_quench_matches_one_realization_at_a_time(state, lay, spec):
     rho = build(state)
     n = analysis._CHUNK + 5          # crosses a chunk boundary
-    values = np.array([evaluate(
-        rho, lay, spec, optimize=False, kraus_override=sample_per_qubit_kraus(
-            spec, lay.n_senders, np.random.default_rng(np.random.SeedSequence((13, k))))
-    ).capacity_bits for k in range(n)])
-    batch = sample_kraus_batch(spec, lay.n_senders, [(13, k) for k in range(n)])
+    sets = [sample_per_qubit_kraus(
+        spec, lay.n_senders, np.random.default_rng(np.random.SeedSequence((13, k))))
+        for k in range(n)]
+    values = np.array([evaluate(rho, lay, spec, optimize=False, kraus_override=ks
+                                ).capacity_bits for ks in sets])
+    batch = np.array([[ks.superop for ks in row] for row in sets])
     assert np.array_equal(_capacities(_marginals(rho, lay), batch), values)
     res = quenched_capacity(rho, lay, spec, QuenchConfig(n, master_seed=13))
     assert res.realizations_used == n
@@ -300,8 +301,8 @@ def _chunked_quench_mean(rho, lay, spec, qc):
     ``_CHUNK`` realizations, one p at a time."""
     seeds = [(qc.master_seed, k) for k in range(qc.realizations)]
     values = np.concatenate([
-        _capacities(_marginals(rho, lay), sample_kraus_batch(
-            spec, lay.n_senders, seeds[i:i + analysis._CHUNK]))
+        _capacities(_marginals(rho, lay), _superop(sample_kraus_batch(
+            spec, lay.n_senders, seeds[i:i + analysis._CHUNK])))
         for i in range(0, len(seeds), analysis._CHUNK)])
     return float(np.sum(values) / values.size)
 
@@ -476,3 +477,42 @@ def test_sweep_single_step_and_errors():
         with pytest.raises(AnalysisError, match=f"fields: {fields}"):
             sweep("state_param", grid, state=state, layout=PartyLayout(2, 1),
                   spec=None, param=param)
+
+
+def test_deterministic_curve_of_a_real_state_runs_real(monkeypatch):
+    # the exact-Pauli bases and the block states of a real state are real,
+    # so the kernel and the eigensolver run in float64; random draws do not
+    import qdc.capacity
+    dtypes = []
+    entropy = qdc.capacity.von_neumann_entropy
+    monkeypatch.setattr(qdc.capacity, "von_neumann_entropy",
+                        lambda rho: dtypes.append(rho.dtype) or entropy(rho))
+    rho, lay = build(GGHZ(4, 1 / np.sqrt(2))), PartyLayout(2, 2, split=1)
+    for kind in ChannelKind:
+        critical_strengths(rho, lay, ChannelSpec(kind, 0.5, 0.0), scan_step=5e-2,
+                           refine=1e-2, optimize=False)
+    assert len(dtypes) > 10 and set(dtypes) == {np.dtype(np.float64)}
+    dtypes.clear()
+    quenched_capacity(rho, lay, ChannelSpec(ChannelKind.DEPHASING, 0.5, 0.1, 0.5),
+                      QuenchConfig(3))
+    assert np.dtype(np.complex128) in dtypes
+
+
+@pytest.mark.parametrize("corrupt", [lambda u: u * 1.001, lambda u: u * np.nan])
+def test_curve_rejects_a_basis_that_is_not_unitary(monkeypatch, corrupt):
+    draw = analysis._seeded_unitaries
+
+    def corrupted(*args):
+        u = draw(*args).copy()
+        u[3, 1, 0] = corrupt(u[3, 1, 0])      # one unitary of one realization
+        return u
+
+    monkeypatch.setattr(analysis, "_seeded_unitaries", corrupted)
+    rho, lay = build(GGHZ(3, 1 / np.sqrt(2))), PartyLayout(2, 1)
+    spec = ChannelSpec(ChannelKind.DEPOLARIZING, 0.3, 0.0, epsilon=0.5)
+    for run in (lambda: quenched_capacity(rho, lay, dataclasses.replace(spec, p=0.1),
+                                          QuenchConfig(5)),
+                lambda: find_pc(rho, lay, spec, scan_step=5e-2, optimize=False,
+                                quench=QuenchConfig(5))):
+        with pytest.raises(ChannelError):
+            run()

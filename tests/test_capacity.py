@@ -5,7 +5,7 @@ from qdc.capacity import (LayoutError, PartyLayout, _block_entropy,
                           _block_entropy_and_grad, _block_objective,
                           bound_two_receivers, capacity_noiseless,
                           capacity_one_receiver, encode, evaluate)
-from qdc.channels import (ChannelKind, ChannelSpec, apply_local_channel,
+from qdc.channels import (ChannelKind, ChannelSpec, _superop, apply_local_channel,
                           sample_kraus_batch, sample_per_qubit_kraus,
                           unitary_from_params)
 from qdc.optimizer import EncodingParams, OptimizerConfig
@@ -18,10 +18,10 @@ from qdc.states import GGHZ, Bell, WUniform, build
 FAST_OPT = OptimizerConfig(max_evaluations=3000, restarts=2)
 
 
-def one_row(block_rho, ops, x):
+def one_row(block_rho, sups, x):
     """Entropy and gradient of one encoding: the objective's batch of one."""
     entropy, grad = _block_entropy_and_grad(
-        block_rho, [np.asarray(o)[None] for o in ops], np.asarray(x)[None])
+        block_rho, [np.asarray(s)[None] for s in sups], np.asarray(x)[None])
     return entropy[0], grad[0]
 
 
@@ -161,7 +161,7 @@ def test_objective_makes_one_kernel_pass(monkeypatch):
 
 
 def test_identity_fold_equals_unfolded_call_bitwise():
-    # the states are bitwise equal (K @ I == K); the entropies differ only
+    # the states are bitwise equal (S @ (I (x) I) == S); the entropies differ only
     # by eigh against eigvalsh
     rng = np.random.default_rng(5)
     for state, lay in ((GGHZ(3, 0.6), PartyLayout(2, 1)),
@@ -169,10 +169,9 @@ def test_identity_fold_equals_unfolded_call_bitwise():
         block = build(state)
         for kind in ChannelKind:
             spec = ChannelSpec(kind, 0.4, 0.2, epsilon=0.6)
-            ops = [np.asarray(ks.operators)
-                   for ks in sample_per_qubit_kraus(spec, lay.n_senders, rng)]
-            val, _ = one_row(block, ops, np.zeros(3 * lay.n_senders))
-            assert abs(val - _block_entropy(block, ops)) <= 1e-14
+            sups = [ks.superop for ks in sample_per_qubit_kraus(spec, lay.n_senders, rng)]
+            val, _ = one_row(block, sups, np.zeros(3 * lay.n_senders))
+            assert abs(val - _block_entropy(block, sups)) <= 1e-14
 
 
 @pytest.mark.parametrize("state, lay", [
@@ -185,10 +184,9 @@ def test_block_entropy_gradient_matches_central_differences(state, lay):
     rho, h = build(state), 1e-5
     for kind in ChannelKind:
         spec = ChannelSpec(kind, 0.4, 0.2, epsilon=0.6)
-        ops = [np.asarray(ks.operators)
-               for ks in sample_per_qubit_kraus(spec, lay.n_senders, rng)]
+        sups = [ks.superop for ks in sample_per_qubit_kraus(spec, lay.n_senders, rng)]
         for senders, receiver in lay.blocks:
-            block = (partial_trace(rho, senders + [receiver]), [ops[q] for q in senders])
+            block = (partial_trace(rho, senders + [receiver]), [sups[q] for q in senders])
             x = rng.uniform(0, 4 * np.pi, 3 * len(senders))
             _, grad = one_row(*block, x)
             steps = h * np.eye(x.size)
@@ -209,10 +207,10 @@ def test_batched_objective_rows_equal_one_row_calls(state, lay):
     rho = build(state)
     for kind in ChannelKind:
         spec = ChannelSpec(kind, 0.4, 0.2, epsilon=0.6)
-        kraus = sample_kraus_batch(spec, lay.n_senders, [(3, k) for k in range(5)])
+        sups = _superop(sample_kraus_batch(spec, lay.n_senders, [(3, k) for k in range(5)]))
         for senders, receiver in lay.blocks:
             block = partial_trace(rho, senders + [receiver])
-            ops = [kraus[:, q] for q in senders]
+            ops = [sups[:, q] for q in senders]
             x = rng.uniform(0, 4 * np.pi, (5, 3 * len(senders)))
             values, grads = _block_entropy_and_grad(block, ops, x)
             some = np.array([3, 1])
@@ -312,7 +310,7 @@ def test_trace_first_block_entropy_matches_full_register(state, lay):
             senders, receiver = block
             got, _ = one_row(
                 partial_trace(rho, senders + [receiver]),
-                [np.asarray(kraus[q].operators) for q in senders],
+                [kraus[q].superop for q in senders],
                 np.concatenate([enc.per_sender[q].as_array() for q in senders]))
             want = full_register_block_entropy(rho, lay, kraus, enc, block)
             assert got == pytest.approx(want, abs=1e-12)
@@ -325,3 +323,30 @@ def test_evaluate_dispatch():
     spec = ChannelSpec(ChannelKind.DEPHASING, 0.0, 0.3)
     assert evaluate(rho, lay, spec, optimize=False).capacity_bits == \
         pytest.approx(3.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("state, lay", [
+    (GGHZ(3, 0.6), PartyLayout(2, 1)),
+    (WUniform(4), PartyLayout(3, 1)),
+    (GGHZ(4, 1 / np.sqrt(2)), PartyLayout(2, 2, split=1)),
+    (WUniform(4), PartyLayout(2, 2, split=1)),
+])
+def test_receiver_phase_makes_rho_complex_not_the_capacity(state, lay):
+    # a local unitary on the receivers changes none of the entropies, but it
+    # makes rho complex, so the same capacity then runs in complex arithmetic
+    rho = build(state)
+    phase = np.array([[1.0]])
+    for q in range(lay.n_qubits):
+        local = np.diag([1, np.exp(0.7j * q)]) if q in lay.receiver_indices else I2
+        phase = np.kron(phase, local)
+    rotated = phase @ rho @ phase.conj().T
+    assert rho.dtype == np.float64 and np.max(np.abs(rotated.imag)) > 0.1
+    above = 0
+    for kind in ChannelKind:
+        for p in (0.02, 0.1, 0.2):
+            spec = ChannelSpec(kind, 0.5, p)
+            real = evaluate(rho, lay, spec, optimize=False).capacity_bits
+            complex_ = evaluate(rotated, lay, spec, optimize=False).capacity_bits
+            assert abs(real - complex_) <= 1e-13
+            above += real > lay.n_senders + 1e-3
+    assert above > 0

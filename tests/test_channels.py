@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from qdc.qmath import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, dm_from_statevector
 from qdc.channels import (ChannelError, ChannelKind, ChannelSpec, DrawPolicy,
-                          KrausSet, _apply_local, _check_completeness,
+                          KrausSet, _apply_local, _check_completeness, _superop,
                           apply_local_channel, deterministic_kraus,
                           parse_channel, pauli_means, sample_kraus_batch,
                           sample_per_qubit_kraus, unitary_from_params,
@@ -199,7 +199,7 @@ def test_batched_kernel_equals_unbatched_calls(n):
     rhos /= np.trace(rhos, axis1=1, axis2=2)[:, None, None]
     spec = ChannelSpec(ChannelKind.DEPOLARIZING, 0.3, 0.2, epsilon=0.8)
     targets = [n - 1, 0, 2]
-    ops = sample_kraus_batch(spec, len(targets), [(n, k) for k in range(b)])
+    ops = _superop(sample_kraus_batch(spec, len(targets), [(n, k) for k in range(b)]))
 
     def per_target(row):
         return [row[j] for j in range(len(targets))]

@@ -121,7 +121,14 @@ def test_usage_errors_exit_2():
                  *(["sweep", "--state", "gghz:n=3,x=0.7", "--senders", "2",
                     "--axis", "state_param", "--param", param, "--lo", lo,
                     "--hi", hi, "--steps", "2", "--no-optimize"]
-                   for param, lo, hi in (("y", "0.5", "0.7"), ("n_qubits", "3", "4")))):
+                   for param, lo, hi in (("y", "0.5", "0.7"), ("n_qubits", "3", "4"))),
+                 # a NaN state weight
+                 *(["sweep", "--state", state, "--senders", senders, "--channel",
+                    "dephasing:alpha=0.5,p=0.1", "--axis", "state_param", "--param",
+                    param, "--lo", "nan", "--hi", "0.2", "--steps", "2", "--no-optimize"]
+                   for state, senders, param in (("gw3:a=0.1,b=0.2", "2", "a"),
+                                                 ("gw3:a=0.1,b=0.2", "2", "b"),
+                                                 ("gw4:a=0.1,b=0.2,c=0.1", "3", "c")))):
         res = runner.invoke(main, args)
         assert res.exit_code == 2, args
 

@@ -67,6 +67,18 @@ def test_parameter_validation():
         WUniform(5)
 
 
+def test_nan_weights_rejected():
+    # every comparison with NaN is False, so a check written as "x < 0 or
+    # sum > 1" lets a NaN weight through
+    nan = float("nan")
+    for make in (lambda: GGHZ(3, nan), lambda: GW3(nan, 0.2), lambda: GW3(0.1, nan),
+                 lambda: GW4(nan, 0.2, 0.1), lambda: GW4(0.1, nan, 0.1),
+                 lambda: GW4(0.1, 0.2, nan), lambda: w_half(3, nan),
+                 lambda: w_half(4, nan, 0.1), lambda: w_half(4, 0.1, nan)):
+        with pytest.raises(StateError):
+            make()
+
+
 def test_parse_state():
     assert parse_state("gghz:n=3,x=0.7071") == GGHZ(3, 0.7071)
     assert parse_state("gw3:a=0.5,b=0.25") == GW3(0.5, 0.25)
