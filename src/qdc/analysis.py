@@ -19,8 +19,8 @@ optimized.  It keeps each point's row of per-realization capacities for one
 public call, so p_c, p_r and p_a read each point once.  A curve is evaluated
 in batches: the noise superoperators of many p-points, and of every
 realization of a quenched channel, are stacked along the kernel's batch
-axis; each is the point's channel weights contracted with a basis
-I (x) I, U_1 (x) conj(U_1), ...  The block states and receiver entropies are
+axis; each is the point's channel weights contracted with the identity and
+a basis U_1 (x) conj(U_1), ...  The block states and receiver entropies are
 traced out, and a quenched channel's unitaries (which do not depend on p or
 alpha) drawn and made a basis, once per record; the exact-Pauli bases are
 real, so a deterministic curve of a real state runs in real arithmetic.
@@ -96,8 +96,8 @@ def _capacity_curve(marginals: _Marginals, spec: ChannelSpec, ps,
                     basis: np.ndarray, opt: OptimizerConfig = OptimizerConfig(),
                     optimize: bool = False) -> np.ndarray:
     """Capacities of the channel family ``spec`` (its p aside), one row per p
-    of ``ps`` and one column per realization of ``basis`` (``(R, rows, m, 4,
-    4)``, one row per sender or one for all), for the state and layout of
+    of ``ps`` and one column per realization of ``basis`` (``(R, rows, m-1,
+    4, 4)``, one row per sender or one for all), for the state and layout of
     ``marginals`` (``capacity._marginals``).
 
     The (p, realization) rows, p-major, are weighted and evaluated in

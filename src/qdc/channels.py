@@ -4,9 +4,10 @@ A single-qubit channel realization is a ``KrausSet``; ``apply_local_channel``
 applies one per designated sender qubit, through the module's single kernel
 for local operators, which takes each target's 4x4 superoperator with an
 optional leading batch axis.  A channel of weights w_j on I, U_1, ... is
-sum_j w_j U_j (x) conj(U_j): the basis of the U_j (``_basis``) is built once,
-and each p contracts its weights with it (``_superops``).  The exact-Pauli
-bases are real (P (x) conj(P) is), so on a real state they keep it real.
+sum_j w_j U_j (x) conj(U_j): the basis of the U_j after the identity
+(``_basis``) is built once, and each p contracts its weights with it and the
+identity (``_superops``).  The exact-Pauli bases are real (P (x) conj(P)
+is), so on a real state they keep it real.
 
 The channel weights are
 
@@ -150,17 +151,24 @@ class KrausSet:
     """Ordered single-qubit Kraus operators with sum K^dag K = I, and the
     superoperator the kernel applies: sum_K K (x) conj(K), or for a set built
     here from weights and unitaries ``_superops`` of their basis, as a curve
-    computes it."""
+    computes it (``_kraus_set``)."""
     operators: tuple = field()
-    superop: np.ndarray | None = field(default=None, repr=False)
+    superop: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for k in self.operators:
             if k.shape != (2, 2):
                 raise ChannelError("Kraus operators must be 2x2")
         _check_completeness(np.reshape(self.operators, (-1, 2, 2)))
-        if self.superop is None:
-            object.__setattr__(self, "superop", _superop(self.operators))
+        object.__setattr__(self, "superop", _superop(self.operators))
+
+
+def _kraus_set(ops: np.ndarray, superop: np.ndarray) -> KrausSet:
+    """The KrausSet of ``ops`` whose superoperator is ``superop``, the same
+    channel as a curve contracts it."""
+    ks = KrausSet(tuple(ops))
+    object.__setattr__(ks, "superop", superop)
+    return ks
 
 
 def _channel_weights(kind: ChannelKind, alpha: float, p: float) -> np.ndarray:
@@ -196,21 +204,25 @@ def _superop(ops) -> np.ndarray:
     return _real_if_exact(_kron_conj(np.asarray(ops)).sum(axis=-3))
 
 
+_EYE4 = np.eye(4)
+
+
 def _basis(unitaries) -> np.ndarray:
-    """I (x) I, U_1 (x) conj(U_1), ... of ``(..., m-1, 2, 2)`` unitaries; real if
-    exact.  Weights sum to one, so U_j's completeness is each channel's."""
+    """U_1 (x) conj(U_1), ... of ``(..., m-1, 2, 2)`` unitaries; real if exact.
+    The identity's term is the same for every realization, so ``_superops``
+    adds it.  Weights sum to one, so U_j's completeness is each channel's."""
     u = np.asarray(unitaries, dtype=complex)
     _check_completeness(u[..., None, :, :])
-    ident = np.broadcast_to(np.eye(4), u.shape[:-3] + (1, 4, 4))
-    return _real_if_exact(np.concatenate([ident, _kron_conj(u)], axis=-3))
+    return _real_if_exact(_kron_conj(u))
 
 
 def _superops(weights: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """sum_j w_j B_j for ``(..., m)`` weights and an ``(..., m, 4, 4)`` basis,
-    term by term in index order, the same way whatever the batch shape."""
-    out = weights[..., 0, None, None] * basis[..., 0, :, :]
-    for j in range(1, basis.shape[-3]):
-        out = out + weights[..., j, None, None] * basis[..., j, :, :]
+    """w_0 I + sum_j w_j B_j for ``(..., m)`` weights and an ``(..., m-1, 4, 4)``
+    basis, term by term in index order, the same way whatever the batch
+    shape."""
+    out = weights[..., 0, None, None] * _EYE4
+    for j in range(1, weights.shape[-1]):
+        out = out + weights[..., j, None, None] * basis[..., j - 1, :, :]
     return out
 
 
@@ -245,7 +257,7 @@ def sample_per_qubit_kraus(spec: ChannelSpec, n_targets: int,
     """One KrausSet per target qubit, honoring the draw policy."""
     w = _channel_weights(spec.kind, spec.alpha, spec.p)
     u = _draw_unitaries(spec, n_targets, [rng])[0]
-    sets = [KrausSet(tuple(k), s) for k, s in zip(_weighted(w, u), _superops(w, _basis(u)))]
+    sets = [_kraus_set(k, s) for k, s in zip(_weighted(w, u), _superops(w, _basis(u)))]
     if spec.draw_policy is DrawPolicy.SHARED_ACROSS_QUBITS:
         return sets * n_targets
     return sets
@@ -259,23 +271,11 @@ def _seeded_unitaries(spec: ChannelSpec, n_targets: int, seeds) -> np.ndarray:
                             for s in seeds])
 
 
-def sample_kraus_batch(spec: ChannelSpec, n_targets: int, seeds) -> np.ndarray:
-    """Kraus operators of shape (len(seeds), n_targets, m, 2, 2).
-
-    Row k holds what ``sample_per_qubit_kraus`` returns for a generator
-    seeded with ``SeedSequence(seeds[k])``.
-    """
-    ops = _weighted(_channel_weights(spec.kind, spec.alpha, spec.p),
-                    _seeded_unitaries(spec, n_targets, seeds))
-    _check_completeness(ops)
-    return np.broadcast_to(ops, (len(ops), n_targets) + ops.shape[2:])
-
-
 def deterministic_kraus(spec: ChannelSpec) -> KrausSet:
     """The exact-Pauli channel for the given spec (epsilon ignored)."""
     weights = _channel_weights(spec.kind, spec.alpha, spec.p)
-    return KrausSet(tuple(_weighted(weights, _PAULIS[spec.kind])),
-                    _superops(weights, _PAULI_BASES[spec.kind][0, 0]))
+    return _kraus_set(_weighted(weights, _PAULIS[spec.kind]),
+                      _superops(weights, _PAULI_BASES[spec.kind][0, 0]))
 
 
 @functools.cache

@@ -10,7 +10,8 @@ from qdc.analysis import (AnalysisError, QuenchConfig, critical_strengths,
 from qdc.capacity import (PartyLayout, _capacities, _marginals,
                           capacity_one_receiver, evaluate)
 from qdc.channels import (ChannelError, ChannelKind, ChannelSpec, DrawPolicy,
-                          _superop, sample_kraus_batch, sample_per_qubit_kraus)
+                          _basis, _channel_weights, _seeded_unitaries, _superops,
+                          sample_per_qubit_kraus)
 from qdc.optimizer import OptimizerConfig
 from qdc.oracles import bell_depolarizing_threshold, pa_closed_form, pc_closed_form
 from qdc.states import GGHZ, Bell, WUniform, build
@@ -153,8 +154,12 @@ def test_batched_quench_matches_one_realization_at_a_time(state, lay, spec):
         for k in range(n)]
     values = np.array([evaluate(rho, lay, spec, optimize=False, kraus_override=ks
                                 ).capacity_bits for ks in sets])
-    batch = np.array([[ks.superop for ks in row] for row in sets])
+    # drawn, made a basis and contracted as a batch, the way a curve does it
+    basis = _basis(_seeded_unitaries(spec, lay.n_senders, [(13, k) for k in range(n)]))
+    batch = _superops(_channel_weights(spec.kind, spec.alpha, spec.p), basis)
     assert np.array_equal(_capacities(_marginals(rho, lay), batch), values)
+    assert np.array_equal(analysis._capacity_curve(_marginals(rho, lay), spec,
+                                                   [spec.p], basis)[0], values)
     res = quenched_capacity(rho, lay, spec, QuenchConfig(n, master_seed=13))
     assert res.realizations_used == n
     assert abs(res.mean_capacity_bits - np.sum(values) / n) < 1e-12
@@ -301,8 +306,9 @@ def _chunked_quench_mean(rho, lay, spec, qc):
     ``_CHUNK`` realizations, one p at a time."""
     seeds = [(qc.master_seed, k) for k in range(qc.realizations)]
     values = np.concatenate([
-        _capacities(_marginals(rho, lay), _superop(sample_kraus_batch(
-            spec, lay.n_senders, seeds[i:i + analysis._CHUNK])))
+        _capacities(_marginals(rho, lay), _superops(
+            _channel_weights(spec.kind, spec.alpha, spec.p),
+            _basis(_seeded_unitaries(spec, lay.n_senders, seeds[i:i + analysis._CHUNK]))))
         for i in range(0, len(seeds), analysis._CHUNK)])
     return float(np.sum(values) / values.size)
 

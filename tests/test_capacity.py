@@ -5,9 +5,9 @@ from qdc.capacity import (LayoutError, PartyLayout, _block_entropy,
                           _block_entropy_and_grad, _block_objective,
                           bound_two_receivers, capacity_noiseless,
                           capacity_one_receiver, encode, evaluate)
-from qdc.channels import (ChannelKind, ChannelSpec, _superop, apply_local_channel,
-                          sample_kraus_batch, sample_per_qubit_kraus,
-                          unitary_from_params)
+from qdc.channels import (ChannelKind, ChannelSpec, _basis, _channel_weights,
+                          _seeded_unitaries, _superops, apply_local_channel,
+                          sample_per_qubit_kraus, unitary_from_params)
 from qdc.optimizer import EncodingParams, OptimizerConfig
 from qdc.oracles import (bell_dephasing_spectrum, bell_depolarizing_spectrum,
                          theorem3_bound)
@@ -207,7 +207,8 @@ def test_batched_objective_rows_equal_one_row_calls(state, lay):
     rho = build(state)
     for kind in ChannelKind:
         spec = ChannelSpec(kind, 0.4, 0.2, epsilon=0.6)
-        sups = _superop(sample_kraus_batch(spec, lay.n_senders, [(3, k) for k in range(5)]))
+        sups = _superops(_channel_weights(kind, 0.4, 0.2), _basis(_seeded_unitaries(
+            spec, lay.n_senders, [(3, k) for k in range(5)])))
         for senders, receiver in lay.blocks:
             block = partial_trace(rho, senders + [receiver])
             ops = [sups[:, q] for q in senders]

@@ -4,11 +4,11 @@ from hypothesis import given, strategies as st
 
 from qdc.qmath import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, dm_from_statevector
 from qdc.channels import (ChannelError, ChannelKind, ChannelSpec, DrawPolicy,
-                          KrausSet, _apply_local, _check_completeness, _superop,
+                          KrausSet, _apply_local, _basis, _channel_weights,
+                          _seeded_unitaries, _superop, _superops, _weighted,
                           apply_local_channel, deterministic_kraus,
-                          parse_channel, pauli_means, sample_kraus_batch,
-                          sample_per_qubit_kraus, unitary_from_params,
-                          UnitaryParams)
+                          parse_channel, pauli_means, sample_per_qubit_kraus,
+                          unitary_from_params, UnitaryParams)
 
 
 def phase_free_distance(a, b):
@@ -52,6 +52,19 @@ def test_kraus_completeness_enforced():
         KrausSet((I2, I2))
     with pytest.raises(ChannelError):
         KrausSet((np.full((2, 2), np.nan),))
+
+
+def test_kraus_set_superop_follows_its_operators():
+    # the superoperator is derived, never passed in, so the two cannot disagree
+    with pytest.raises(TypeError):
+        KrausSet((I2,), np.eye(4))
+    rng = np.random.default_rng(3)
+    for kind in ChannelKind:
+        for spec in (ChannelSpec(kind, 0.3, 0.2), ChannelSpec(kind, 0.3, 0.2, epsilon=0.6)):
+            sets = (sample_per_qubit_kraus(spec, 2, rng) if spec.is_random
+                    else [deterministic_kraus(spec)])
+            for ks in sets:
+                assert np.max(np.abs(ks.superop - _superop(ks.operators))) < 1e-15
 
 
 def test_channel_spec_ranges():
@@ -182,11 +195,12 @@ def test_samplers_match_frozen_builder_bitwise(kind, policy):
         for ks, ops in zip(got, want):
             assert np.array_equal(np.array(ks.operators), ops)
     seeds = [(6, k) for k in range(20)]
-    batch = sample_kraus_batch(spec, 3, seeds)
-    assert batch.shape == (20, 3, 2 if kind is ChannelKind.DEPHASING else 4, 2, 2)
+    batch = _weighted(_channel_weights(kind, 0.3, 0.2), _seeded_unitaries(spec, 3, seeds))
+    m = 2 if kind is ChannelKind.DEPHASING else 4
+    assert batch.shape == (20, 1 if policy is DrawPolicy.SHARED_ACROSS_QUBITS else 3, m, 2, 2)
     for row, seed in zip(batch, seeds):
         want = frozen_sample(spec, 3, np.random.default_rng(np.random.SeedSequence(seed)))
-        assert np.array_equal(row, np.array(want))
+        assert np.array_equal(np.broadcast_to(row, (3, m, 2, 2)), np.array(want))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -199,7 +213,8 @@ def test_batched_kernel_equals_unbatched_calls(n):
     rhos /= np.trace(rhos, axis1=1, axis2=2)[:, None, None]
     spec = ChannelSpec(ChannelKind.DEPOLARIZING, 0.3, 0.2, epsilon=0.8)
     targets = [n - 1, 0, 2]
-    ops = _superop(sample_kraus_batch(spec, len(targets), [(n, k) for k in range(b)]))
+    ops = _superops(_channel_weights(spec.kind, spec.alpha, spec.p), _basis(
+        _seeded_unitaries(spec, len(targets), [(n, k) for k in range(b)])))
 
     def per_target(row):
         return [row[j] for j in range(len(targets))]
@@ -217,11 +232,11 @@ def test_batched_kernel_equals_unbatched_calls(n):
 
 def test_completeness_check_covers_every_row():
     spec = ChannelSpec(ChannelKind.DEPHASING, 0.3, 0.2, epsilon=0.5)
-    ops = np.array(sample_kraus_batch(spec, 2, [(0, k) for k in range(5)]))
-    _check_completeness(ops)
-    ops[3, 1, 0] *= 1.001
+    u = _seeded_unitaries(spec, 2, [(0, k) for k in range(5)])
+    _basis(u)
+    u[3, 1, 0] *= 1.001
     with pytest.raises(ChannelError):
-        _check_completeness(ops)
+        _basis(u)
 
 
 def test_apply_local_channel_target_errors():

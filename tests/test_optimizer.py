@@ -7,8 +7,8 @@ from scipy.optimize._lbfgsb_py import status_messages, task_messages
 
 import qdc.optimizer
 from qdc.capacity import PartyLayout, _block_objective, evaluate
-from qdc.channels import (ChannelKind, ChannelSpec, _superop, sample_kraus_batch,
-                          sample_per_qubit_kraus)
+from qdc.channels import (ChannelKind, ChannelSpec, _basis, _channel_weights,
+                          _seeded_unitaries, _superops, sample_per_qubit_kraus)
 from qdc.optimizer import (_FTOL, _GTOL, EncodingParams, OptimizerConfig,
                            OptimizerConfigError, OptimizerError, _lbfgsb, minimize)
 from qdc.qmath import partial_trace
@@ -139,7 +139,8 @@ def _capacity_problems(n_problems):
     # one random depolarizing realization per problem
     rho = build(GGHZ(5, 0.8))
     spec = ChannelSpec(ChannelKind.DEPOLARIZING, 0.4, 0.2, epsilon=0.6)
-    sups = _superop(sample_kraus_batch(spec, 3, [(7, k) for k in range(n_problems)]))
+    sups = _superops(_channel_weights(spec.kind, spec.alpha, spec.p), _basis(
+        _seeded_unitaries(spec, 3, [(7, k) for k in range(n_problems)])))
     f = partial(_block_objective, partial_trace(rho, [0, 1, 3]),
                 [sups[:, 0], sups[:, 1]])
     rng = np.random.default_rng(23)
