@@ -14,18 +14,19 @@ that holds a flip.
 
 Every capacity this module takes with a channel is read through one record,
 ``_Curves``, the only code that decides whether a channel family (the spec
-up to p) is random, which channel basis it uses and whether the encoding is
-optimized.  It keeps each point's row of per-realization capacities for one
-public call, so p_c, p_r and p_a read each point once.  A curve is evaluated
-in batches: the noise superoperators of many p-points, and of every
-realization of a quenched channel, are stacked along the kernel's batch
-axis; each is the point's channel weights contracted with the identity and
-a basis U_1 (x) conj(U_1), ...  The block states and receiver entropies are
-traced out, and a quenched channel's unitaries (which do not depend on p or
-alpha) drawn and made a basis, once per record; the exact-Pauli bases are
-real, so a deterministic curve of a real state runs in real arithmetic.
-With an optimized encoding, every L-BFGS-B start of every row of a batch
-runs in lockstep with its own stop rule, so no result depends on the batch.
+up to p) is random, which unitaries its realizations have and whether the
+encoding is optimized.  It keeps each point's row of per-realization
+capacities for one public call, so p_c, p_r and p_a read each point once.
+A curve is evaluated in batches: a rectangle of p-points (their channel
+weights, taken at once) by realizations goes to the capacity layer, which
+picks each block's route (the kernel or the environment side) and runs the
+rectangle together.  The block states and receiver entropies are traced
+out, and a quenched channel's unitaries (which depend on neither p nor
+alpha) drawn, once per record, and what the capacity layer derives from
+them is kept with them; the exact Paulis are real, so a deterministic curve
+of a real state runs in real arithmetic.  With an optimized encoding, every
+L-BFGS-B start of every row of a batch runs in lockstep with its own stop
+rule, so no result depends on the batch.
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .capacity import (COLLAPSE_THRESHOLD, PartyLayout, _capacities, _Marginals,
-                       _marginals, evaluate)
-from .channels import (_PAULI_BASES, ChannelSpec, _basis, _channel_weights,
-                       _seeded_unitaries, _superops, p_range)
+                       _marginals, _Realizations, evaluate)
+from .channels import (_PAULIS, ChannelSpec, _channel_weights, _check_unitary,
+                       _seeded_unitaries, p_range)
 from .optimizer import OptimizerConfig
 
 # (p-point, realization) rows evaluated together, or optimizer problems run in
@@ -93,28 +94,28 @@ def _reduce(values: np.ndarray) -> QuenchedResult:
 
 
 def _capacity_curve(marginals: _Marginals, spec: ChannelSpec, ps,
-                    basis: np.ndarray, opt: OptimizerConfig = OptimizerConfig(),
+                    real: _Realizations, opt: OptimizerConfig = OptimizerConfig(),
                     optimize: bool = False) -> np.ndarray:
     """Capacities of the channel family ``spec`` (its p aside), one row per p
-    of ``ps`` and one column per realization of ``basis`` (``(R, rows, m-1,
-    4, 4)``, one row per sender or one for all), for the state and layout of
-    ``marginals`` (``capacity._marginals``).
+    of ``ps`` and one column per realization of ``real``, for the state and
+    layout of ``marginals`` (``capacity._marginals``).
 
-    The (p, realization) rows, p-major, are weighted and evaluated in
-    slices of at most ``_CHUNK`` rows, or, with ``optimize``, of at most
-    ``_CHUNK`` optimizer problems (restarts + 1 per row, at least one row).
-    Each is bit-identical to a one-row evaluation.  Each p's row is
-    contiguous, so it reduces in realization order.
+    The (p, realization) grid is evaluated in rectangles of at most
+    ``_CHUNK`` rows, or, with ``optimize``, of at most ``_CHUNK`` optimizer
+    problems (restarts + 1 per row, at least one row): whole p-rows, or one
+    p's realizations in slices.  Each value is bit-identical to a one-row
+    evaluation, and each p's row reduces in realization order.
     """
-    weights = np.array([_channel_weights(spec.kind, spec.alpha, p) for p in ps])
-    n_r = len(basis)
+    weights = _channel_weights(spec.kind, spec.alpha, ps)
+    n_r = len(real)
     values = np.empty((len(ps), n_r))
-    flat = values.reshape(-1)
     step = max(1, _CHUNK // (opt.restarts + 1)) if optimize else _CHUNK
-    for a in range(0, flat.size, step):
-        rows = np.arange(a, min(a + step, flat.size))
-        sups = _superops(weights[rows // n_r, None], basis[rows % n_r])
-        flat[a:a + len(rows)] = _capacities(marginals, sups, opt, optimize)
+    p_step, r_step = max(1, step // n_r), min(step, n_r)
+    for a in range(0, len(ps), p_step):
+        for lo in range(0, n_r, r_step):
+            hi = min(lo + r_step, n_r)
+            values[a:a + p_step, lo:hi] = _capacities(
+                marginals, weights[a:a + p_step], real, lo, hi, opt, optimize)
     return values
 
 
@@ -122,9 +123,10 @@ def _capacity_curve(marginals: _Marginals, spec: ChannelSpec, ps,
 class _Curves:
     """The capacity curves of one state and layout, and how each capacity
     is taken.  It holds the block states and receiver entropies they share,
-    the channel basis of the unitaries each random kind, epsilon and draw
-    policy draws, and per channel family each point's row of
-    per-realization capacities."""
+    the unitaries of each channel family's realizations (a random kind,
+    epsilon and draw policy's draws, or a kind's exact Paulis) with what the
+    capacity layer derives from them, and per channel family each point's
+    row of per-realization capacities."""
     rho: np.ndarray
     layout: PartyLayout
     opt: OptimizerConfig
@@ -137,13 +139,27 @@ class _Curves:
     def marginals(self) -> _Marginals:
         return _marginals(self.rho, self.layout)
 
+    def realizations(self, spec: ChannelSpec) -> _Realizations:
+        """Realization k of a random family draws from a generator seeded
+        with (master_seed, k); a deterministic family is one realization of
+        the exact Paulis.  The unitaries depend on neither p nor alpha."""
+        key = (spec.kind, spec.epsilon, spec.draw_policy) if spec.is_random else spec.kind
+        if key not in self._draws:
+            if spec.is_random:
+                u = _seeded_unitaries(spec, self.layout.n_senders,
+                                      [(self.quench.master_seed, k)
+                                       for k in range(self.quench.realizations)])
+                _check_unitary(u)
+            else:
+                u = _PAULIS[spec.kind][None, None]
+            self._draws[key] = _Realizations.of(u, self.layout.n_senders)
+        return self._draws[key]
+
     def rows(self, spec: ChannelSpec, ps) -> list[np.ndarray]:
         """Per-realization capacities of the family ``spec`` at each p of
         ``ps``; points not read before are evaluated together.  A random
-        family draws realization k from a generator seeded with
-        (master_seed, k) and optimizes as the quench says; a deterministic one
-        is one realization of the exact Paulis, optimized as ``optimize``
-        says unless it is covariant."""
+        family optimizes as the quench says; a deterministic one as
+        ``optimize`` says unless it is covariant."""
         if spec.is_random and self.quench is None:
             raise AnalysisError("a random channel needs a QuenchConfig")
         family = (spec.kind, spec.alpha, spec.epsilon, spec.draw_policy)
@@ -151,19 +167,12 @@ class _Curves:
         new = [p for p in dict.fromkeys(ps) if p not in memo]
         if new:
             if spec.is_random:
-                key = (spec.kind, spec.epsilon, spec.draw_policy)
-                if key not in self._draws:
-                    self._draws[key] = _basis(_seeded_unitaries(
-                        spec, self.layout.n_senders,
-                        [(self.quench.master_seed, k)
-                         for k in range(self.quench.realizations)]))
-                basis = self._draws[key]
                 optimize = self.quench.optimize_per_realization
             else:
-                basis = _PAULI_BASES[spec.kind]
                 optimize = self.optimize and not spec.is_covariant
             memo.update(zip(new, _capacity_curve(self.marginals, spec, new,
-                                                 basis, self.opt, optimize)))
+                                                 self.realizations(spec), self.opt,
+                                                 optimize)))
         return [memo[p] for p in ps]
 
 
@@ -397,6 +406,10 @@ def sweep(axis: str, grid: tuple[float, float, int], *, state=None,
         # one curve: the state and the channel family are the same at every p
         curves = _Curves(rho, layout, opt, optimize, quench)
         results = [_reduce(row) for row in curves.rows(spec, [s.p for s, _ in points])]
+    elif axis == "alpha":
+        # one record: the state and the draws are the same at every alpha
+        curves = _Curves(rho, layout, opt, optimize, quench)
+        results = [_reduce(curves.rows(s, [s.p])[0]) for s, _ in points]
     else:
         results = [mean_capacity(rho_v, layout, spec_v, opt, optimize, quench)
                    for spec_v, rho_v in points]

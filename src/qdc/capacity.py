@@ -3,44 +3,62 @@
 Conventions: qubit order is senders first, receivers last.  With N senders
 the classical bound is N bits.  Noise acts on the transmitted sender qubits
 only, so receiver marginals are always taken from the pre-channel state.
-Each sender's noise is a 4x4 superoperator S, and encoding with U and then
-noise is the one superoperator S (U (x) conj(U)).  A fixed-encoding capacity
-is one kernel pass per block (``_block_entropy``); the optimizer's objective,
-``_block_entropy_and_grad``, folds each sender's unitary into its noise and
-returns the block entropy with its exact gradient in the encoding
-parameters, from one more kernel pass with the adjoint superoperators.
+Each sender's noise is a weighted set of unitaries, w_0 rho + sum_j w_j U_j
+rho U_j^dag.  A block takes one of two routes, decided from its rank r and
+its senders' term counts m_i alone (``_output_entropies``):
+
+* The kernel.  Sender i's noise is a 4x4 superoperator S, and encoding with
+  U and then noise is the one superoperator S (U (x) conj(U)).  A
+  fixed-encoding capacity is one kernel pass per block (``_block_entropy``);
+  the optimizer's objective, ``_block_entropy_and_grad``, folds each sender's
+  unitary into its noise and returns the block entropy with its exact
+  gradient in the encoding parameters, from one more kernel pass with the
+  adjoint superoperators.
+* The environment side, when r m_1 ... m_n < d (see RANK_TOL): in practice a
+  pure one-receiver block under dephasing, 2^n Kraus products against
+  d = 2^(n+1).  The block's output has the nonzero spectrum of the Gram
+  matrix of the vectors (K_(1,j_1) U_1 (x) ... (x) K_(n,j_n) U_n) psi, half
+  the block's size.  With a fixed encoding that matrix is the weights times
+  a unit-weight Gram matrix built once per realization
+  (``_Realizations.gram``), so no kernel pass runs per p; the optimizer's
+  objective (``_env_objective``) gets each row's Kraus products made once.
+  Both routes share the encoding gradient's generators (``_encoding_grad``).
 
 Every capacity, one or many, goes through one batched entry,
-``_output_entropies``: a single ``evaluate`` is its batch of one, and a
-quenched mean or a scan curve hands it many rows of superoperators at
-once.  The block states and receiver entropies it needs are traced out of
-rho once (``_marginals``) and may be shared by every call on the same state.
-A block state with no imaginary part is kept real: with exact-Pauli noise
-and the identity encoding its capacity then runs in real arithmetic.
-An optimized block runs the (row, start) problems of all its rows in
-lockstep (``optimizer.minimize``), each with its own stop rule, so a row's
-result does not depend on the rows it runs with.
+``_output_entropies``, over a grid of weight rows (a p-point each) by
+channel realizations (``_Realizations``: each sender's unitaries, with the
+superoperator basis and Gram matrices derived from them once): a single
+``evaluate`` is its grid of one, and a quenched mean or a scan curve hands
+it many at once.  The block states, their vectors and the receiver
+entropies it needs are traced out of rho once (``_marginals``) and may be
+shared by every call on the same state.  A block state with no imaginary
+part is kept real: with exact-Pauli noise and the identity encoding its
+capacity then runs in real arithmetic.  An optimized block runs the
+(row, start) problems of all its rows in lockstep (``optimizer.minimize``),
+each with its own stop rule, so a row's result does not depend on the rows
+it runs with.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .channels import (ChannelSpec, KrausSet, _apply_local, _kron_conj,
-                       deterministic_kraus, unitary_from_params)
+from .channels import (ChannelSpec, KrausSet, _apply_local, _kraus_set, _kron_conj,
+                       _superops, deterministic_kraus, unitary_from_params)
 from .optimizer import EncodingParams, OptimizerConfig, minimize
-from .qmath import (I2, SIGMA_Z, _real_if_exact, entropy_and_log2,
-                    partial_trace, von_neumann_entropy)
+from .qmath import (SIGMA_Z, _real_if_exact, entropy_and_log2, partial_trace,
+                    von_neumann_entropy)
 
 # surplus over the classical bound above which a capacity counts as dense
 # codeable; at or below it the capacity has collapsed
 COLLAPSE_THRESHOLD = 1e-9
 
 # the no-channel case of the noisy formulas
-_NO_NOISE = KrausSet((I2,))
+_NO_NOISE = _kraus_set(np.ones(1), np.empty((0, 2, 2)))
 
 
 class LayoutError(ValueError):
@@ -135,20 +153,18 @@ def encode(rho: np.ndarray, encoding: EncodingParams) -> np.ndarray:
                         range(len(unitaries)))
 
 
-def _sender_superops(spec: ChannelSpec | None, layout: PartyLayout,
-                     kraus_override: list[KrausSet] | None) -> list[np.ndarray]:
-    """Each sender's noise superoperator, ``(4, 4)``."""
+def _sender_sets(spec: ChannelSpec | None, layout: PartyLayout,
+                 kraus_override: list[KrausSet] | None) -> list[KrausSet]:
+    """Each sender's noise as a KrausSet."""
     if kraus_override is not None:
         if len(kraus_override) != layout.n_senders:
             raise LayoutError("kraus_override must supply one KrausSet per sender")
-        sets = kraus_override
-    elif spec is None:
-        sets = [_NO_NOISE] * layout.n_senders
-    elif spec.is_random:
+        return list(kraus_override)
+    if spec is None:
+        return [_NO_NOISE] * layout.n_senders
+    if spec.is_random:
         raise ValueError("a random channel needs kraus_override")
-    else:
-        sets = [deterministic_kraus(spec)] * layout.n_senders
-    return [ks.superop for ks in sets]
+    return [deterministic_kraus(spec)] * layout.n_senders
 
 
 def _block_entropy(block_rho: np.ndarray, sups) -> float | np.ndarray:
@@ -165,6 +181,32 @@ def _block_entropy(block_rho: np.ndarray, sups) -> float | np.ndarray:
 _HALF_IZ = 0.5j * SIGMA_Z
 
 
+def _encoding_grad(params: np.ndarray, u: np.ndarray, local: np.ndarray) -> np.ndarray:
+    """The entropy's gradient in the encoding, ``(k, 3 * n)``, from each
+    sender's 2x2 matrix ``local`` ``(k, n, 2, 2)``: for a parameter of sender i
+    with dU_i = U_i G, dS = -2 Re Tr(G local_i).  G = U^dag (i/2 Z) U for
+    omega, R_z(delta)^dag (-i/2 Y) R_z(delta) for theta and (i/2) Z for delta;
+    ``params`` ``(k, n, 3)`` and ``u`` ``(k, n, 2, 2)`` are the encoding."""
+    k, n = u.shape[:2]
+    gens = np.zeros((k, n, 3, 2, 2), dtype=complex)
+    gens[:, :, 0] = u.conj().swapaxes(-1, -2) @ _HALF_IZ @ u
+    # R_z(delta)^dag (-i/2 Y) R_z(delta), written out
+    phase = np.exp(1j * params[..., 2])
+    gens[:, :, 1, 0, 1], gens[:, :, 1, 1, 0] = -0.5 * phase.conj(), 0.5 * phase
+    gens[:, :, 2] = _HALF_IZ
+    # Re Tr(G local) term by term, summed in an order fixed by the number of
+    # senders alone (an einsum's order also depends on the batch shape): the
+    # orders numpy's einsum "ikab,iba->ik" takes without a batch axis.
+    local_t = local.swapaxes(-1, -2)[..., None, :, :]
+    t = gens.real * local_t.real - gens.imag * local_t.imag
+    t00, t01, t10, t11 = t[..., 0, 0], t[..., 0, 1], t[..., 1, 0], t[..., 1, 1]
+    if n == 1:
+        re = 0.0 + (t00 + t01) + (t10 + t11)
+    else:
+        re = 0.0 + t00 + t01 + t10 + t11
+    return -2.0 * re.reshape(k, -1)
+
+
 def _block_entropy_and_grad(block_rho: np.ndarray, sups,
                             x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Block entropy after the encoding and the senders' noise, and its
@@ -177,12 +219,9 @@ def _block_entropy_and_grad(block_rho: np.ndarray, sups,
 
     Sender i's unitary is folded into its noise as S_i (U_i (x) conj(U_i)),
     so the output is one kernel pass.  With L = log2 of the output (0 on its
-    kernel), dS = -Tr(d rho_out L).  For a parameter with dU_i = U_i G this
-    is -2 Re Tr(G Tr_{not i}(rho M)), where M is one kernel pass of L with
-    the conjugate transposes (adjoints); G = U^dag (i/2 Z) U for omega,
-    R_z(delta)^dag (-i/2 Y) R_z(delta) for theta and (i/2) Z for delta.
-    (With dU_i = A U_i, the same value is -2 Re Tr(A Tr_{not i}(sigma M'))
-    for the encoded state sigma and M' the adjoint of the noise applied to L.)
+    kernel), dS = -Tr(d rho_out L), which is ``_encoding_grad`` of
+    Tr_{not i}(rho M), where M is one kernel pass of L with the conjugate
+    transposes (adjoints).
     """
     params = x.reshape(len(x), -1, 3)
     u = unitary_from_params(params)
@@ -193,41 +232,179 @@ def _block_entropy_and_grad(block_rho: np.ndarray, sups,
                                targets)
     product = block_rho @ pulled_back
     local = np.stack([partial_trace(product, {i}) for i in targets], axis=1)
-    # R_z(delta)^dag (-i/2 Y) R_z(delta), written out
-    phase = np.exp(1j * params[..., 2])
-    g_theta = np.zeros_like(u)
-    g_theta[..., 0, 1], g_theta[..., 1, 0] = -0.5 * phase.conj(), 0.5 * phase
-    gens = np.stack([u.conj().swapaxes(-1, -2) @ _HALF_IZ @ u, g_theta,
-                     np.broadcast_to(_HALF_IZ, u.shape)], axis=-3)
-    # Re Tr(G local) term by term, summed in an order fixed by the number of
-    # senders alone (an einsum's order also depends on the batch shape): the
-    # orders numpy's einsum "ikab,iba->ik" takes without a batch axis.
-    local_t = local.swapaxes(-1, -2)[..., None, :, :]
-    t = gens.real * local_t.real - gens.imag * local_t.imag
-    t00, t01, t10, t11 = t[..., 0, 0], t[..., 0, 1], t[..., 1, 0], t[..., 1, 1]
-    if len(sups) == 1:
-        re = 0.0 + (t00 + t01) + (t10 + t11)
-    else:
-        re = 0.0 + t00 + t01 + t10 + t11
-    return entropy, -2.0 * re.reshape(len(x), -1)
+    return entropy, _encoding_grad(params, u, local)
+
+
+# The environment side.  A block state psi psi^dag of rank r (psi is d x r),
+# after each of its n senders' channels sum_j K_j rho K_j^dag with m_i terms,
+# is V V^dag for the d x (M r) matrix V of the vectors v_(j,a) =
+# (K_(1,j_1) (x) ... (x) K_(n,j_n) (x) I) psi_a, M = m_1 ... m_n.  Its nonzero
+# spectrum is that of the Gram matrix V^dag V, so when M r < d the entropy
+# comes from that smaller matrix.
+
+
+def _kron_rows(ops: list[np.ndarray]) -> np.ndarray:
+    """Every product K_(1,j_1) (x) ... (x) K_(n,j_n) of per-sender operators
+    ``(k, m_i, 2, 2)``, stacked: ``(k, M 2^n, 2^n)``, j_1 most significant."""
+    out = ops[0]
+    for op in ops[1:]:
+        k, m, d = out.shape[0], out.shape[1] * op.shape[1], 2 * out.shape[-1]
+        out = (out[:, :, None, :, None, :, None]
+               * op[:, None, :, None, :, None, :]).reshape(k, m, d, d)
+    return out.reshape(len(out), -1, out.shape[-1])
+
+
+def _outputs(ops: np.ndarray, psi_s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The vectors v_(j,a) = A_j psi_a of each row, ``(k, M r, d)`` with (j, a)
+    row-major, and their Gram matrices <v|v'>, ``(k, M r, M r)``.  ``ops``
+    holds each row's operators A_j on the senders stacked, ``(k, M 2^n, 2^n)``,
+    and ``psi_s`` the block vectors with the receiver and a as column,
+    ``psi.reshape(2^n, -1)``."""
+    dim, r = 2 * ops.shape[-1], psi_s.shape[-1] // 2
+    m = ops.shape[-2] // ops.shape[-1]
+    v = (ops @ psi_s).reshape(-1, m, dim, r).swapaxes(-1, -2).reshape(-1, m * r, dim)
+    return v, v.conj() @ v.swapaxes(-1, -2)
+
+
+def _sender_rows(a: np.ndarray, q: int) -> np.ndarray:
+    """``(..., 2^n, c)`` with sender q's index alone on the rows: ``(..., 2, X)``."""
+    lead = a.shape[:-2]
+    return a.reshape(lead + (2**q, 2, -1)).swapaxes(-3, -2).reshape(lead + (2, -1))
+
+
+def _env_objective(psi_s: np.ndarray, psi_rows: list[np.ndarray], noise: np.ndarray,
+                   rows: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The optimizer's objective on the environment side: the entropy after
+    the encoding and the noise, and its gradient, for the block vectors psi
+    ``(d, r)``, given as ``psi.reshape(2^n, -1)`` and as ``_sender_rows`` of
+    that for each sender, with ``noise`` the products N_j of each row's Kraus
+    operators stacked (``_kraus_products``); ``rows`` index them.
+
+    With E the encoding (x) U_i and A_j = N_j E, v_j = A_j psi, and with
+    L = log2 of the Gram matrix (0 on its kernel), dS = -2 Re sum_j
+    <dv_j|(L^T V)_j>, which is ``_encoding_grad`` of Tr_{not i}(|psi><z|) for
+    z = sum_j A_j^dag (L^T V)_j.  Each row is computed as a batch of one would
+    compute it.
+    """
+    k, n = len(x), len(psi_rows)
+    params = x.reshape(k, n, 3)
+    u = unitary_from_params(params)
+    ops = noise[rows] @ _kron_rows([u[:, i, None] for i in range(n)])
+    v, gram = _outputs(ops, psi_s)
+    entropy, log_g = entropy_and_log2(gram)
+    m, r = noise.shape[1] // noise.shape[2], psi_s.shape[1] // 2
+    y = (log_g.swapaxes(-1, -2) @ v).reshape(k, m, r, -1).swapaxes(-1, -2)
+    z = ops.conj().swapaxes(-1, -2) @ y.reshape(k, m * 2**n, -1)
+    local = np.empty((k, n, 2, 2), dtype=complex)
+    for i, psi_i in enumerate(psi_rows):
+        np.matmul(psi_i, _sender_rows(z, i).conj().swapaxes(-1, -2), out=local[:, i])
+    return entropy, _encoding_grad(params, u, local)
+
+
+def _amplitudes(weights: list[np.ndarray], r: int) -> np.ndarray:
+    """sqrt(w_(1,j_1) ... w_(n,j_n)) for each row of per-sender weights
+    ``(P, m_i)``, each repeated r times: ``(P, M r)``, as ``_outputs`` orders
+    (j, a)."""
+    s = np.sqrt(weights[0])
+    for w in weights[1:]:
+        s = (s[:, :, None] * np.sqrt(w)[:, None, :]).reshape(len(s), -1)
+    return np.repeat(s, r, axis=-1)
+
+
+# realizations whose unit-weight Gram matrices are built at once
+_GRAM_SLICE = 256
+
+
+@dataclass(eq=False)
+class _Realizations:
+    """R realizations of each sender's noise unitaries (real if exact): at
+    weights w, sender q's channel in realization b is w_0 rho +
+    sum_{j>=1} w_j U_j rho U_j^dag with U_j = ``unitaries[q][b, j-1]``
+    (``(R, m_q - 1, 2, 2)``).  It keeps what it derives from them, whatever the
+    weights: each sender's superoperator basis U (x) conj(U), the identity
+    and the unitaries as one stack, and the environment-side Gram matrices of
+    block vectors at unit weights."""
+    unitaries: tuple[np.ndarray, ...]
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        # senders that share an array keep sharing it, and what it derives
+        real = {id(u): _real_if_exact(u) for u in self.unitaries}
+        self.unitaries = tuple(real[id(u)] for u in self.unitaries)
+
+    @staticmethod
+    def of(u: np.ndarray, n_senders: int) -> "_Realizations":
+        """From unitaries ``(R, rows, m-1, 2, 2)``: one row per sender or one for all."""
+        rows = [u[:, i] for i in range(u.shape[1])]
+        return _Realizations(tuple(rows[min(q, len(rows) - 1)] for q in range(n_senders)))
+
+    def __len__(self) -> int:
+        return len(self.unitaries[0])
+
+    def _keep(self, key, make):
+        # each key holds the arrays it was made from, so an id stays theirs
+        if key not in self._derived:
+            self._derived[key] = make()
+        return self._derived[key][-1]
+
+    def basis(self, q: int) -> np.ndarray:
+        """U (x) conj(U) of sender q's unitaries, ``(R, m_q - 1, 4, 4)``."""
+        u = self.unitaries[q]
+        return self._keep(("basis", id(u)), lambda: (u, _real_if_exact(_kron_conj(u))))
+
+    def terms(self, q: int) -> np.ndarray:
+        """The identity and sender q's unitaries, ``(R, m_q, 2, 2)``."""
+        u = self.unitaries[q]
+        return self._keep(("terms", id(u)), lambda: (u, np.concatenate(
+            [np.broadcast_to(np.eye(2, dtype=u.dtype), (len(u), 1, 2, 2)), u], axis=1)))
+
+    def gram(self, psi: np.ndarray, senders: list[int]) -> np.ndarray:
+        """Each realization's Gram matrix of the block vectors ``psi`` after
+        the senders' terms at unit weight, ``(R, M r, M r)``; real if exact."""
+        def make():
+            terms = [self.terms(q) for q in senders]
+            psi_s = psi.reshape(2 ** len(senders), -1)
+            return psi, _real_if_exact(np.concatenate([
+                _outputs(_kron_rows([t[a:a + _GRAM_SLICE] for t in terms]), psi_s)[1]
+                for a in range(0, len(self), _GRAM_SLICE)]))
+        return self._keep(("gram", id(psi), tuple(senders)), make)
 
 
 @dataclass(frozen=True, eq=False)
 class _Marginals:
     """What every capacity of one state and layout shares, whatever the
     channel: each block's state (its senders leading, its receiver last)
-    (real if every entry is) with the indices of its senders, and the
-    receiver entropies."""
+    (real if every entry is), the indices of its senders and its vectors psi
+    ``(d, r)`` (psi psi^dag is the block state without its eigenvalues at or
+    below RANK_TOL), and the receiver entropies."""
     n_senders: int
-    blocks: tuple[tuple[np.ndarray, list[int]], ...]
+    blocks: tuple[tuple[np.ndarray, list[int], np.ndarray], ...]
     receiver_terms: tuple[float, ...]
+
+
+# An eigenvalue of a block state at or below RANK_TOL does not count in its
+# rank r.  A block takes the environment side when r M < d (M the product of
+# its senders' Kraus term counts): in practice the pure one-receiver blocks
+# under dephasing (M = 2^n against d = 2^(n+1)).  A pure state built in
+# float64 shows eigenvalues of at most ~5e-16 off its vector (the states of
+# qdc.states.build, and random 2- to 5-qubit states); dropping true
+# eigenvalues of at most RANK_TOL moves an entropy by less than 2e-11.
+RANK_TOL = 1e-14
+
+
+def _block_vectors(block: np.ndarray) -> np.ndarray:
+    evals, vecs = np.linalg.eigh(block)
+    keep = evals > RANK_TOL
+    return vecs[:, keep] * np.sqrt(evals[keep])
 
 
 def _marginals(rho: np.ndarray, layout: PartyLayout) -> _Marginals:
     layout.check(rho)
+    states = [_real_if_exact(partial_trace(rho, senders + [r]))
+              for senders, r in layout.blocks]
     return _Marginals(layout.n_senders,
-                      tuple((_real_if_exact(partial_trace(rho, senders + [r])), senders)
-                            for senders, r in layout.blocks),
+                      tuple((b, senders, _block_vectors(b))
+                            for b, (senders, _) in zip(states, layout.blocks)),
                       tuple(von_neumann_entropy(partial_trace(rho, {r}))
                             for r in layout.receiver_indices))
 
@@ -238,42 +415,94 @@ def _block_objective(block_rho: np.ndarray, sups, rows: np.ndarray,
     return _block_entropy_and_grad(block_rho, [s[rows] for s in sups], x)
 
 
-def _output_entropies(marg: _Marginals, sups, opt: OptimizerConfig,
+def _kernel_superops(weights, real: _Realizations, lo: int, hi: int) -> list[np.ndarray]:
+    """Each sender's superoperator at each (weight row, realization in
+    [lo, hi)), a-major, ``(P (hi - lo), 4, 4)``: the weights contracted with
+    the realizations' basis as it is stored, not a gathered copy of it, once
+    for senders that share both."""
+    made = {}
+    for q in range(len(weights)):
+        key = (id(weights[q]), id(real.unitaries[q]))
+        if key not in made:
+            made[key] = _superops(weights[q][:, None],
+                                  real.basis(q)[None, lo:hi]).reshape(-1, 4, 4)
+    return [made[id(weights[q]), id(real.unitaries[q])] for q in range(len(weights))]
+
+
+def _kraus_products(weights, real: _Realizations, senders: list[int], lo: int,
+                    hi: int) -> np.ndarray:
+    """The products N_j of the senders' Kraus operators sqrt(w) U at each
+    (weight row, realization in [lo, hi)), a-major, stacked: ``(P (hi - lo),
+    M 2^n, 2^n)`` (``_kron_rows``)."""
+    return _kron_rows([(np.sqrt(weights[q])[:, None, :, None, None]
+                        * real.terms(q)[None, lo:hi]).reshape(-1, len(weights[q][0]), 2, 2)
+                       for q in senders])
+
+
+def _env_problem(psi: np.ndarray, noise: np.ndarray):
+    """The environment-side objective of the block vectors ``psi`` under
+    ``noise`` (``_kraus_products``)."""
+    psi_s = psi.reshape(noise.shape[-1], -1)
+    return partial(_env_objective, psi_s,
+                   [_sender_rows(psi_s, i) for i in range(noise.shape[-1].bit_length() - 1)],
+                   noise)
+
+
+def _output_entropies(marg: _Marginals, weights, real: _Realizations, lo: int,
+                      hi: int, opt: OptimizerConfig,
                       optimize: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Largest block entropy after the senders' noise, ``(B,)``, and the
-    encoding that reaches it, ``(B, 3 * n_senders)``, for each row of a
-    batch; ``sups[q]`` holds sender q's noise superoperators, ``(B, 4, 4)``.
+    """Largest block entropy after the senders' noise, and the encoding that
+    reaches it, ``(P (hi - lo), 3 * n_senders)``, for each row of a grid:
+    weight row a of ``weights[q]`` (sender q's, ``(P, m_q)``) by realization
+    b in [lo, hi) of ``real``, a-major.
 
     Each block's state is traced out of rho before it is encoded: local
     unitaries and noise on the traced qubits drop out, so the result is
-    exact.  With ``optimize``, each block entropy is minimized over the
-    unitaries of the block's own senders: its B x (restarts + 1) problems
-    run in one lockstep group.  Else the encoding is the identity and no
-    unitary is built.
+    exact.  A block takes the environment side when r M < d (see RANK_TOL),
+    else the kernel with each sender's superoperator.  With ``optimize``,
+    each block entropy is minimized over the unitaries of the block's own
+    senders: its rows x (restarts + 1) problems run in one lockstep group.
+    Else the encoding is the identity and no unitary is built.
     """
-    n_rows = len(sups[0])
+    n_rows = len(weights[0]) * (hi - lo)
+    sups, entropies, encodings = [], [], []
+    for block, senders, psi in marg.blocks:
+        env = psi.shape[1] * math.prod(weights[q].shape[-1] for q in senders) < len(block)
+        if not env:
+            sups = sups or _kernel_superops(weights, real, lo, hi)
+        if optimize:
+            objective = (_env_problem(psi, _kraus_products(weights, real, senders, lo, hi))
+                         if env else partial(_block_objective, block,
+                                             [sups[q] for q in senders]))
+            e, x = minimize(objective, n_rows, len(senders), opt)
+            encodings.append(x)
+        elif env:
+            s = _amplitudes([weights[q] for q in senders], psi.shape[1])
+            gram = (s[:, None, :, None] * real.gram(psi, senders)[None, lo:hi]
+                    ) * s[:, None, None, :]
+            e = von_neumann_entropy(gram.reshape(n_rows, s.shape[1], s.shape[1]))
+        else:
+            e = _block_entropy(block, [sups[q] for q in senders])
+        entropies.append(e)
     if not optimize:
-        return (np.max([_block_entropy(block, [sups[q] for q in senders])
-                        for block, senders in marg.blocks], axis=0),
-                np.zeros((n_rows, 3 * marg.n_senders)))
-    entropies, encodings = zip(*(
-        minimize(partial(_block_objective, block, [sups[q] for q in senders]),
-                 n_rows, len(senders), opt)
-        for block, senders in marg.blocks))
+        return np.max(entropies, axis=0), np.zeros((n_rows, 3 * marg.n_senders))
     return np.max(entropies, axis=0), np.concatenate(encodings, axis=1)
 
 
-def _capacities(marg: _Marginals, sups: np.ndarray,
+def _capacities(marg: _Marginals, weights: np.ndarray, real: _Realizations,
+                lo: int = 0, hi: int | None = None,
                 opt: OptimizerConfig = OptimizerConfig(),
                 optimize: bool = False) -> np.ndarray:
-    """Capacity (or two-receiver bound) for each row of a batch of noise
-    superoperators, ``(B, n_senders, 4, 4)`` or ``(B, 1, 4, 4)`` for one
-    shared by all senders, with the identity encoding or, with ``optimize``,
-    the encoding optimized per row."""
-    per_sender = list(sups.swapaxes(0, 1)) * (marg.n_senders // sups.shape[1])
-    outputs, _ = _output_entropies(marg, per_sender, opt, optimize)
+    """Capacity (or two-receiver bound) at each row of channel weights
+    ``(P, m)``, shared by all senders, and each realization in [lo, hi) of
+    ``real``: ``(P, hi - lo)``, with the identity encoding or, with
+    ``optimize``, the encoding optimized per (row, realization)."""
+    hi = len(real) if hi is None else hi
+    outputs, _ = _output_entropies(marg, (weights,) * marg.n_senders, real, lo, hi,
+                                   opt, optimize)
     classical = float(marg.n_senders)
-    return np.maximum(classical, classical + sum(marg.receiver_terms) - outputs)
+    return np.maximum(classical, classical + sum(marg.receiver_terms) - outputs
+                      ).reshape(len(weights), hi - lo)
 
 
 def _capacity(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec | None,
@@ -289,10 +518,14 @@ def _capacity(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec | None,
     is covariant so that the encoding drops out.
     """
     marg = _marginals(rho, layout)
-    sups = _sender_superops(spec, layout, kraus_override)
+    sets = _sender_sets(spec, layout, kraus_override)
     covariant = spec is not None and spec.is_covariant and kraus_override is None
     fixed = not optimize or spec is None or covariant
-    outputs, x = _output_entropies(marg, [s[None] for s in sups], opt, not fixed)
+    # one weight row and one realization; senders that share a set share them
+    rows = {id(ks): (ks.weights[None], ks.unitaries[None]) for ks in sets}
+    outputs, x = _output_entropies(
+        marg, [rows[id(ks)][0] for ks in sets],
+        _Realizations(tuple(rows[id(ks)][1] for ks in sets)), 0, 1, opt, not fixed)
     return _result(layout.n_senders, list(marg.receiver_terms), float(outputs[0]),
                    EncodingParams.from_flat(x[0]))
 

@@ -142,46 +142,69 @@ def _check_completeness(ops: np.ndarray) -> None:
     sum K^dag K = I."""
     gram = np.einsum("...mba,...mbc->...ac", ops.conj(), ops)
     # written so that a non-finite operator fails it too
-    if not np.max(np.abs(gram - I2)) <= COMPLETENESS_TOL:
+    if not np.max(np.abs(gram - I2), initial=0.0) <= COMPLETENESS_TOL:
         raise ChannelError("Kraus set violates completeness")
 
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:
     """Ordered single-qubit Kraus operators with sum K^dag K = I, and the
-    superoperator the kernel applies: sum_K K (x) conj(K), or for a set built
-    here from weights and unitaries ``_superops`` of their basis, as a curve
-    computes it (``_kraus_set``)."""
+    superoperator the kernel applies: sum_K K (x) conj(K).
+
+    The capacity layer reads a set as weights on the identity and then on
+    unitaries (``weights`` ``(m,)``, ``unitaries`` ``(m-1, 2, 2)``).  A set
+    built here from weights and unitaries (``_kraus_set``) keeps them, and its
+    superoperator is ``_superops`` of their basis, as a curve computes it; a
+    set given by its operators is weight 0 on the identity and weight 1 on
+    each operator."""
     operators: tuple = field()
     superop: np.ndarray = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
+    unitaries: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for k in self.operators:
             if k.shape != (2, 2):
                 raise ChannelError("Kraus operators must be 2x2")
-        _check_completeness(np.reshape(self.operators, (-1, 2, 2)))
-        object.__setattr__(self, "superop", _superop(self.operators))
+        ops = np.reshape(self.operators, (-1, 2, 2))
+        _check_completeness(ops)
+        self._set(_superop(ops), np.concatenate([[0.0], np.ones(len(ops))]), ops)
+
+    def _set(self, superop, weights, unitaries) -> None:
+        for name, value in (("superop", superop), ("weights", weights),
+                            ("unitaries", unitaries)):
+            object.__setattr__(self, name, value)
 
 
-def _kraus_set(ops: np.ndarray, superop: np.ndarray) -> KrausSet:
-    """The KrausSet of ``ops`` whose superoperator is ``superop``, the same
-    channel as a curve contracts it."""
-    ks = KrausSet(tuple(ops))
-    object.__setattr__(ks, "superop", superop)
+def _kraus_set(weights: np.ndarray, unitaries: np.ndarray) -> KrausSet:
+    """The KrausSet sqrt(w_0) I, sqrt(w_j) U_j, with the bits a curve gives
+    the same channel."""
+    ks = KrausSet(tuple(_weighted(weights, unitaries)))
+    ks._set(_superops(weights, _basis(unitaries)), weights, unitaries)
     return ks
 
 
-def _channel_weights(kind: ChannelKind, alpha: float, p: float) -> np.ndarray:
-    """Weights of the identity and then of each Pauli-like unitary."""
+def _channel_weights(kind: ChannelKind, alpha: float, p) -> np.ndarray:
+    """Weights of the identity and then of each Pauli-like unitary, ``(..., m)``
+    for p of shape ``(...)``: for each p, the floats of the scalar formula."""
+    p = np.asarray(p, dtype=float)
     if kind is ChannelKind.DEPHASING:
-        if not 0.0 <= p <= 0.5:
-            raise ChannelError(f"dephasing p={p} outside [0, 1/2]")
-        return np.array([(1.0 - alpha * p) * (1.0 - p), (1.0 + alpha * (1.0 - p)) * p])
+        # written so that a NaN fails it too
+        if not (p.min(initial=0.0) >= 0.0 and p.max(initial=0.5) <= 0.5):
+            bad = p[~((0.0 <= p) & (p <= 0.5))].flat[0]
+            raise ChannelError(f"dephasing p={bad} outside [0, 1/2]")
+        out = np.empty(p.shape + (2,))
+        out[..., 0] = (1.0 - alpha * p) * (1.0 - p)
+        out[..., 1] = (1.0 + alpha * (1.0 - p)) * p
+        return out
     w_id = (1.0 - 3.0 * alpha * p) * (1.0 - p)
-    if w_id < -1e-15:
-        raise ChannelError(f"depolarizing weight (1-3ap)(1-p) < 0 at alpha={alpha}, p={p}")
-    w_p = (1.0 + 3.0 * alpha * (1.0 - p)) * p / 3.0
-    return np.array([max(0.0, w_id), w_p, w_p, w_p])
+    if w_id.min(initial=0.0) < -1e-15:
+        raise ChannelError(f"depolarizing weight (1-3ap)(1-p) < 0 at alpha={alpha}, "
+                           f"p={p[w_id < -1e-15].flat[0]}")
+    out = np.empty(p.shape + (4,))
+    out[..., 0] = np.maximum(0.0, w_id)
+    out[..., 1:] = ((1.0 + 3.0 * alpha * (1.0 - p)) * p / 3.0)[..., None]
+    return out
 
 
 def _weighted(weights: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
@@ -207,12 +230,18 @@ def _superop(ops) -> np.ndarray:
 _EYE4 = np.eye(4)
 
 
+def _check_unitary(unitaries: np.ndarray) -> None:
+    """Raise unless each 2x2 of the stack is unitary: weights sum to one, so
+    U_j's completeness is each channel's."""
+    _check_completeness(unitaries[..., None, :, :])
+
+
 def _basis(unitaries) -> np.ndarray:
     """U_1 (x) conj(U_1), ... of ``(..., m-1, 2, 2)`` unitaries; real if exact.
     The identity's term is the same for every realization, so ``_superops``
-    adds it.  Weights sum to one, so U_j's completeness is each channel's."""
+    adds it."""
     u = np.asarray(unitaries, dtype=complex)
-    _check_completeness(u[..., None, :, :])
+    _check_unitary(u)
     return _real_if_exact(_kron_conj(u))
 
 
@@ -226,10 +255,9 @@ def _superops(weights: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return out
 
 
-# the unitaries that follow the identity in a deterministic Kraus set, and their basis
+# the unitaries that follow the identity in a deterministic Kraus set
 _PAULIS = {ChannelKind.DEPHASING: np.array([SIGMA_Z]),
            ChannelKind.DEPOLARIZING: np.array([SIGMA_X, SIGMA_Y, SIGMA_Z])}
-_PAULI_BASES = {kind: _basis(u)[None, None] for kind, u in _PAULIS.items()}
 
 # parameter means of the unitaries that follow the identity, in Kraus order
 _DRAWN_MEANS = {
@@ -256,8 +284,7 @@ def sample_per_qubit_kraus(spec: ChannelSpec, n_targets: int,
                            rng: np.random.Generator) -> list[KrausSet]:
     """One KrausSet per target qubit, honoring the draw policy."""
     w = _channel_weights(spec.kind, spec.alpha, spec.p)
-    u = _draw_unitaries(spec, n_targets, [rng])[0]
-    sets = [_kraus_set(k, s) for k, s in zip(_weighted(w, u), _superops(w, _basis(u)))]
+    sets = [_kraus_set(w, u) for u in _draw_unitaries(spec, n_targets, [rng])[0]]
     if spec.draw_policy is DrawPolicy.SHARED_ACROSS_QUBITS:
         return sets * n_targets
     return sets
@@ -273,9 +300,8 @@ def _seeded_unitaries(spec: ChannelSpec, n_targets: int, seeds) -> np.ndarray:
 
 def deterministic_kraus(spec: ChannelSpec) -> KrausSet:
     """The exact-Pauli channel for the given spec (epsilon ignored)."""
-    weights = _channel_weights(spec.kind, spec.alpha, spec.p)
-    return _kraus_set(_weighted(weights, _PAULIS[spec.kind]),
-                      _superops(weights, _PAULI_BASES[spec.kind][0, 0]))
+    return _kraus_set(_channel_weights(spec.kind, spec.alpha, spec.p),
+                      _PAULIS[spec.kind])
 
 
 @functools.cache

@@ -3,14 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
+import qdc.capacity
 from qdc import analysis
 from qdc.analysis import (AnalysisError, QuenchConfig, critical_strengths,
                           find_pa, find_pc, find_pr, mean_capacity, p_range,
                           quenched_capacity, sweep)
-from qdc.capacity import (PartyLayout, _capacities, _marginals,
+from qdc.capacity import (PartyLayout, _capacities, _marginals, _Realizations,
                           capacity_one_receiver, evaluate)
 from qdc.channels import (ChannelError, ChannelKind, ChannelSpec, DrawPolicy,
-                          _basis, _channel_weights, _seeded_unitaries, _superops,
+                          _channel_weights, _seeded_unitaries,
                           sample_per_qubit_kraus)
 from qdc.optimizer import OptimizerConfig
 from qdc.oracles import bell_depolarizing_threshold, pa_closed_form, pc_closed_form
@@ -154,12 +155,13 @@ def test_batched_quench_matches_one_realization_at_a_time(state, lay, spec):
         for k in range(n)]
     values = np.array([evaluate(rho, lay, spec, optimize=False, kraus_override=ks
                                 ).capacity_bits for ks in sets])
-    # drawn, made a basis and contracted as a batch, the way a curve does it
-    basis = _basis(_seeded_unitaries(spec, lay.n_senders, [(13, k) for k in range(n)]))
-    batch = _superops(_channel_weights(spec.kind, spec.alpha, spec.p), basis)
-    assert np.array_equal(_capacities(_marginals(rho, lay), batch), values)
+    # drawn and evaluated as a batch, the way a curve does it
+    real = _Realizations.of(_seeded_unitaries(
+        spec, lay.n_senders, [(13, k) for k in range(n)]), lay.n_senders)
+    weights = _channel_weights(spec.kind, spec.alpha, [spec.p])
+    assert np.array_equal(_capacities(_marginals(rho, lay), weights, real)[0], values)
     assert np.array_equal(analysis._capacity_curve(_marginals(rho, lay), spec,
-                                                   [spec.p], basis)[0], values)
+                                                   [spec.p], real)[0], values)
     res = quenched_capacity(rho, lay, spec, QuenchConfig(n, master_seed=13))
     assert res.realizations_used == n
     assert abs(res.mean_capacity_bits - np.sum(values) / n) < 1e-12
@@ -175,6 +177,27 @@ def test_quenched_result_independent_of_chunking(monkeypatch):
     monkeypatch.setattr(analysis, "_CHUNK", 7)
     chunked = quenched_capacity(rho, lay, spec, qc)
     assert chunked == whole
+
+
+@pytest.mark.parametrize("state, lay", [
+    (GGHZ(3, 1 / np.sqrt(2)), PartyLayout(2, 1)),
+    (WUniform(4), PartyLayout(3, 1)),
+])
+def test_environment_side_quench_independent_of_chunking(monkeypatch, state, lay):
+    # identity-encoding dephasing quenches take the environment side: its
+    # unit-weight Gram matrices are built once, in slices, and read per chunk
+    rho = build(state)
+    spec = ChannelSpec(ChannelKind.DEPHASING, 0.5, 0.03, epsilon=0.8)
+    qc = QuenchConfig(40, master_seed=2)
+    whole = quenched_capacity(rho, lay, spec, qc)
+    monkeypatch.setattr(analysis, "_CHUNK", 7)
+    monkeypatch.setattr(qdc.capacity, "_GRAM_SLICE", 3)
+    assert quenched_capacity(rho, lay, spec, qc) == whole
+    ks = [sample_per_qubit_kraus(spec, lay.n_senders, np.random.default_rng(
+        np.random.SeedSequence((2, k)))) for k in range(40)]
+    values = [evaluate(rho, lay, spec, optimize=False, kraus_override=k).capacity_bits
+              for k in ks]
+    assert whole.mean_capacity_bits == float(np.sum(values) / len(values))
 
 
 def test_optimized_quench_matches_one_realization_at_a_time(monkeypatch):
@@ -194,8 +217,9 @@ def test_optimized_quench_matches_one_realization_at_a_time(monkeypatch):
 
 
 @pytest.mark.parametrize("state, lay", [
-    (GGHZ(3, 1 / np.sqrt(2)), PartyLayout(2, 1)),
+    (GGHZ(3, 1 / np.sqrt(2)), PartyLayout(2, 1)),   # the environment side
     (GGHZ(4, 0.6), PartyLayout(2, 2, split=1)),     # two one-sender blocks
+    (WUniform(4), PartyLayout(3, 1)),               # the environment side
 ])
 def test_optimized_quench_independent_of_group_size(monkeypatch, state, lay):
     # every start of every realization of a slice runs in lockstep, each with
@@ -306,9 +330,9 @@ def _chunked_quench_mean(rho, lay, spec, qc):
     ``_CHUNK`` realizations, one p at a time."""
     seeds = [(qc.master_seed, k) for k in range(qc.realizations)]
     values = np.concatenate([
-        _capacities(_marginals(rho, lay), _superops(
-            _channel_weights(spec.kind, spec.alpha, spec.p),
-            _basis(_seeded_unitaries(spec, lay.n_senders, seeds[i:i + analysis._CHUNK]))))
+        _capacities(_marginals(rho, lay), _channel_weights(spec.kind, spec.alpha, [spec.p]),
+                    _Realizations.of(_seeded_unitaries(
+                        spec, lay.n_senders, seeds[i:i + analysis._CHUNK]), lay.n_senders))[0]
         for i in range(0, len(seeds), analysis._CHUNK)])
     return float(np.sum(values) / values.size)
 
@@ -352,8 +376,8 @@ X = 1 / np.sqrt(2)
 ])
 def test_batched_scans_match_per_point_reference(monkeypatch, state, lay, spec,
                                                  quench):
-    # 11 realizations in slices of 7 rows: slices cross both realization
-    # chunks and p-points
+    # 11 realizations in slices of 7 rows: each p's realizations in two
+    # slices, and deterministic p-points seven at a time
     monkeypatch.setattr(analysis, "_CHUNK", 7)
     rho = build(state)
     scan = dict(scan_step=1e-2, refine=1e-3)
@@ -409,6 +433,34 @@ def test_sweep_p_matches_mean_capacity_per_point(spec, optimize, quench):
                           optimize, quench)
         assert (row["capacity_bits"], row["std_error"]) == \
             (q.mean_capacity_bits, q.std_error_bits)
+
+
+@pytest.mark.parametrize("spec, optimize, quench", [
+    (ChannelSpec(ChannelKind.DEPHASING, 0.0, 0.2), False, None),
+    (ChannelSpec(ChannelKind.DEPOLARIZING, 0.0, 0.1, epsilon=0.7), False,
+     QuenchConfig(9, master_seed=2)),
+    (ChannelSpec(ChannelKind.DEPHASING, 0.0, 0.3, epsilon=0.5), False,
+     QuenchConfig(3, master_seed=2, optimize_per_realization=True)),
+])
+def test_sweep_alpha_shares_one_record(monkeypatch, spec, optimize, quench):
+    # the draws depend on neither p nor alpha: one record draws them once,
+    # and every row is the one a separate mean_capacity call gives
+    rho, lay = build(GGHZ(3, 1 / np.sqrt(2))), PartyLayout(2, 1)
+    opt = OptimizerConfig(max_evaluations=120, restarts=1)
+    draws = []
+    draw = analysis._seeded_unitaries
+    monkeypatch.setattr(analysis, "_seeded_unitaries",
+                        lambda *a: draws.append(a) or draw(*a))
+    rows = sweep("alpha", (0.0, 0.9, 4), rho=rho, layout=lay, spec=spec, opt=opt,
+                 optimize=optimize, quench=quench)
+    assert len(draws) == (1 if spec.is_random else 0)
+    for row in rows:
+        q = mean_capacity(rho, lay, dataclasses.replace(spec, alpha=row["alpha"]), opt,
+                          optimize, quench)
+        assert (np.float64(row["capacity_bits"]).tobytes(),
+                np.float64(row["std_error"]).tobytes()) == \
+            (np.float64(q.mean_capacity_bits).tobytes(),
+             np.float64(q.std_error_bits).tobytes())
 
 
 @pytest.mark.parametrize("state, lay", [

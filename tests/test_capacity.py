@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qdc.capacity import (LayoutError, PartyLayout, _block_entropy,
-                          _block_entropy_and_grad, _block_objective,
+from qdc.capacity import (RANK_TOL, LayoutError, PartyLayout, _block_entropy,
+                          _block_entropy_and_grad, _block_objective, _capacities,
+                          _env_problem, _kernel_superops, _kraus_products,
+                          _marginals, _output_entropies, _Realizations,
                           bound_two_receivers, capacity_noiseless,
                           capacity_one_receiver, encode, evaluate)
 from qdc.channels import (ChannelKind, ChannelSpec, _basis, _channel_weights,
@@ -11,9 +14,9 @@ from qdc.channels import (ChannelKind, ChannelSpec, _basis, _channel_weights,
 from qdc.optimizer import EncodingParams, OptimizerConfig
 from qdc.oracles import (bell_dephasing_spectrum, bell_depolarizing_spectrum,
                          theorem3_bound)
-from qdc.qmath import (I2, partial_trace, shannon_entropy,
+from qdc.qmath import (I2, SIGMA_Z, partial_trace, shannon_entropy,
                        von_neumann_entropy)
-from qdc.states import GGHZ, Bell, WUniform, build
+from qdc.states import GGHZ, GW3, GW4, Bell, WUniform, build
 
 FAST_OPT = OptimizerConfig(max_evaluations=3000, restarts=2)
 
@@ -130,12 +133,17 @@ def test_fixed_encoding_skips_encode(monkeypatch, spec, kwargs):
                    EncodingParams.identity(len(senders))),
             [ks] * len(senders), list(range(len(senders)))))
             for senders, r in lay.blocks)
-        assert abs(got - want) <= 1e-15
+        # a pure one-receiver block (all of them here but the covariant one)
+        # takes the environment side: its 4x4 Gram matrix rounds otherwise
+        # than the 8x8 output (3.2e-15 apart at spec0, where the 40-digit
+        # value lies 1.2e-15 from got and 4.4e-15 from want)
+        assert abs(got - want) <= (1e-13 if lay.n_receivers == 1 else 1e-15)
         calls.clear()
 
 
 def test_objective_makes_one_kernel_pass(monkeypatch):
-    # one forward pass for the value, one adjoint pass for the gradient
+    # one forward pass for the value, one adjoint pass for the gradient, on
+    # blocks that stay on the kernel (depolarizing, and mixed two-receiver)
     import qdc.capacity
     import qdc.channels
     kernel, passes, evaluations = qdc.channels._apply_local, [], []
@@ -155,7 +163,9 @@ def test_objective_makes_one_kernel_pass(monkeypatch):
     monkeypatch.setattr(qdc.channels, "_apply_local", counted)
     monkeypatch.setattr(qdc.capacity, "minimize", one_evaluation)
     spec = ChannelSpec(ChannelKind.DEPHASING, 0.5, 0.2)
-    evaluate(build(GGHZ(3, 1 / np.sqrt(2))), PartyLayout(2, 1), spec)
+    depol = ChannelSpec(ChannelKind.DEPOLARIZING, 0.5, 0.2, epsilon=0.5)
+    evaluate(build(GGHZ(3, 1 / np.sqrt(2))), PartyLayout(2, 1), depol,
+             kraus_override=sample_per_qubit_kraus(depol, 2, np.random.default_rng(1)))
     evaluate(build(GGHZ(5, 0.8)), PartyLayout(3, 2, split=2), spec)
     assert evaluations == [2, 2, 2]
 
@@ -351,3 +361,160 @@ def test_receiver_phase_makes_rho_complex_not_the_capacity(state, lay):
             assert abs(real - complex_) <= 1e-13
             above += real > lay.n_senders + 1e-3
     assert above > 0
+
+
+# --- the environment side: pure one-receiver blocks under dephasing ---------
+
+def _dephasing_noise(n_senders, alpha, p, drawn, seed):
+    """Weights ``(1, 2)`` and the realizations of one exact or drawn
+    dephasing channel per sender."""
+    spec = ChannelSpec(ChannelKind.DEPHASING, alpha, p, epsilon=0.7 if drawn else 0.0)
+    u = (_seeded_unitaries(spec, n_senders, [(seed, 0)]) if drawn
+         else np.broadcast_to(SIGMA_Z, (1, 1, 1, 2, 2)))
+    return _channel_weights(spec.kind, alpha, [p]), _Realizations.of(u, n_senders)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n_qubits=st.integers(2, 5), complex_state=st.booleans(), drawn=st.booleans(),
+       alpha=st.floats(0.0, 1.0), p=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+       encoded=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_environment_side_equals_the_kernel(n_qubits, complex_state, drawn, alpha,
+                                            p, encoded, seed):
+    rng = np.random.default_rng(seed)
+    d, n = 2**n_qubits, n_qubits - 1
+    psi = rng.normal(size=d) + (1j * rng.normal(size=d) if complex_state else 0.0)
+    rho = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+    (block, senders, vecs), = _marginals(rho, PartyLayout(n, 1)).blocks
+    assert vecs.shape[1] == 1                   # pure: 2^n Kraus products < d
+    w, real = _dephasing_noise(n, alpha, p, drawn, seed)
+    weights = (w,) * n
+    x = rng.uniform(0, 4 * np.pi, (1, 3 * n)) if encoded else np.zeros((1, 3 * n))
+    env = _env_problem(vecs, _kraus_products(weights, real, senders, 0, 1))
+    sups = _kernel_superops(weights, real, 0, 1)
+    got, got_grad = env(np.arange(1), x)
+    want, want_grad = _block_entropy_and_grad(block, sups, x)
+    assert abs(got[0] - want[0]) <= 1e-13
+    assert np.max(np.abs(got_grad - want_grad)) <= 1e-13
+    # the fixed encoding: the unit-weight Gram matrix scaled by the weights
+    fixed, _ = _output_entropies(_marginals(rho, PartyLayout(n, 1)), weights, real,
+                                 0, 1, FAST_OPT, False)
+    assert abs(fixed[0] - _block_entropy(block, sups)[0]) <= 1e-13
+
+
+def test_environment_side_of_a_rank_two_block():
+    # r = 2 and a noiseless sender (m = 1) beside a dephased one: r M = 4 < 8
+    rng = np.random.default_rng(9)
+    a = rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    (block, senders, vecs), = _marginals(rho, PartyLayout(2, 1)).blocks
+    assert vecs.shape[1] == 2
+    spec = ChannelSpec(ChannelKind.DEPHASING, 0.4, 0.2, epsilon=0.6)
+    real = _Realizations((np.empty((1, 0, 2, 2)),
+                          _seeded_unitaries(spec, 1, [(5, 0)])[:, 0]))
+    weights = (np.ones((1, 1)), _channel_weights(spec.kind, spec.alpha, [spec.p]))
+    x = rng.uniform(0, 4 * np.pi, (1, 6))
+    got, got_grad = _env_problem(vecs, _kraus_products(weights, real, senders, 0, 1))(
+        np.arange(1), x)
+    want, want_grad = _block_entropy_and_grad(block, _kernel_superops(weights, real, 0, 1), x)
+    assert abs(got[0] - want[0]) <= 1e-13
+    assert np.max(np.abs(got_grad - want_grad)) <= 1e-13
+    fixed, _ = _output_entropies(_marginals(rho, PartyLayout(2, 1)), weights, real, 0, 1,
+                                 FAST_OPT, False)
+    assert abs(fixed[0] - _block_entropy(block, _kernel_superops(weights, real, 0, 1))[0]) \
+        <= 1e-13
+
+
+@pytest.mark.parametrize("state, lay", [
+    (GGHZ(3, 1 / np.sqrt(2)), PartyLayout(2, 1)),
+    (WUniform(4), PartyLayout(3, 1)),
+    (GGHZ(5, 0.8), PartyLayout(4, 1)),
+])
+def test_environment_side_rows_equal_one_row_calls(state, lay):
+    # objective rows, and fixed-encoding (p, realization) cells, bit for bit
+    rho, n, rng = build(state), lay.n_senders, np.random.default_rng(4)
+    marg = _marginals(rho, lay)
+    (_, senders, vecs), = marg.blocks
+    spec = ChannelSpec(ChannelKind.DEPHASING, 0.6, 0.0, epsilon=0.5)
+    real = _Realizations.of(_seeded_unitaries(spec, n, [(2, k) for k in range(3)]), n)
+    weights = _channel_weights(spec.kind, spec.alpha, [0.0, 0.1, 0.3])
+    noise = _kraus_products((weights,) * n, real, senders, 0, 3)
+    x = rng.uniform(0, 4 * np.pi, (9, 3 * n))
+    values, grads = _env_problem(vecs, noise)(np.arange(9), x)
+    some = np.array([7, 2])
+    sub_values, sub_grads = _env_problem(vecs, noise)(some, x[some])
+    assert np.array_equal(sub_values, values[some])
+    assert np.array_equal(sub_grads, grads[some])
+    caps = _capacities(marg, weights, real)
+    for i in range(9):
+        a, b = divmod(i, 3)
+        one = _kraus_products((weights[a:a + 1],) * n, real, senders, b, b + 1)
+        value, grad = _env_problem(vecs, one)(np.arange(1), x[i:i + 1])
+        assert value[0] == values[i] and np.array_equal(grad[0], grads[i])
+        assert caps[a, b] == _capacities(marg, weights[a:a + 1], real, b, b + 1)[0, 0]
+
+
+def test_environment_side_dispatch(monkeypatch):
+    # pure one-receiver blocks under dephasing (r M < d) take the environment
+    # side and make no kernel pass; two-receiver blocks (mixed), depolarizing
+    # noise (M = 4^n) and a state with one eigenvalue above RANK_TOL do not
+    import qdc.capacity
+    kernel, env = [], []
+    for name, calls in (("_apply_local", kernel), ("_outputs", env)):
+        monkeypatch.setattr(qdc.capacity, name, lambda *a, f=getattr(qdc.capacity, name),
+                            calls=calls: calls.append(1) or f(*a))
+
+    def route(rho, lay, spec, **kwargs) -> set:
+        kernel.clear()
+        env.clear()
+        evaluate(rho, lay, spec, opt=OptimizerConfig(max_evaluations=20, restarts=1),
+                 **kwargs)
+        return {name for name, calls in (("kernel", kernel), ("env", env)) if calls}
+
+    deph = ChannelSpec(ChannelKind.DEPHASING, 0.5, 0.2)
+    depol = ChannelSpec(ChannelKind.DEPOLARIZING, 0.5, 0.2, epsilon=0.5)
+    ghz3 = build(GGHZ(3, 1 / np.sqrt(2)))
+    for optimize in (False, True):
+        assert route(ghz3, PartyLayout(2, 1), deph, optimize=optimize) == {"env"}
+        assert route(build(GGHZ(4, 0.6)), PartyLayout(2, 2, split=1), deph,
+                     optimize=optimize) == {"kernel"}
+        assert route(build(GGHZ(5, 0.8)), PartyLayout(3, 2, split=2), deph,
+                     optimize=optimize) == {"kernel"}
+        assert route(ghz3, PartyLayout(2, 1), depol, optimize=optimize,
+                     kraus_override=sample_per_qubit_kraus(
+                         depol, 2, np.random.default_rng(1))) == {"kernel"}
+        other = np.zeros((8, 8))
+        other[1, 1] = 1.0                       # |001>, orthogonal to GHZ
+        for weight, want in ((2 * RANK_TOL, {"kernel"}), (RANK_TOL / 2, {"env"})):
+            rho = (1 - weight) * ghz3 + weight * other
+            assert route(rho, PartyLayout(2, 1), deph, optimize=optimize) == want
+
+
+@pytest.mark.parametrize("state, lay", [
+    (GGHZ(3, 1 / np.sqrt(2)), PartyLayout(2, 1)),
+    (GGHZ(3, 0.6), PartyLayout(2, 1)),
+    (WUniform(3), PartyLayout(2, 1)),
+    (GW3(0.2, 0.3), PartyLayout(2, 1)),
+    (GGHZ(4, 1 / np.sqrt(2)), PartyLayout(3, 1)),
+    (GGHZ(4, 0.8), PartyLayout(3, 1)),
+    (WUniform(4), PartyLayout(3, 1)),
+    (GW4(0.1, 0.2, 0.3), PartyLayout(3, 1)),
+    (GGHZ(5, 1 / np.sqrt(2)), PartyLayout(4, 1)),
+    (GGHZ(5, 0.7), PartyLayout(4, 1)),
+])
+def test_environment_side_capacities_equal_the_kernel(state, lay):
+    # every pure one-receiver dephasing layout, with both encodings: the
+    # capacity the dispatch gives against the kernel's
+    rho = build(state)
+    marg = _marginals(rho, lay)
+    (block, senders, vecs), = marg.blocks
+    assert vecs.shape[1] == 1                   # pure: the environment side
+    opt = OptimizerConfig(max_evaluations=200, restarts=1)
+    for alpha, p in ((0.0, 0.1), (0.5, 0.2), (0.9, 0.45)):
+        w, real = _dephasing_noise(lay.n_senders, alpha, p, False, 0)
+        weights = (w,) * lay.n_senders
+        sups = _kernel_superops(weights, real, 0, 1)
+        for optimize in (False, True):
+            got, x = _output_entropies(marg, weights, real, 0, 1, opt, optimize)
+            want, _ = _block_entropy_and_grad(block, sups, x)
+            assert abs(got[0] - want[0]) <= 1e-13

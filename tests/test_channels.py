@@ -7,7 +7,7 @@ from qdc.channels import (ChannelError, ChannelKind, ChannelSpec, DrawPolicy,
                           KrausSet, _apply_local, _basis, _channel_weights,
                           _seeded_unitaries, _superop, _superops, _weighted,
                           apply_local_channel, deterministic_kraus,
-                          parse_channel, pauli_means, sample_per_qubit_kraus,
+                          p_range, parse_channel, pauli_means, sample_per_qubit_kraus,
                           unitary_from_params, UnitaryParams)
 
 
@@ -45,6 +45,40 @@ def test_depolarizing_weights():
     assert np.allclose(ks.operators[0], np.sqrt(0.56) * I2)
     for op, pauli in zip(ks.operators[1:], (SIGMA_X, SIGMA_Y, SIGMA_Z)):
         assert np.allclose(op, np.sqrt(0.44 / 3) * pauli)
+
+
+def scalar_weights(kind, alpha, p):
+    """The channel weights of one p, in Python floats, as the formula reads."""
+    if kind is ChannelKind.DEPHASING:
+        return [(1.0 - alpha * p) * (1.0 - p), (1.0 + alpha * (1.0 - p)) * p]
+    w_id = (1.0 - 3.0 * alpha * p) * (1.0 - p)
+    w_p = (1.0 + 3.0 * alpha * (1.0 - p)) * p / 3.0
+    return [max(0.0, w_id), w_p, w_p, w_p]
+
+
+@pytest.mark.parametrize("kind", list(ChannelKind))
+def test_channel_weights_of_a_batch_equal_the_scalar_formula_bitwise(kind):
+    for alpha in (0.0, 0.1, 0.3, 0.5, 0.8, 0.9, 1.0):
+        hi = p_range(ChannelSpec(kind, alpha, 0.0))[1]
+        # the grid ends at p = 1/2 (dephasing) or p = min(1, 1/(3 alpha))
+        ps = [float(p) for p in np.linspace(0.0, hi, 97)] + [hi]
+        batch = _channel_weights(kind, alpha, ps)
+        assert batch.shape == (len(ps), 2 if kind is ChannelKind.DEPHASING else 4)
+        for p, row in zip(ps, batch):
+            want = np.array(scalar_weights(kind, alpha, p))
+            assert row.tobytes() == want.tobytes(), (alpha, p)
+            assert _channel_weights(kind, alpha, p).tobytes() == want.tobytes()
+
+
+def test_channel_weights_reject_a_p_out_of_range_in_a_batch():
+    with pytest.raises(ChannelError, match="dephasing p=0.6 outside"):
+        _channel_weights(ChannelKind.DEPHASING, 0.3, [0.1, 0.6, 0.7])
+    with pytest.raises(ChannelError, match="dephasing p=nan outside"):
+        _channel_weights(ChannelKind.DEPHASING, 0.3, [0.1, np.nan])
+    # a negative identity weight, (1 - 3 a p)(1 - p) < 0, at p > 1/(3a)
+    for ps in (0.5, [0.1, 0.5]):
+        with pytest.raises(ChannelError, match="alpha=0.9, p=0.5"):
+            _channel_weights(ChannelKind.DEPOLARIZING, 0.9, ps)
 
 
 def test_kraus_completeness_enforced():

@@ -43,3 +43,23 @@ def test_benchmark_reduced_operations_pass_their_checks(monkeypatch):
     for workload in workloads.WORKLOADS.values():
         for op in workload.make(workloads.DEFAULT_SEED, True):
             assert op.check(op.run(), expected[op.key], True) == [], op.key
+
+
+def test_benchmark_keeps_one_workload_on_each_side_of_the_dispatch(monkeypatch):
+    # the reduced quench_opt operation (optimized dephasing) runs the
+    # environment-side objective; the reduced quench_id operation
+    # (depolarizing) never takes the environment side
+    import qdc.capacity
+    workloads = load("workloads", monkeypatch)
+    calls = {"objective": 0, "env": 0}
+    for name, key in (("_env_objective", "objective"), ("_outputs", "env")):
+        def counted(*args, f=getattr(qdc.capacity, name), key=key):
+            calls[key] += 1
+            return f(*args)
+        monkeypatch.setattr(qdc.capacity, name, counted)
+    for workload, on_env in (("quench_opt", True), ("quench_id", False)):
+        calls.update(objective=0, env=0)
+        for op in workloads.WORKLOADS[workload].make(workloads.DEFAULT_SEED, True):
+            op.run()
+        assert (calls["objective"] > 0) == on_env, (workload, calls)
+        assert (calls["env"] > 0) == on_env, (workload, calls)
