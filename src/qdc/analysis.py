@@ -16,8 +16,13 @@ Every capacity this module takes with a channel is read through one record,
 ``_Curves``, the only code that decides whether a channel family (the spec
 up to p) is random, which unitaries its realizations have and whether the
 encoding is optimized.  It keeps each point's row of per-realization
-capacities for one public call, so p_c, p_r and p_a read each point once.
-A curve is evaluated in batches: a rectangle of p-points (their channel
+capacities for one public call, evaluated up to some realization, so p_c,
+p_r and p_a evaluate each (p, realization) cell once.  The collapse and
+revival tests settle a point from its first realizations where they decide
+it (``_Curves.first_flip``): a capacity is clamped at the classical bound N,
+so a row whose missing realizations read N can only rise as they are
+evaluated.  p_a, quenched means and sweeps read full rows; completing a row
+evaluates only its missing realizations.  A curve is evaluated in batches: a rectangle of p-points (their channel
 weights, taken at once) by realizations goes to the capacity layer, which
 picks each block's route (the kernel or the environment side) and runs the
 rectangle together.  The block states and receiver entropies are traced
@@ -47,6 +52,9 @@ from .optimizer import OptimizerConfig
 # lockstep; bounds the memory of the stacked block states (256 five-qubit
 # states: 4 MB)
 _CHUNK = 256
+# realizations of a point that a collapse or revival test evaluates first;
+# each further slice is twice the one before it (8, 16, 32, ...)
+_FIRST_SLICE = 8
 
 
 class AnalysisError(ValueError):
@@ -94,29 +102,51 @@ def _reduce(values: np.ndarray) -> QuenchedResult:
 
 
 def _capacity_curve(marginals: _Marginals, spec: ChannelSpec, ps,
-                    real: _Realizations, opt: OptimizerConfig = OptimizerConfig(),
+                    real: _Realizations, lo: int = 0, hi: int | None = None,
+                    opt: OptimizerConfig = OptimizerConfig(),
                     optimize: bool = False) -> np.ndarray:
     """Capacities of the channel family ``spec`` (its p aside), one row per p
-    of ``ps`` and one column per realization of ``real``, for the state and
-    layout of ``marginals`` (``capacity._marginals``).
+    of ``ps`` and one column per realization in [lo, hi) of ``real`` (all of
+    them by default), for the state and layout of ``marginals``
+    (``capacity._marginals``).
 
     The (p, realization) grid is evaluated in rectangles of at most
     ``_CHUNK`` rows, or, with ``optimize``, of at most ``_CHUNK`` optimizer
     problems (restarts + 1 per row, at least one row): whole p-rows, or one
     p's realizations in slices.  Each value is bit-identical to a one-row
-    evaluation, and each p's row reduces in realization order.
+    evaluation.
     """
+    hi = len(real) if hi is None else hi
     weights = _channel_weights(spec.kind, spec.alpha, ps)
-    n_r = len(real)
-    values = np.empty((len(ps), n_r))
+    values = np.empty((len(ps), hi - lo))
     step = max(1, _CHUNK // (opt.restarts + 1)) if optimize else _CHUNK
-    p_step, r_step = max(1, step // n_r), min(step, n_r)
+    p_step, r_step = max(1, step // (hi - lo)), min(step, hi - lo)
     for a in range(0, len(ps), p_step):
-        for lo in range(0, n_r, r_step):
-            hi = min(lo + r_step, n_r)
-            values[a:a + p_step, lo:hi] = _capacities(
-                marginals, weights[a:a + p_step], real, lo, hi, opt, optimize)
+        for b in range(lo, hi, r_step):
+            c = min(b + r_step, hi)
+            values[a:a + p_step, b - lo:c - lo] = _capacities(
+                marginals, weights[a:a + p_step], real, b, c, opt, optimize)
     return values
+
+
+def _means(rows: np.ndarray) -> np.ndarray:
+    """Mean of each row of a ``(points, realizations)`` stack, each row summed
+    in index order, as ``_reduce`` sums it."""
+    return np.sum(rows, axis=1) / rows.shape[1]
+
+
+@dataclass(eq=False)
+class _Family:
+    """A channel family (a spec up to p): its realizations, whether its
+    encoding is optimized, and each point's row of per-realization
+    capacities, keyed by p, with the number n of realizations evaluated in
+    it, [0, n); the others hold the classical bound, the least value a
+    capacity takes."""
+    spec: ChannelSpec
+    real: _Realizations
+    optimize: bool
+    rows: dict = field(default_factory=dict)
+    evaluated: dict = field(default_factory=dict)
 
 
 @dataclass(eq=False)
@@ -126,18 +156,22 @@ class _Curves:
     the unitaries of each channel family's realizations (a random kind,
     epsilon and draw policy's draws, or a kind's exact Paulis) with what the
     capacity layer derives from them, and per channel family each point's
-    row of per-realization capacities."""
+    row of per-realization capacities, evaluated up to some realization."""
     rho: np.ndarray
     layout: PartyLayout
     opt: OptimizerConfig
     optimize: bool
     quench: QuenchConfig | None
     _draws: dict = field(default_factory=dict, init=False, repr=False)
-    _memo: dict = field(default_factory=dict, init=False, repr=False)
+    _families: dict = field(default_factory=dict, init=False, repr=False)
 
     @functools.cached_property
     def marginals(self) -> _Marginals:
         return _marginals(self.rho, self.layout)
+
+    @property
+    def classical(self) -> float:
+        return float(self.layout.n_senders)
 
     def realizations(self, spec: ChannelSpec) -> _Realizations:
         """Realization k of a random family draws from a generator seeded
@@ -152,28 +186,94 @@ class _Curves:
                 _check_unitary(u)
             else:
                 u = _PAULIS[spec.kind][None, None]
-            self._draws[key] = _Realizations.of(u, self.layout.n_senders)
+            self._draws[key] = _Realizations.of(u, self.layout.n_senders, self.marginals)
         return self._draws[key]
 
-    def rows(self, spec: ChannelSpec, ps) -> list[np.ndarray]:
-        """Per-realization capacities of the family ``spec`` at each p of
-        ``ps``; points not read before are evaluated together.  A random
-        family optimizes as the quench says; a deterministic one as
-        ``optimize`` says unless it is covariant."""
-        if spec.is_random and self.quench is None:
-            raise AnalysisError("a random channel needs a QuenchConfig")
-        family = (spec.kind, spec.alpha, spec.epsilon, spec.draw_policy)
-        memo = self._memo.setdefault(family, {})
-        new = [p for p in dict.fromkeys(ps) if p not in memo]
-        if new:
+    def _family(self, spec: ChannelSpec) -> _Family:
+        """The family of ``spec``.  A random one optimizes as the quench
+        says; a deterministic one as ``optimize`` says unless it is
+        covariant."""
+        key = (spec.kind, spec.alpha, spec.epsilon, spec.draw_policy)
+        if key not in self._families:
             if spec.is_random:
+                if self.quench is None:
+                    raise AnalysisError("a random channel needs a QuenchConfig")
                 optimize = self.quench.optimize_per_realization
             else:
                 optimize = self.optimize and not spec.is_covariant
-            memo.update(zip(new, _capacity_curve(self.marginals, spec, new,
-                                                 self.realizations(spec), self.opt,
-                                                 optimize)))
-        return [memo[p] for p in ps]
+            self._families[key] = _Family(spec, self.realizations(spec), optimize)
+        return self._families[key]
+
+    def _extend(self, family: _Family, ps, stop) -> None:
+        """Evaluate the realizations of each distinct p of ``ps`` from the
+        first not evaluated, n, up to ``stop(n)``; points with the same n
+        together."""
+        groups: dict[int, list] = {}
+        for p in ps:
+            groups.setdefault(family.evaluated.get(p, 0), []).append(p)
+        n_r = len(family.real)
+        for n, group in groups.items():
+            hi = stop(n)
+            values = _capacity_curve(self.marginals, family.spec, group, family.real,
+                                     n, hi, self.opt, family.optimize)
+            for p, v in zip(group, values):
+                if n > 0:
+                    family.rows[p][n:hi] = v
+                elif hi < n_r:
+                    family.rows[p] = np.concatenate([v, np.full(n_r - hi, self.classical)])
+                else:
+                    family.rows[p] = v
+                family.evaluated[p] = hi
+
+    def rows(self, spec: ChannelSpec, ps) -> list[np.ndarray]:
+        """Per-realization capacities of the family ``spec`` at each p of
+        ``ps``; the realizations not evaluated before are evaluated
+        together."""
+        family = self._family(spec)
+        n_r = len(family.real)
+        self._extend(family, [p for p in dict.fromkeys(ps)
+                              if family.evaluated.get(p, 0) < n_r], lambda n: n_r)
+        return [family.rows[p] for p in ps]
+
+    def first_flip(self, spec: ChannelSpec, ps: list, threshold: float,
+                   above: bool) -> int | None:
+        """Index of the first p of ``ps`` where the mean capacity of the
+        family ``spec`` lies more than ``threshold`` above the classical
+        bound (``above``) or does not (not ``above``), or None.
+
+        A point is settled from the realizations evaluated so far.  The
+        others hold the classical bound N, the least value a capacity takes,
+        so the mean of a filled row sums an array of the same length in the
+        same order as the full row, and float addition is monotone: a filled
+        row above the threshold is above it when full.  A row is read in
+        full otherwise.  Each point takes its realizations in slices of
+        ``_FIRST_SLICE``, twice that, four times, ..., every point not
+        settled in each round; points after a settled flip are left as they
+        are.
+        """
+        family = self._family(spec)
+        rows, evaluated, n_r = family.rows, family.evaluated, len(family.real)
+
+        def next_slice(n: int) -> int:
+            return min(n_r, 2 * n + _FIRST_SLICE)
+
+        live, first = list(dict.fromkeys(ps)), None
+        # a point not evaluated at all reads exactly N, so it is not settled
+        self._extend(family, [p for p in live if p not in evaluated], next_slice)
+        while True:
+            is_above = (_means(np.array([rows[p] for p in live]))
+                        - self.classical > threshold).tolist()
+            unsettled = []
+            for p, a in zip(live, is_above):
+                if not (a or evaluated[p] == n_r):
+                    unsettled.append(p)
+                elif a == above:
+                    first = ps.index(p)
+                    break
+            if not unsettled:
+                return first
+            live = unsettled
+            self._extend(family, live, next_slice)
 
 
 def quenched_capacity(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec,
@@ -227,35 +327,30 @@ class _Scan:
             raise AnalysisError(f"threshold={self.threshold} must be finite and "
                                 "non-negative")
 
-    @property
-    def classical(self) -> float:
-        return float(self.curves.layout.n_senders)
-
     def curve(self, spec: ChannelSpec, ps) -> np.ndarray:
-        """Mean capacity of the family ``spec`` at each p of ``ps``: each
-        row summed in index order, as ``_reduce`` sums it."""
-        rows = np.array(self.curves.rows(spec, ps))
-        return np.sum(rows, axis=1) / rows.shape[1]
-
+        """Mean capacity of the family ``spec`` at each p of ``ps``, from
+        full rows."""
+        return _means(np.array(self.curves.rows(spec, ps)))
 
 def _first_crossing(predicate, lo: float, hi: float, scan_step: float,
                     refine: float) -> float | None:
     """Smallest p in [lo, hi] where predicate flips to True.
 
-    ``predicate`` maps a list of p to an array of bools.  Forward scan on a
-    uniform grid, evaluated in chunks of 1, 2, 4, ... points up to the first
-    chunk that flips, then bisection inside the first flipping interval down
-    to width <= refine.  Grid points are generated as lo + k*scan_step so
-    that round decimals are hit exactly.  Only the first check, of lo itself
-    (the first chunk), can return lo.
+    ``predicate`` maps a list of p to the index of its first p where it is
+    True, or None.  Forward scan on a uniform grid, evaluated in chunks of
+    1, 2, 4, ... points up to the first chunk that flips, then bisection
+    inside the first flipping interval down to width <= refine.  Grid points
+    are generated as lo + k*scan_step so that round decimals are hit
+    exactly.  Only the first check, of lo itself (the first chunk), can
+    return lo.
     """
     n_steps = int(np.ceil((hi - lo) / scan_step))
     grid = [lo] + [min(lo + k * scan_step, hi) for k in range(1, n_steps + 1)]
     hit, start, size = None, 0, 1
     while hit is None and start < len(grid):
-        flips = predicate(grid[start:start + size])
-        if flips.any():
-            hit = start + int(np.argmax(flips))
+        first = predicate(grid[start:start + size])
+        if first is not None:
+            hit = start + first
         start, size = start + size, 2 * size
     if hit is None:
         return None
@@ -264,7 +359,7 @@ def _first_crossing(predicate, lo: float, hi: float, scan_step: float,
     a, b = grid[hit - 1], grid[hit]
     while b - a > refine:
         mid = 0.5 * (a + b)
-        if predicate([mid])[0]:
+        if predicate([mid]) is not None:
             b = mid
         else:
             a = mid
@@ -274,8 +369,8 @@ def _first_crossing(predicate, lo: float, hi: float, scan_step: float,
 def _find_pc(scan: _Scan) -> float | None:
     lo, hi = p_range(scan.spec)
 
-    def collapsed(ps) -> np.ndarray:
-        return scan.curve(scan.spec, ps) - scan.classical <= scan.threshold
+    def collapsed(ps) -> int | None:
+        return scan.curves.first_flip(scan.spec, ps, scan.threshold, above=False)
 
     p = _first_crossing(collapsed, lo, hi, scan.scan_step, scan.refine)
     return None if p == lo else p   # collapsed at lo: no advantage to lose
@@ -286,8 +381,8 @@ def _find_pr(scan: _Scan, p_c: float | None) -> float | None:
         return None
     _, hi = p_range(scan.spec)
 
-    def revived(ps) -> np.ndarray:
-        return scan.curve(scan.spec, ps) - scan.classical > scan.threshold
+    def revived(ps) -> int | None:
+        return scan.curves.first_flip(scan.spec, ps, scan.threshold, above=True)
 
     # start one refine-width past the collapse point
     lo = min(p_c + scan.refine, hi)
@@ -299,8 +394,9 @@ def _find_pa(scan: _Scan) -> float | None:
     spec_nm, spec_m = scan.spec, dataclasses.replace(scan.spec, alpha=0.0)
     lo, hi = p_range(spec_nm)
 
-    def advantaged(ps) -> np.ndarray:
-        return scan.curve(spec_nm, ps) - scan.curve(spec_m, ps) > scan.threshold
+    def advantaged(ps) -> int | None:
+        flags = scan.curve(spec_nm, ps) - scan.curve(spec_m, ps) > scan.threshold
+        return int(np.argmax(flags)) if flags.any() else None
 
     return _first_crossing(advantaged, lo, hi, scan.scan_step, scan.refine)
 

@@ -320,43 +320,57 @@ class _Realizations:
     """R realizations of each sender's noise unitaries (real if exact): at
     weights w, sender q's channel in realization b is w_0 rho +
     sum_{j>=1} w_j U_j rho U_j^dag with U_j = ``unitaries[q][b, j-1]``
-    (``(R, m_q - 1, 2, 2)``).  It keeps what it derives from them, whatever the
-    weights: each sender's superoperator basis U (x) conj(U), the identity
-    and the unitaries as one stack, and the environment-side Gram matrices of
-    block vectors at unit weights."""
-    unitaries: tuple[np.ndarray, ...]
+    (``(R, m_q - 1, 2, 2)``).  Senders given the same array share a group,
+    and what it derives from them, whatever the weights: the superoperator
+    basis U (x) conj(U), the identity and the unitaries as one stack, and
+    the environment-side Gram matrices of block vectors at unit weights.
+    ``unitaries`` is None once only the bases are kept."""
+    unitaries: tuple[np.ndarray, ...] | None
+    groups: tuple[int, ...] = field(init=False)
+    size: int = field(init=False)
     _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        # senders that share an array keep sharing it, and what it derives
+        first = {}
+        self.groups = tuple(first.setdefault(id(u), len(first)) for u in self.unitaries)
         real = {id(u): _real_if_exact(u) for u in self.unitaries}
         self.unitaries = tuple(real[id(u)] for u in self.unitaries)
+        self.size = len(self.unitaries[0])
 
     @staticmethod
-    def of(u: np.ndarray, n_senders: int) -> "_Realizations":
-        """From unitaries ``(R, rows, m-1, 2, 2)``: one row per sender or one for all."""
+    def of(u: np.ndarray, n_senders: int, marg: "_Marginals | None" = None
+           ) -> "_Realizations":
+        """From unitaries ``(R, rows, m-1, 2, 2)``: one row per sender or one
+        for all.  When no block of ``marg`` can take the environment side
+        under these channels, only the senders' bases are kept."""
         rows = [u[:, i] for i in range(u.shape[1])]
-        return _Realizations(tuple(rows[min(q, len(rows) - 1)] for q in range(n_senders)))
+        real = _Realizations(tuple(rows[min(q, len(rows) - 1)] for q in range(n_senders)))
+        if marg is not None and not any(
+                _takes_environment_side(block, psi, [u.shape[2] + 1] * len(senders))
+                for block, senders, psi in marg.blocks):
+            for q in range(n_senders):
+                real.basis(q)
+            real.unitaries = None
+        return real
 
     def __len__(self) -> int:
-        return len(self.unitaries[0])
+        return self.size
 
     def _keep(self, key, make):
-        # each key holds the arrays it was made from, so an id stays theirs
         if key not in self._derived:
             self._derived[key] = make()
-        return self._derived[key][-1]
+        return self._derived[key]
 
     def basis(self, q: int) -> np.ndarray:
         """U (x) conj(U) of sender q's unitaries, ``(R, m_q - 1, 4, 4)``."""
-        u = self.unitaries[q]
-        return self._keep(("basis", id(u)), lambda: (u, _real_if_exact(_kron_conj(u))))
+        return self._keep(("basis", self.groups[q]),
+                          lambda: _real_if_exact(_kron_conj(self.unitaries[q])))
 
     def terms(self, q: int) -> np.ndarray:
         """The identity and sender q's unitaries, ``(R, m_q, 2, 2)``."""
         u = self.unitaries[q]
-        return self._keep(("terms", id(u)), lambda: (u, np.concatenate(
-            [np.broadcast_to(np.eye(2, dtype=u.dtype), (len(u), 1, 2, 2)), u], axis=1)))
+        return self._keep(("terms", self.groups[q]), lambda: np.concatenate(
+            [np.broadcast_to(np.eye(2, dtype=u.dtype), (len(u), 1, 2, 2)), u], axis=1))
 
     def gram(self, psi: np.ndarray, senders: list[int]) -> np.ndarray:
         """Each realization's Gram matrix of the block vectors ``psi`` after
@@ -364,10 +378,11 @@ class _Realizations:
         def make():
             terms = [self.terms(q) for q in senders]
             psi_s = psi.reshape(2 ** len(senders), -1)
+            # psi is kept with its matrices, so its id stays its own
             return psi, _real_if_exact(np.concatenate([
                 _outputs(_kron_rows([t[a:a + _GRAM_SLICE] for t in terms]), psi_s)[1]
                 for a in range(0, len(self), _GRAM_SLICE)]))
-        return self._keep(("gram", id(psi), tuple(senders)), make)
+        return self._keep(("gram", id(psi), tuple(senders)), make)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,6 +405,12 @@ class _Marginals:
 # qdc.states.build, and random 2- to 5-qubit states); dropping true
 # eigenvalues of at most RANK_TOL moves an entropy by less than 2e-11.
 RANK_TOL = 1e-14
+
+
+def _takes_environment_side(block: np.ndarray, psi: np.ndarray, terms) -> bool:
+    """Whether a block state with vectors psi ``(d, r)`` takes the environment
+    side under senders with ``terms`` Kraus terms each: r M < d."""
+    return psi.shape[1] * math.prod(terms) < len(block)
 
 
 def _block_vectors(block: np.ndarray) -> np.ndarray:
@@ -422,11 +443,11 @@ def _kernel_superops(weights, real: _Realizations, lo: int, hi: int) -> list[np.
     for senders that share both."""
     made = {}
     for q in range(len(weights)):
-        key = (id(weights[q]), id(real.unitaries[q]))
+        key = (id(weights[q]), real.groups[q])
         if key not in made:
             made[key] = _superops(weights[q][:, None],
                                   real.basis(q)[None, lo:hi]).reshape(-1, 4, 4)
-    return [made[id(weights[q]), id(real.unitaries[q])] for q in range(len(weights))]
+    return [made[id(weights[q]), real.groups[q]] for q in range(len(weights))]
 
 
 def _kraus_products(weights, real: _Realizations, senders: list[int], lo: int,
@@ -467,7 +488,7 @@ def _output_entropies(marg: _Marginals, weights, real: _Realizations, lo: int,
     n_rows = len(weights[0]) * (hi - lo)
     sups, entropies, encodings = [], [], []
     for block, senders, psi in marg.blocks:
-        env = psi.shape[1] * math.prod(weights[q].shape[-1] for q in senders) < len(block)
+        env = _takes_environment_side(block, psi, [weights[q].shape[-1] for q in senders])
         if not env:
             sups = sups or _kernel_superops(weights, real, lo, hi)
         if optimize:

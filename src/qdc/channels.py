@@ -267,8 +267,8 @@ _DRAWN_MEANS = {
 
 
 def _draw_unitaries(spec: ChannelSpec, n_targets: int, rngs) -> np.ndarray:
-    """Unitaries that follow the identity, of shape (len(rngs), rows, m-1, 2, 2):
-    one row per target, or one shared by all.  They depend on the kind,
+    """Unitaries that follow the identity, of shape (number of generators,
+    rows, m-1, 2, 2): one row per target, or one shared by all.  They depend on the kind,
     epsilon and draw policy of ``spec``, not on its p or alpha.  Each
     generator draws its parameters at once: ``rng.normal(mean, eps)`` is
     mean + eps * z for one standard normal z, so the values are those of
@@ -292,10 +292,11 @@ def sample_per_qubit_kraus(spec: ChannelSpec, n_targets: int,
 
 def _seeded_unitaries(spec: ChannelSpec, n_targets: int, seeds) -> np.ndarray:
     """``_draw_unitaries`` with one generator per seed, seeded with
-    ``SeedSequence(seed)``."""
+    ``SeedSequence(seed)``; each is made as it is drawn from, so only one is
+    alive at a time."""
     return _draw_unitaries(spec, n_targets,
-                           [np.random.default_rng(np.random.SeedSequence(s))
-                            for s in seeds])
+                           (np.random.default_rng(np.random.SeedSequence(s))
+                            for s in seeds))
 
 
 def deterministic_kraus(spec: ChannelSpec) -> KrausSet:

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qdc.capacity
 from qdc import analysis
@@ -235,25 +237,64 @@ def test_optimized_quench_independent_of_group_size(monkeypatch, state, lay):
     assert all(r == results[0] for r in results)
 
 
-def _count_curve_points(monkeypatch) -> list[tuple]:
-    """Record each (channel family, p) the scans evaluate at the curve layer."""
-    points = []
+@pytest.mark.parametrize("state, lay, kind, keeps", [
+    (GGHZ(3, 1 / np.sqrt(2)), PartyLayout(2, 1), ChannelKind.DEPOLARIZING, False),
+    (GGHZ(3, 1 / np.sqrt(2)), PartyLayout(2, 1), ChannelKind.DEPHASING, True),
+    (GGHZ(4, 1 / np.sqrt(2)), PartyLayout(2, 2, split=1), ChannelKind.DEPHASING, False),
+])
+def test_realizations_keep_unitaries_only_for_the_environment_side(state, lay, kind,
+                                                                   keeps):
+    # a family whose blocks all stay on the kernel keeps its senders' bases
+    # and not the unitaries they were made from; its values do not change
+    curves = analysis._Curves(build(state), lay, OPT, False,
+                              QuenchConfig(20, master_seed=4))
+    spec = ChannelSpec(kind, 0.5, 0.1, epsilon=0.5)
+    real = curves.realizations(spec)
+    assert (real.unitaries is not None) == keeps
+    kept = _Realizations.of(_seeded_unitaries(
+        spec, lay.n_senders, [(4, k) for k in range(20)]), lay.n_senders)
+    weights = _channel_weights(kind, 0.5, [0.1, 0.2])
+    assert np.array_equal(_capacities(curves.marginals, weights, real),
+                          _capacities(curves.marginals, weights, kept))
+
+
+def _count_curve_cells(monkeypatch) -> list[tuple]:
+    """Record each (channel family, p, realization) cell the scans evaluate
+    at the curve layer."""
+    cells = []
     capacity_curve = analysis._capacity_curve
 
-    def counted(marginals, spec, ps, *args):
-        points.extend((spec, p) for p in ps)
-        return capacity_curve(marginals, spec, ps, *args)
+    def counted(marginals, spec, ps, real, lo=0, hi=None, *args):
+        hi = len(real) if hi is None else hi
+        cells.extend((spec, p, k) for p in ps for k in range(lo, hi))
+        return capacity_curve(marginals, spec, ps, real, lo, hi, *args)
 
     monkeypatch.setattr(analysis, "_capacity_curve", counted)
-    return points
+    return cells
+
+
+def _mark_find_pa(monkeypatch, cells) -> list[int]:
+    """Record how many cells had been evaluated when p_a's scan starts."""
+    marks = []
+    find_pa = analysis._find_pa
+    monkeypatch.setattr(analysis, "_find_pa",
+                        lambda scan: marks.append(len(cells)) or find_pa(scan))
+    return marks
+
+
+def _cells_per_point(cells) -> dict:
+    read = {}
+    for spec, p, _ in cells:
+        read[spec, p] = read.get((spec, p), 0) + 1
+    return read
 
 
 def test_find_pc_evaluates_lower_end_once(monkeypatch):
-    points = _count_curve_points(monkeypatch)
+    cells = _count_curve_cells(monkeypatch)
     spec = ChannelSpec(ChannelKind.DEPHASING, 0.5, 0.0)
     pc = find_pc(build(GGHZ(3, 1 / np.sqrt(2))), PartyLayout(2, 1), spec,
                  scan_step=1e-2, refine=1e-3, optimize=False)
-    assert pc is not None and [p for _, p in points].count(0.0) == 1
+    assert pc is not None and [p for _, p, _ in cells].count(0.0) == 1
 
 
 @pytest.mark.parametrize("spec, quench, optimize", [
@@ -262,18 +303,83 @@ def test_find_pc_evaluates_lower_end_once(monkeypatch):
      QuenchConfig(20, master_seed=1), False),
     # optimized per point: read one point at a time, through the same memo
     (ChannelSpec(ChannelKind.DEPHASING, 0.5, 0.0), None, True),
+    # p_a completes rows that the collapse and revival tests left partial
+    (ChannelSpec(ChannelKind.DEPHASING, 0.6, 0.0, epsilon=0.6),
+     QuenchConfig(30, master_seed=3), False),
 ])
 def test_critical_strengths_reads_each_curve_point_once(monkeypatch, spec, quench,
                                                         optimize):
-    points = _count_curve_points(monkeypatch)
+    # each (p, realization) cell is evaluated at most once, also when a
+    # point's realizations come in slices and when p_a completes its row
+    cells = _count_curve_cells(monkeypatch)
+    before_pa = _mark_find_pa(monkeypatch, cells)
     cs = critical_strengths(build(GGHZ(3, 1 / np.sqrt(2))), PartyLayout(2, 1),
                             spec, OptimizerConfig(max_evaluations=60, restarts=1),
                             scan_step=5e-2, refine=1e-3,
                             optimize=optimize, quench=quench)
     assert (cs.p_c, cs.p_a) != (None, None)
-    assert len(set(points)) == len(points)
+    assert len(set(cells)) == len(cells)
     # p_a's scan reads the Markovian curve besides the shared one
-    assert {s.alpha for s, _ in points} == {0.0, spec.alpha}
+    assert {s.alpha for s, _, _ in cells} == {0.0, spec.alpha}
+    if quench is not None:
+        partial = {key for key, count in _cells_per_point(cells[:before_pa[0]]).items()
+                   if count < quench.realizations}
+        assert partial       # settled from a partial row
+        if spec.alpha == 0.6:
+            assert partial & set(_cells_per_point(cells[before_pa[0]:]))
+
+
+def test_quenched_scan_settles_points_from_partial_rows(monkeypatch):
+    # the quenched p_c scan of a benchmark cell: the same p_c as when every
+    # point reads its full row, from fewer than the full rows' 900 cells
+    rho, lay = build(GGHZ(3, 1 / np.sqrt(2))), PartyLayout(2, 1)
+    spec = ChannelSpec(ChannelKind.DEPOLARIZING, 0.3, 0.0, epsilon=0.5)
+    cells = _count_curve_cells(monkeypatch)
+    counts = []
+    for first_slice in (analysis._FIRST_SLICE, 50):      # 50: the full rows
+        monkeypatch.setattr(analysis, "_FIRST_SLICE", first_slice)
+        start = len(cells)
+        counts.append((find_pc(rho, lay, spec, scan_step=5e-3, refine=1e-3,
+                               optimize=False, quench=QuenchConfig(50, master_seed=0)),
+                       len(cells) - start))
+    (settled, n_settled), (full, n_full) = counts
+    assert settled == full == 0.05437500000000001
+    assert n_full == 900 and n_settled < 900
+
+
+def _surplus_above(rows, classical, threshold):
+    return analysis._means(rows) - classical > threshold
+
+
+@settings(max_examples=400, deadline=None)
+@given(n_r=st.integers(1, 4000), classical=st.integers(1, 4),
+       threshold=st.sampled_from([0.0, 1e-9]), at_bound=st.floats(0.0, 1.0),
+       scale=st.sampled_from([0.0, 0.5, 1.0, 2.0, 1e3]),
+       ulps=st.integers(-4, 4), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_a_filled_prefix_settles_above_only_when_the_full_row_does(
+        n_r, classical, threshold, at_bound, scale, ulps, seed, data):
+    # a row's realizations not yet evaluated read N, the least value a
+    # clamped capacity takes; the filled row must never read above the
+    # threshold when the full row reads at or below it
+    rng = np.random.default_rng(seed)
+    n = float(classical)
+    row = np.full(n_r, n)
+    off = rng.random(n_r) >= at_bound                  # many values exactly N
+    share = rng.random(int(off.sum()))
+    if off.any():
+        # surpluses summing to about scale * threshold * R, a few ulps apart
+        row[off] = n + scale * threshold * n_r * share / share.sum()
+        if threshold == 0.0:
+            row[off] = n + rng.integers(0, 5, int(off.sum())) * np.spacing(n)
+    for _ in range(abs(ulps)):
+        i = rng.integers(n_r)
+        row[i] = max(n, np.nextafter(row[i], np.inf if ulps > 0 else -np.inf))
+    prefix = data.draw(st.integers(0, n_r))
+    filled = row.copy()
+    filled[prefix:] = n
+    above = _surplus_above(np.array([filled, row]), n, threshold)
+    assert not (above[0] and not above[1])
+    assert above[0] == _surplus_above(filled[None], n, threshold)[0]
 
 
 @pytest.mark.parametrize("name", ["scan_step", "refine"])
@@ -337,11 +443,13 @@ def _chunked_quench_mean(rho, lay, spec, qc):
     return float(np.sum(values) / values.size)
 
 
-def _reference_strengths(rho, lay, spec, quench, scan_step, refine):
+def _reference_strengths(rho, lay, spec, quench, opt, scan_step, refine):
     def cap(s, p):
         s = dataclasses.replace(s, p=p)
         if quench is None:
-            return mean_capacity(rho, lay, s, OPT, False).mean_capacity_bits
+            return mean_capacity(rho, lay, s, opt, False).mean_capacity_bits
+        if quench.optimize_per_realization:
+            return quenched_capacity(rho, lay, s, quench, opt).mean_capacity_bits
         return _chunked_quench_mean(rho, lay, s, quench)
 
     thr, classical = analysis.COLLAPSE_THRESHOLD, float(lay.n_senders)
@@ -373,20 +481,34 @@ X = 1 / np.sqrt(2)
     (WUniform(3), PartyLayout(2, 1),
      ChannelSpec(ChannelKind.DEPOLARIZING, 0.5, 0.0, epsilon=1.0,
                  draw_policy=DrawPolicy.SHARED_ACROSS_QUBITS), QuenchConfig(11)),
+    (GGHZ(3, X), PartyLayout(2, 1),
+     ChannelSpec(ChannelKind.DEPOLARIZING, 0.5, 0.0, epsilon=0.5), QuenchConfig(40)),
+    (GGHZ(3, X), PartyLayout(2, 1),
+     ChannelSpec(ChannelKind.DEPOLARIZING, 0.5, 0.0, epsilon=0.5),
+     QuenchConfig(10, master_seed=1, optimize_per_realization=True)),
 ])
 def test_batched_scans_match_per_point_reference(monkeypatch, state, lay, spec,
                                                  quench):
-    # 11 realizations in slices of 7 rows: each p's realizations in two
-    # slices, and deterministic p-points seven at a time
+    # 11 or 40 realizations in rectangles of 7 rows: each p's realizations in
+    # several, and deterministic p-points seven at a time; a quenched collapse
+    # or revival test settles some points from their first realizations
     monkeypatch.setattr(analysis, "_CHUNK", 7)
+    cells = _count_curve_cells(monkeypatch)
+    before_pa = _mark_find_pa(monkeypatch, cells)
     rho = build(state)
+    opt = OptimizerConfig(max_evaluations=60, restarts=1)
     scan = dict(scan_step=1e-2, refine=1e-3)
-    cs = critical_strengths(rho, lay, spec, OPT, optimize=False, quench=quench,
+    if quench is not None and quench.optimize_per_realization:
+        scan = dict(scan_step=5e-2, refine=1e-2)
+    cs = critical_strengths(rho, lay, spec, opt, optimize=False, quench=quench,
                             **scan)
-    ref = _reference_strengths(rho, lay, spec, quench, **scan)
+    read = _cells_per_point(cells[:before_pa[0]])
+    ref = _reference_strengths(rho, lay, spec, quench, opt, **scan)
     assert (cs.p_c, cs.p_r, cs.p_a) == ref
     assert ref != (None, None, None)
     if quench is not None:
+        assert min(read.values()) < quench.realizations
+    if quench is not None and not quench.optimize_per_realization:
         p = 0.03
         q = quenched_capacity(rho, lay, dataclasses.replace(spec, p=p), quench)
         assert q.mean_capacity_bits == _chunked_quench_mean(

@@ -63,3 +63,32 @@ def test_benchmark_keeps_one_workload_on_each_side_of_the_dispatch(monkeypatch):
             op.run()
         assert (calls["objective"] > 0) == on_env, (workload, calls)
         assert (calls["env"] > 0) == on_env, (workload, calls)
+
+
+def test_benchmark_keeps_one_workload_on_each_side_of_the_settling(monkeypatch):
+    # the reduced quench_id operation settles a point from a partial row of
+    # realizations; the reduced scan_det operation (deterministic: one
+    # realization) never evaluates a partial row
+    import qdc.analysis
+    workloads = load("workloads", monkeypatch)
+    calls = []
+    capacity_curve = qdc.analysis._capacity_curve
+
+    def counted(marginals, spec, ps, real, lo=0, hi=None, *args):
+        hi = len(real) if hi is None else hi
+        calls.append((ps, lo, hi, len(real)))
+        return capacity_curve(marginals, spec, ps, real, lo, hi, *args)
+
+    monkeypatch.setattr(qdc.analysis, "_capacity_curve", counted)
+    for workload, settles in (("quench_id", True), ("scan_det", False)):
+        calls.clear()
+        for op in workloads.WORKLOADS[workload].make(workloads.DEFAULT_SEED, True):
+            op.run()
+        assert calls, workload
+        assert any(lo > 0 or hi < n_r for _, lo, hi, n_r in calls) == settles, workload
+        read = {}
+        for ps, lo, hi, _ in calls:
+            for p in ps:
+                read[p] = read.get(p, 0) + hi - lo
+        n_r = calls[0][3]
+        assert any(count < n_r for count in read.values()) == settles, workload
