@@ -9,8 +9,15 @@ Critical strengths of a noisy dense-coding problem:
 
 All three are located by a forward scan over a p-grid followed by bisection
 on the first grid interval where the detection predicate flips.  The forward
-grid is evaluated in chunks of 1, 2, 4, ... points, up to the first chunk
-that holds a flip.
+grid is read in chunks of 1, 2, 4, ... points, up to the first chunk that
+holds a flip.  When a point of the scanned family is one fixed-encoding
+cell (one realization, identity or covariant encoding), a curve call costs
+far more than a point, so what the walk is about to read is evaluated ahead
+of it, in few calls: the forward grid in windows of ``_WINDOW`` points, and
+a bisection's dyadic tree of midpoints, ``_WINDOW`` at most, before it walks
+the tree.  Any other family's points are evaluated as the walk reads them.
+The walk reads every value from the same memo either way, so the result
+does not depend on the schedule.
 
 Every capacity this module takes with a channel is read through one record,
 ``_Curves``, the only code that decides whether a channel family (the spec
@@ -21,8 +28,10 @@ p_r and p_a evaluate each (p, realization) cell once.  The collapse and
 revival tests settle a point from its first realizations where they decide
 it (``_Curves.first_flip``): a capacity is clamped at the classical bound N,
 so a row whose missing realizations read N can only rise as they are
-evaluated.  p_a, quenched means and sweeps read full rows; completing a row
-evaluates only its missing realizations.  A curve is evaluated in batches: a rectangle of p-points (their channel
+evaluated.  p_a reads full rows, a chunk's points in order, a rectangle's
+worth at a time, up to the first flip; quenched means and sweeps read full
+rows; completing a row evaluates only its missing realizations.  A curve is
+evaluated in batches: a rectangle of p-points (their channel
 weights, taken at once) by realizations goes to the capacity layer, which
 picks each block's route (the kernel or the environment side) and runs the
 rectangle together.  The block states and receiver entropies are traced
@@ -55,6 +64,9 @@ _CHUNK = 256
 # realizations of a point that a collapse or revival test evaluates first;
 # each further slice is twice the one before it (8, 16, 32, ...)
 _FIRST_SLICE = 8
+# grid points, or bisection midpoints, that a scan of a one-cell family
+# evaluates ahead of its walk in one call; chosen by measurement (ROADMAP)
+_WINDOW = 64
 
 
 class AnalysisError(ValueError):
@@ -101,6 +113,15 @@ def _reduce(values: np.ndarray) -> QuenchedResult:
     return QuenchedResult(mean, stderr, int(values.size))
 
 
+def _rectangle(n_r: int, opt: OptimizerConfig, optimize: bool) -> tuple[int, int]:
+    """Points and realizations of one batch of a curve whose points read
+    ``n_r`` realizations each: at most ``_CHUNK`` rows, or, with
+    ``optimize``, at most ``_CHUNK`` optimizer problems (restarts + 1 per
+    row, at least one row)."""
+    step = max(1, _CHUNK // (opt.restarts + 1)) if optimize else _CHUNK
+    return max(1, step // n_r), min(step, n_r)
+
+
 def _capacity_curve(marginals: _Marginals, spec: ChannelSpec, ps,
                     real: _Realizations, lo: int = 0, hi: int | None = None,
                     opt: OptimizerConfig = OptimizerConfig(),
@@ -110,17 +131,14 @@ def _capacity_curve(marginals: _Marginals, spec: ChannelSpec, ps,
     them by default), for the state and layout of ``marginals``
     (``capacity._marginals``).
 
-    The (p, realization) grid is evaluated in rectangles of at most
-    ``_CHUNK`` rows, or, with ``optimize``, of at most ``_CHUNK`` optimizer
-    problems (restarts + 1 per row, at least one row): whole p-rows, or one
-    p's realizations in slices.  Each value is bit-identical to a one-row
-    evaluation.
+    The (p, realization) grid is evaluated in rectangles (``_rectangle``):
+    whole p-rows, or one p's realizations in slices.  Each value is
+    bit-identical to a one-row evaluation.
     """
     hi = len(real) if hi is None else hi
     weights = _channel_weights(spec.kind, spec.alpha, ps)
     values = np.empty((len(ps), hi - lo))
-    step = max(1, _CHUNK // (opt.restarts + 1)) if optimize else _CHUNK
-    p_step, r_step = max(1, step // (hi - lo)), min(step, hi - lo)
+    p_step, r_step = _rectangle(hi - lo, opt, optimize)
     for a in range(0, len(ps), p_step):
         for b in range(lo, hi, r_step):
             c = min(b + r_step, hi)
@@ -147,6 +165,12 @@ class _Family:
     optimize: bool
     rows: dict = field(default_factory=dict)
     evaluated: dict = field(default_factory=dict)
+
+    @property
+    def one_cell(self) -> bool:
+        """Whether a point is one fixed-encoding capacity, cheap next to the
+        fixed cost of a curve call."""
+        return len(self.real) == 1 and not self.optimize
 
 
 @dataclass(eq=False)
@@ -332,22 +356,51 @@ class _Scan:
         full rows."""
         return _means(np.array(self.curves.rows(spec, ps)))
 
+    def ahead(self, *specs: ChannelSpec):
+        """What evaluates the rows of the families ``specs`` at a list of p
+        ahead of a scan's walk, or None unless each point of each family is
+        one fixed-encoding cell."""
+        if not all(self.curves._family(s).one_cell for s in specs):
+            return None
+        return lambda ps: [self.curves.rows(s, ps) for s in specs]
+
+
+def _midpoints(a: float, b: float, refine: float, depth: int) -> list[float]:
+    """The midpoints a bisection of [a, b] down to width <= refine can take
+    in its first ``depth`` steps."""
+    if depth == 0 or not b - a > refine:
+        return []
+    mid = 0.5 * (a + b)
+    return [mid, *_midpoints(a, mid, refine, depth - 1),
+            *_midpoints(mid, b, refine, depth - 1)]
+
+
 def _first_crossing(predicate, lo: float, hi: float, scan_step: float,
-                    refine: float) -> float | None:
+                    refine: float, ahead=None) -> float | None:
     """Smallest p in [lo, hi] where predicate flips to True.
 
     ``predicate`` maps a list of p to the index of its first p where it is
-    True, or None.  Forward scan on a uniform grid, evaluated in chunks of
-    1, 2, 4, ... points up to the first chunk that flips, then bisection
-    inside the first flipping interval down to width <= refine.  Grid points
-    are generated as lo + k*scan_step so that round decimals are hit
-    exactly.  Only the first check, of lo itself (the first chunk), can
-    return lo.
+    True, or None.  Forward scan on a uniform grid, read in chunks of 1, 2,
+    4, ... points up to the first chunk that flips, then bisection inside
+    the first flipping interval down to width <= refine.  Grid points are
+    generated as lo + k*scan_step so that round decimals are hit exactly.
+    Only the first check, of lo itself (the first chunk), can return lo.
+
+    ``ahead``, if given, evaluates the curves at a list of p before the
+    predicate reads them: the grid in windows of at least ``_WINDOW``
+    points (a whole chunk when it is longer), and on a bisection step that
+    finds its midpoint not yet evaluated, the top of the dyadic tree under
+    it, ``_WINDOW`` points at most.  The walk and its result are the same
+    with or without it.
     """
     n_steps = int(np.ceil((hi - lo) / scan_step))
     grid = [lo] + [min(lo + k * scan_step, hi) for k in range(1, n_steps + 1)]
-    hit, start, size = None, 0, 1
+    hit, start, size, read = None, 0, 1, 0
     while hit is None and start < len(grid):
+        if ahead is not None and read < start + size:
+            end = max(start + size, read + _WINDOW)
+            ahead(grid[read:end])
+            read = end
         first = predicate(grid[start:start + size])
         if first is not None:
             hit = start + first
@@ -357,8 +410,13 @@ def _first_crossing(predicate, lo: float, hi: float, scan_step: float,
     if hit == 0:
         return lo
     a, b = grid[hit - 1], grid[hit]
+    # the deepest tree of at most _WINDOW midpoints: 2**depth - 1 of them
+    depth, tree = (_WINDOW + 1).bit_length() - 1, set()
     while b - a > refine:
         mid = 0.5 * (a + b)
+        if ahead is not None and mid not in tree:
+            tree = set(_midpoints(a, b, refine, depth))
+            ahead(sorted(tree))
         if predicate([mid]) is not None:
             b = mid
         else:
@@ -372,7 +430,8 @@ def _find_pc(scan: _Scan) -> float | None:
     def collapsed(ps) -> int | None:
         return scan.curves.first_flip(scan.spec, ps, scan.threshold, above=False)
 
-    p = _first_crossing(collapsed, lo, hi, scan.scan_step, scan.refine)
+    p = _first_crossing(collapsed, lo, hi, scan.scan_step, scan.refine,
+                        scan.ahead(scan.spec))
     return None if p == lo else p   # collapsed at lo: no advantage to lose
 
 
@@ -386,19 +445,28 @@ def _find_pr(scan: _Scan, p_c: float | None) -> float | None:
 
     # start one refine-width past the collapse point
     lo = min(p_c + scan.refine, hi)
-    return _first_crossing(revived, lo, hi, scan.scan_step, scan.refine)
+    return _first_crossing(revived, lo, hi, scan.scan_step, scan.refine,
+                           scan.ahead(scan.spec))
 
 
 def _find_pa(scan: _Scan) -> float | None:
     # the Markovian reference's p-range holds the non-Markovian one
     spec_nm, spec_m = scan.spec, dataclasses.replace(scan.spec, alpha=0.0)
     lo, hi = p_range(spec_nm)
+    family = scan.curves._family(spec_nm)
+    batch, _ = _rectangle(len(family.real), scan.curves.opt, family.optimize)
 
     def advantaged(ps) -> int | None:
-        flags = scan.curve(spec_nm, ps) - scan.curve(spec_m, ps) > scan.threshold
-        return int(np.argmax(flags)) if flags.any() else None
+        # in order, one rectangle's points at a time, up to the first flip
+        for i in range(0, len(ps), batch):
+            flags = (scan.curve(spec_nm, ps[i:i + batch])
+                     - scan.curve(spec_m, ps[i:i + batch]) > scan.threshold)
+            if flags.any():
+                return i + int(np.argmax(flags))
+        return None
 
-    return _first_crossing(advantaged, lo, hi, scan.scan_step, scan.refine)
+    return _first_crossing(advantaged, lo, hi, scan.scan_step, scan.refine,
+                           scan.ahead(spec_nm, spec_m))
 
 
 def find_pc(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec,

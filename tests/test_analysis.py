@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -306,27 +307,64 @@ def test_find_pc_evaluates_lower_end_once(monkeypatch):
     # p_a completes rows that the collapse and revival tests left partial
     (ChannelSpec(ChannelKind.DEPHASING, 0.6, 0.0, epsilon=0.6),
      QuenchConfig(30, master_seed=3), False),
+    # deterministic depolarizing: no revival, so p_r's scan reads its whole grid
+    (ChannelSpec(ChannelKind.DEPOLARIZING, 0.5, 0.0), None, False),
 ])
 def test_critical_strengths_reads_each_curve_point_once(monkeypatch, spec, quench,
                                                         optimize):
     # each (p, realization) cell is evaluated at most once, also when a
-    # point's realizations come in slices and when p_a completes its row
+    # point's realizations come in slices, when p_a completes its row and
+    # when a one-cell family is evaluated ahead of the walk: in grid windows
+    # and bisection trees, or in windows of three that the doubling chunks
+    # outgrow and subtrees of three
     cells = _count_curve_cells(monkeypatch)
     before_pa = _mark_find_pa(monkeypatch, cells)
-    cs = critical_strengths(build(GGHZ(3, 1 / np.sqrt(2))), PartyLayout(2, 1),
-                            spec, OptimizerConfig(max_evaluations=60, restarts=1),
-                            scan_step=5e-2, refine=1e-3,
-                            optimize=optimize, quench=quench)
-    assert (cs.p_c, cs.p_a) != (None, None)
-    assert len(set(cells)) == len(cells)
-    # p_a's scan reads the Markovian curve besides the shared one
-    assert {s.alpha for s, _, _ in cells} == {0.0, spec.alpha}
+    windows = [analysis._WINDOW] + ([3] if quench is None and not optimize else [])
+    for window in windows:
+        monkeypatch.setattr(analysis, "_WINDOW", window)
+        cells.clear()
+        before_pa.clear()
+        cs = critical_strengths(build(GGHZ(3, 1 / np.sqrt(2))), PartyLayout(2, 1),
+                                spec, OptimizerConfig(max_evaluations=60, restarts=1),
+                                scan_step=5e-2, refine=1e-3,
+                                optimize=optimize, quench=quench)
+        assert (cs.p_c, cs.p_a) != (None, None)
+        assert len(set(cells)) == len(cells)
+        # p_a's scan reads the Markovian curve besides the shared one
+        assert {s.alpha for s, _, _ in cells} == {0.0, spec.alpha}
     if quench is not None:
         partial = {key for key, count in _cells_per_point(cells[:before_pa[0]]).items()
                    if count < quench.realizations}
         assert partial       # settled from a partial row
         if spec.alpha == 0.6:
             assert partial & set(_cells_per_point(cells[before_pa[0]:]))
+
+
+def test_find_pa_completes_no_row_past_its_flip(monkeypatch):
+    # optimized per realization: with rectangles of 12 problems (one point's
+    # six realizations, two starts each) p_a reads its chunk one point at a
+    # time and stops at the flip, while one rectangle holding the chunk reads
+    # it whole; p_a is the same
+    rho, lay = build(GGHZ(3, 1 / np.sqrt(2))), PartyLayout(2, 1)
+    spec = ChannelSpec(ChannelKind.DEPHASING, 0.8, 0.0, epsilon=0.5)
+    cells = _count_curve_cells(monkeypatch)
+    before_pa = _mark_find_pa(monkeypatch, cells)
+    read = []
+    for chunk in (analysis._CHUNK, 12):
+        monkeypatch.setattr(analysis, "_CHUNK", chunk)
+        cells.clear()
+        before_pa.clear()
+        cs = critical_strengths(rho, lay, spec,
+                                OptimizerConfig(max_evaluations=300, restarts=1),
+                                scan_step=5e-2, refine=1e-2,
+                                quench=QuenchConfig(6, master_seed=2,
+                                                    optimize_per_realization=True))
+        assert cs.p_a == 0.40625          # flips on the grid interval (0.4, 0.45]
+        read.append((max(p for _, p, _ in cells[before_pa[0]:]), len(cells)))
+        assert len(set(cells)) == len(cells)
+    (whole_last, whole_cells), (last, n_cells) = read
+    assert whole_last == 0.5 and last == 0.45
+    assert n_cells < whole_cells
 
 
 def test_quenched_scan_settles_points_from_partial_rows(monkeypatch):
@@ -444,6 +482,7 @@ def _chunked_quench_mean(rho, lay, spec, qc):
 
 
 def _reference_strengths(rho, lay, spec, quench, opt, scan_step, refine):
+    @functools.cache
     def cap(s, p):
         s = dataclasses.replace(s, p=p)
         if quench is None:
@@ -491,21 +530,33 @@ def test_batched_scans_match_per_point_reference(monkeypatch, state, lay, spec,
                                                  quench):
     # 11 or 40 realizations in rectangles of 7 rows: each p's realizations in
     # several, and deterministic p-points seven at a time; a quenched collapse
-    # or revival test settles some points from their first realizations
+    # or revival test settles some points from their first realizations.  A
+    # deterministic family (the four benchmark scans; the W one collapses at
+    # p = 0.017125 on the 1e-3 grid) is evaluated ahead of the walk, in grid
+    # windows and bisection trees, here also in windows of three points,
+    # which cut the trees into subtrees of three
     monkeypatch.setattr(analysis, "_CHUNK", 7)
     cells = _count_curve_cells(monkeypatch)
     before_pa = _mark_find_pa(monkeypatch, cells)
     rho = build(state)
     opt = OptimizerConfig(max_evaluations=60, restarts=1)
-    scan = dict(scan_step=1e-2, refine=1e-3)
-    if quench is not None and quench.optimize_per_realization:
-        scan = dict(scan_step=5e-2, refine=1e-2)
-    cs = critical_strengths(rho, lay, spec, opt, optimize=False, quench=quench,
-                            **scan)
+    scans, windows = [dict(scan_step=1e-2, refine=1e-3)], [analysis._WINDOW]
+    if quench is None:
+        scans += [dict(scan_step=1e-3, refine=1e-4), dict(scan_step=5e-2, refine=1e-2)]
+        windows.append(3)
+    elif quench.optimize_per_realization:
+        scans = [dict(scan_step=5e-2, refine=1e-2)]
+    for scan in scans:
+        ref = _reference_strengths(rho, lay, spec, quench, opt, **scan)
+        assert ref != (None, None, None)
+        for window in windows:
+            monkeypatch.setattr(analysis, "_WINDOW", window)
+            cells.clear()
+            before_pa.clear()
+            cs = critical_strengths(rho, lay, spec, opt, optimize=False,
+                                    quench=quench, **scan)
+            assert (cs.p_c, cs.p_r, cs.p_a) == ref, (scan, window)
     read = _cells_per_point(cells[:before_pa[0]])
-    ref = _reference_strengths(rho, lay, spec, quench, opt, **scan)
-    assert (cs.p_c, cs.p_r, cs.p_a) == ref
-    assert ref != (None, None, None)
     if quench is not None:
         assert min(read.values()) < quench.realizations
     if quench is not None and not quench.optimize_per_realization:

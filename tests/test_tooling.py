@@ -4,6 +4,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -92,3 +94,37 @@ def test_benchmark_keeps_one_workload_on_each_side_of_the_settling(monkeypatch):
                 read[p] = read.get(p, 0) + hi - lo
         n_r = calls[0][3]
         assert any(count < n_r for count in read.values()) == settles, workload
+
+
+def test_benchmark_keeps_one_workload_on_each_side_of_the_one_cell_schedule(
+        monkeypatch):
+    # the reduced scan_det operation (deterministic: a point is one cell)
+    # evaluates each bisection's midpoints ahead of the walk, several per
+    # curve call; the reduced quench_id operation (20 realizations) still
+    # evaluates a midpoint on its own
+    import qdc.analysis
+    workloads = load("workloads", monkeypatch)
+    calls, grids = [], set()
+    capacity_curve = qdc.analysis._capacity_curve
+    first_crossing = qdc.analysis._first_crossing
+
+    def counted(marginals, spec, ps, *args):
+        calls.append(list(ps))
+        return capacity_curve(marginals, spec, ps, *args)
+
+    def recorded(predicate, lo, hi, scan_step, *args):
+        # the scan's grid, as the scan builds it
+        n_steps = int(np.ceil((hi - lo) / scan_step))
+        grids.update([lo] + [min(lo + k * scan_step, hi) for k in range(1, n_steps + 1)])
+        return first_crossing(predicate, lo, hi, scan_step, *args)
+
+    monkeypatch.setattr(qdc.analysis, "_capacity_curve", counted)
+    monkeypatch.setattr(qdc.analysis, "_first_crossing", recorded)
+    for workload, alone in (("scan_det", False), ("quench_id", True)):
+        calls.clear()
+        grids.clear()
+        for op in workloads.WORKLOADS[workload].make(workloads.DEFAULT_SEED, True):
+            op.run()
+        midpoints = [ps for ps in calls if not set(ps) <= grids]
+        assert midpoints, workload
+        assert any(len(ps) == 1 for ps in midpoints) == alone, workload
