@@ -20,27 +20,32 @@ The walk reads every value from the same memo either way, so the result
 does not depend on the schedule.
 
 Every capacity this module takes with a channel is read through one record,
-``_Curves``, the only code that decides whether a channel family (the spec
-up to p) is random, which unitaries its realizations have and whether the
-encoding is optimized.  It keeps each point's row of per-realization
-capacities for one public call, evaluated up to some realization, so p_c,
-p_r and p_a evaluate each (p, realization) cell once.  The collapse and
-revival tests settle a point from its first realizations where they decide
-it (``_Curves.first_flip``): a capacity is clamped at the classical bound N,
-so a row whose missing realizations read N can only rise as they are
+``_Curves``, the only code that decides whether a channel family is random,
+which unitaries its realizations have and whether the encoding is
+optimized.  The channel at (p, alpha) is the alpha = 0 channel at the
+strength q = (1 + m'*alpha*(1 - p))*p (``channels._strength``), and the
+unitaries depend on neither, so a family is a random kind, epsilon and draw
+policy, or a deterministic kind, and its curve is keyed by q.  Scans walk
+their p-grid and map each call's points to q; sweeps along p and along alpha
+are one curve, and p_a reads its Markovian points, q = p, from the scanned
+family.  ``_Curves`` keeps each point's row of per-realization capacities for
+one public call, evaluated up to some realization, so p_c, p_r and p_a
+evaluate each (q, realization) cell once.  The collapse and revival tests
+settle a point from its first realizations where they decide it
+(``_Curves.first_flip``): a capacity is clamped at the classical bound N, so
+a row whose missing realizations read N can only rise as they are
 evaluated.  p_a reads full rows, a chunk's points in order, a rectangle's
 worth at a time, up to the first flip; quenched means and sweeps read full
 rows; completing a row evaluates only its missing realizations.  A curve is
-evaluated in batches: a rectangle of p-points (their channel
-weights, taken at once) by realizations goes to the capacity layer, which
-picks each block's route (the kernel or the environment side) and runs the
-rectangle together.  The block states and receiver entropies are traced
-out, and a quenched channel's unitaries (which depend on neither p nor
-alpha) drawn, once per record, and what the capacity layer derives from
-them is kept with them; the exact Paulis are real, so a deterministic curve
-of a real state runs in real arithmetic.  With an optimized encoding, every
-L-BFGS-B start of every row of a batch runs in lockstep with its own stop
-rule, so no result depends on the batch.
+evaluated in batches: a rectangle of q-points (their channel weights, taken
+at once) by realizations goes to the capacity layer, which picks each
+block's route (the kernel or the environment side) and runs the rectangle
+together.  The block states and receiver entropies are traced out, and a
+quenched channel's unitaries drawn, once per record, and what the capacity
+layer derives from them is kept with them; the exact Paulis are real, so a
+deterministic curve of a real state runs in real arithmetic.  With an
+optimized encoding, every L-BFGS-B start of every row of a batch runs in
+lockstep with its own stop rule, so no result depends on the batch.
 """
 
 from __future__ import annotations
@@ -53,8 +58,8 @@ import numpy as np
 
 from .capacity import (COLLAPSE_THRESHOLD, PartyLayout, _capacities, _Marginals,
                        _marginals, _Realizations, evaluate)
-from .channels import (_PAULIS, ChannelSpec, _channel_weights, _check_unitary,
-                       _seeded_unitaries, p_range)
+from .channels import (_PAULIS, ChannelKind, ChannelSpec, _channel_weights,
+                       _check_unitary, _seeded_unitaries, _strength, p_range)
 from .optimizer import OptimizerConfig
 
 # (p-point, realization) rows evaluated together, or optimizer problems run in
@@ -122,24 +127,24 @@ def _rectangle(n_r: int, opt: OptimizerConfig, optimize: bool) -> tuple[int, int
     return max(1, step // n_r), min(step, n_r)
 
 
-def _capacity_curve(marginals: _Marginals, spec: ChannelSpec, ps,
+def _capacity_curve(marginals: _Marginals, kind: ChannelKind, qs,
                     real: _Realizations, lo: int = 0, hi: int | None = None,
                     opt: OptimizerConfig = OptimizerConfig(),
                     optimize: bool = False) -> np.ndarray:
-    """Capacities of the channel family ``spec`` (its p aside), one row per p
-    of ``ps`` and one column per realization in [lo, hi) of ``real`` (all of
-    them by default), for the state and layout of ``marginals``
-    (``capacity._marginals``).
+    """Capacities of the channels of ``kind`` with the unitaries of ``real``,
+    one row per strength of ``qs`` and one column per realization in
+    [lo, hi) of ``real`` (all of them by default), for the state and layout
+    of ``marginals`` (``capacity._marginals``).
 
-    The (p, realization) grid is evaluated in rectangles (``_rectangle``):
-    whole p-rows, or one p's realizations in slices.  Each value is
+    The (q, realization) grid is evaluated in rectangles (``_rectangle``):
+    whole q-rows, or one q's realizations in slices.  Each value is
     bit-identical to a one-row evaluation.
     """
     hi = len(real) if hi is None else hi
-    weights = _channel_weights(spec.kind, spec.alpha, ps)
-    values = np.empty((len(ps), hi - lo))
+    weights = _channel_weights(kind, qs)
+    values = np.empty((len(qs), hi - lo))
     p_step, r_step = _rectangle(hi - lo, opt, optimize)
-    for a in range(0, len(ps), p_step):
+    for a in range(0, len(qs), p_step):
         for b in range(lo, hi, r_step):
             c = min(b + r_step, hi)
             values[a:a + p_step, b - lo:c - lo] = _capacities(
@@ -155,12 +160,12 @@ def _means(rows: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class _Family:
-    """A channel family (a spec up to p): its realizations, whether its
-    encoding is optimized, and each point's row of per-realization
-    capacities, keyed by p, with the number n of realizations evaluated in
-    it, [0, n); the others hold the classical bound, the least value a
-    capacity takes."""
-    spec: ChannelSpec
+    """A channel family, a random kind, epsilon and draw policy or a
+    deterministic kind: its realizations, whether its encoding is optimized,
+    and each point's row of per-realization capacities, keyed by strength q,
+    with the number n of realizations evaluated in it, [0, n); the others
+    hold the classical bound, the least value a capacity takes."""
+    kind: ChannelKind
     real: _Realizations
     optimize: bool
     rows: dict = field(default_factory=dict)
@@ -176,17 +181,16 @@ class _Family:
 @dataclass(eq=False)
 class _Curves:
     """The capacity curves of one state and layout, and how each capacity
-    is taken.  It holds the block states and receiver entropies they share,
-    the unitaries of each channel family's realizations (a random kind,
-    epsilon and draw policy's draws, or a kind's exact Paulis) with what the
-    capacity layer derives from them, and per channel family each point's
-    row of per-realization capacities, evaluated up to some realization."""
+    is taken.  It holds the block states and receiver entropies they share
+    and, per channel family, the unitaries of its realizations (a random
+    kind, epsilon and draw policy's draws, or a kind's exact Paulis) with
+    what the capacity layer derives from them, and each point's row of
+    per-realization capacities, evaluated up to some realization."""
     rho: np.ndarray
     layout: PartyLayout
     opt: OptimizerConfig
     optimize: bool
     quench: QuenchConfig | None
-    _draws: dict = field(default_factory=dict, init=False, repr=False)
     _families: dict = field(default_factory=dict, init=False, repr=False)
 
     @functools.cached_property
@@ -197,73 +201,66 @@ class _Curves:
     def classical(self) -> float:
         return float(self.layout.n_senders)
 
-    def realizations(self, spec: ChannelSpec) -> _Realizations:
-        """Realization k of a random family draws from a generator seeded
-        with (master_seed, k); a deterministic family is one realization of
-        the exact Paulis.  The unitaries depend on neither p nor alpha."""
-        key = (spec.kind, spec.epsilon, spec.draw_policy) if spec.is_random else spec.kind
-        if key not in self._draws:
-            if spec.is_random:
-                u = _seeded_unitaries(spec, self.layout.n_senders,
-                                      [(self.quench.master_seed, k)
-                                       for k in range(self.quench.realizations)])
-                _check_unitary(u)
-            else:
-                u = _PAULIS[spec.kind][None, None]
-            self._draws[key] = _Realizations.of(u, self.layout.n_senders, self.marginals)
-        return self._draws[key]
-
     def _family(self, spec: ChannelSpec) -> _Family:
-        """The family of ``spec``.  A random one optimizes as the quench
-        says; a deterministic one as ``optimize`` says unless it is
-        covariant."""
-        key = (spec.kind, spec.alpha, spec.epsilon, spec.draw_policy)
+        """The family of ``spec``, whatever its p and alpha.  Realization k of
+        a random family draws from a generator seeded with (master_seed, k),
+        and its encoding is optimized as the quench says; a deterministic
+        family is one realization of the exact Paulis, optimized as
+        ``optimize`` says unless it is covariant."""
+        key = (spec.kind, spec.epsilon, spec.draw_policy) if spec.is_random else spec.kind
         if key not in self._families:
             if spec.is_random:
                 if self.quench is None:
                     raise AnalysisError("a random channel needs a QuenchConfig")
+                u = _seeded_unitaries(spec, self.layout.n_senders,
+                                      [(self.quench.master_seed, k)
+                                       for k in range(self.quench.realizations)])
+                _check_unitary(u)
                 optimize = self.quench.optimize_per_realization
             else:
+                u = _PAULIS[spec.kind][None, None]
                 optimize = self.optimize and not spec.is_covariant
-            self._families[key] = _Family(spec, self.realizations(spec), optimize)
+            self._families[key] = _Family(
+                spec.kind, _Realizations.of(u, self.layout.n_senders, self.marginals),
+                optimize)
         return self._families[key]
 
-    def _extend(self, family: _Family, ps, stop) -> None:
-        """Evaluate the realizations of each distinct p of ``ps`` from the
+    def _extend(self, family: _Family, qs, stop) -> None:
+        """Evaluate the realizations of each distinct q of ``qs`` from the
         first not evaluated, n, up to ``stop(n)``; points with the same n
         together."""
         groups: dict[int, list] = {}
-        for p in ps:
-            groups.setdefault(family.evaluated.get(p, 0), []).append(p)
+        for q in qs:
+            groups.setdefault(family.evaluated.get(q, 0), []).append(q)
         n_r = len(family.real)
         for n, group in groups.items():
             hi = stop(n)
-            values = _capacity_curve(self.marginals, family.spec, group, family.real,
+            values = _capacity_curve(self.marginals, family.kind, group, family.real,
                                      n, hi, self.opt, family.optimize)
-            for p, v in zip(group, values):
+            for q, v in zip(group, values):
                 if n > 0:
-                    family.rows[p][n:hi] = v
+                    family.rows[q][n:hi] = v
                 elif hi < n_r:
-                    family.rows[p] = np.concatenate([v, np.full(n_r - hi, self.classical)])
+                    family.rows[q] = np.concatenate([v, np.full(n_r - hi, self.classical)])
                 else:
-                    family.rows[p] = v
-                family.evaluated[p] = hi
+                    family.rows[q] = v
+                family.evaluated[q] = hi
 
-    def rows(self, spec: ChannelSpec, ps) -> list[np.ndarray]:
-        """Per-realization capacities of the family ``spec`` at each p of
-        ``ps``; the realizations not evaluated before are evaluated
-        together."""
+    def rows(self, spec: ChannelSpec, qs) -> list[np.ndarray]:
+        """Per-realization capacities of the family of ``spec`` at each
+        strength of ``qs``; the realizations not evaluated before are
+        evaluated together."""
         family = self._family(spec)
         n_r = len(family.real)
-        self._extend(family, [p for p in dict.fromkeys(ps)
-                              if family.evaluated.get(p, 0) < n_r], lambda n: n_r)
-        return [family.rows[p] for p in ps]
+        self._extend(family, [q for q in dict.fromkeys(qs)
+                              if family.evaluated.get(q, 0) < n_r], lambda n: n_r)
+        return [family.rows[q] for q in qs]
 
-    def first_flip(self, spec: ChannelSpec, ps: list, threshold: float,
+    def first_flip(self, spec: ChannelSpec, qs: list, threshold: float,
                    above: bool) -> int | None:
-        """Index of the first p of ``ps`` where the mean capacity of the
-        family ``spec`` lies more than ``threshold`` above the classical
-        bound (``above``) or does not (not ``above``), or None.
+        """Index of the first strength of ``qs`` where the mean capacity of
+        the family of ``spec`` lies more than ``threshold`` above the
+        classical bound (``above``) or does not (not ``above``), or None.
 
         A point is settled from the realizations evaluated so far.  The
         others hold the classical bound N, the least value a capacity takes,
@@ -281,18 +278,18 @@ class _Curves:
         def next_slice(n: int) -> int:
             return min(n_r, 2 * n + _FIRST_SLICE)
 
-        live, first = list(dict.fromkeys(ps)), None
+        live, first = list(dict.fromkeys(qs)), None
         # a point not evaluated at all reads exactly N, so it is not settled
-        self._extend(family, [p for p in live if p not in evaluated], next_slice)
+        self._extend(family, [q for q in live if q not in evaluated], next_slice)
         while True:
-            is_above = (_means(np.array([rows[p] for p in live]))
+            is_above = (_means(np.array([rows[q] for q in live]))
                         - self.classical > threshold).tolist()
             unsettled = []
-            for p, a in zip(live, is_above):
-                if not (a or evaluated[p] == n_r):
-                    unsettled.append(p)
+            for q, a in zip(live, is_above):
+                if not (a or evaluated[q] == n_r):
+                    unsettled.append(q)
                 elif a == above:
-                    first = ps.index(p)
+                    first = qs.index(q)
                     break
             if not unsettled:
                 return first
@@ -314,7 +311,7 @@ def quenched_capacity(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec,
     """
     if not spec.is_random:
         raise AnalysisError("quenched averaging needs a random channel (epsilon > 0)")
-    return _reduce(_Curves(rho, layout, opt, False, qc).rows(spec, [spec.p])[0])
+    return mean_capacity(rho, layout, spec, opt, False, qc)
 
 
 def mean_capacity(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec | None,
@@ -329,13 +326,14 @@ def mean_capacity(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec | None
     if spec is None:
         cap = evaluate(rho, layout, None, opt=opt, optimize=optimize).capacity_bits
         return QuenchedResult(cap, 0.0, 1)
-    return _reduce(_Curves(rho, layout, opt, optimize, quench).rows(spec, [spec.p])[0])
+    q = _strength(spec.kind, spec.alpha, spec.p)
+    return _reduce(_Curves(rho, layout, opt, optimize, quench).rows(spec, [q])[0])
 
 
 @dataclass(eq=False)
 class _Scan:
-    """One scan problem: the channel family it scans, the scan grid and the
-    capacity curves it reads."""
+    """One scan problem: the channel it scans, whose p-grid points it maps
+    to strengths q, the scan grid and the capacity curves it reads."""
     spec: ChannelSpec
     curves: _Curves
     scan_step: float
@@ -351,18 +349,27 @@ class _Scan:
             raise AnalysisError(f"threshold={self.threshold} must be finite and "
                                 "non-negative")
 
-    def curve(self, spec: ChannelSpec, ps) -> np.ndarray:
-        """Mean capacity of the family ``spec`` at each p of ``ps``, from
-        full rows."""
-        return _means(np.array(self.curves.rows(spec, ps)))
+    def strengths(self, ps) -> list[float]:
+        """The strength q of the scanned channel at each p of ``ps``."""
+        return _strength(self.spec.kind, self.spec.alpha, ps).tolist()
 
-    def ahead(self, *specs: ChannelSpec):
-        """What evaluates the rows of the families ``specs`` at a list of p
-        ahead of a scan's walk, or None unless each point of each family is
+    def ahead(self, strengths):
+        """What evaluates the rows at ``strengths(ps)`` for a list of p ahead
+        of a scan's walk, or None unless each point of the scanned family is
         one fixed-encoding cell."""
-        if not all(self.curves._family(s).one_cell for s in specs):
+        if not self.curves._family(self.spec).one_cell:
             return None
-        return lambda ps: [self.curves.rows(s, ps) for s in specs]
+        return lambda ps: self.curves.rows(self.spec, strengths(ps))
+
+    def crossing(self, lo: float, above: bool) -> float | None:
+        """Smallest p in [lo, hi] where the mean capacity lies more than the
+        threshold above the classical bound (``above``) or does not."""
+        def flips(ps) -> int | None:
+            return self.curves.first_flip(self.spec, self.strengths(ps),
+                                          self.threshold, above)
+
+        return _first_crossing(flips, lo, p_range(self.spec)[1], self.scan_step,
+                               self.refine, self.ahead(self.strengths))
 
 
 def _midpoints(a: float, b: float, refine: float, depth: int) -> list[float]:
@@ -425,48 +432,40 @@ def _first_crossing(predicate, lo: float, hi: float, scan_step: float,
 
 
 def _find_pc(scan: _Scan) -> float | None:
-    lo, hi = p_range(scan.spec)
-
-    def collapsed(ps) -> int | None:
-        return scan.curves.first_flip(scan.spec, ps, scan.threshold, above=False)
-
-    p = _first_crossing(collapsed, lo, hi, scan.scan_step, scan.refine,
-                        scan.ahead(scan.spec))
+    lo = p_range(scan.spec)[0]
+    p = scan.crossing(lo, above=False)
     return None if p == lo else p   # collapsed at lo: no advantage to lose
 
 
 def _find_pr(scan: _Scan, p_c: float | None) -> float | None:
     if p_c is None:
         return None
-    _, hi = p_range(scan.spec)
-
-    def revived(ps) -> int | None:
-        return scan.curves.first_flip(scan.spec, ps, scan.threshold, above=True)
-
     # start one refine-width past the collapse point
-    lo = min(p_c + scan.refine, hi)
-    return _first_crossing(revived, lo, hi, scan.scan_step, scan.refine,
-                           scan.ahead(scan.spec))
+    return scan.crossing(min(p_c + scan.refine, p_range(scan.spec)[1]), above=True)
 
 
 def _find_pa(scan: _Scan) -> float | None:
-    # the Markovian reference's p-range holds the non-Markovian one
-    spec_nm, spec_m = scan.spec, dataclasses.replace(scan.spec, alpha=0.0)
-    lo, hi = p_range(spec_nm)
-    family = scan.curves._family(spec_nm)
+    # the Markovian channel at p is the scanned family's point q = p, and the
+    # Markovian p-range holds the non-Markovian one
+    lo, hi = p_range(scan.spec)
+    family = scan.curves._family(scan.spec)
     batch, _ = _rectangle(len(family.real), scan.curves.opt, family.optimize)
+
+    def both(ps) -> list[float]:
+        return scan.strengths(ps) + list(ps)
 
     def advantaged(ps) -> int | None:
         # in order, one rectangle's points at a time, up to the first flip
         for i in range(0, len(ps), batch):
-            flags = (scan.curve(spec_nm, ps[i:i + batch])
-                     - scan.curve(spec_m, ps[i:i + batch]) > scan.threshold)
+            rows = scan.curves.rows(scan.spec, both(ps[i:i + batch]))
+            means = _means(np.array(rows)).reshape(2, -1)
+            flags = means[0] - means[1] > scan.threshold
             if flags.any():
                 return i + int(np.argmax(flags))
         return None
 
     return _first_crossing(advantaged, lo, hi, scan.scan_step, scan.refine,
-                           scan.ahead(spec_nm, spec_m))
+                           scan.ahead(both))
 
 
 def find_pc(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec,
@@ -498,7 +497,7 @@ def find_pa(rho: np.ndarray, layout: PartyLayout, spec_nm: ChannelSpec,
             refine: float = 1e-4, threshold: float = COLLAPSE_THRESHOLD,
             optimize: bool = True, quench: QuenchConfig | None = None) -> float | None:
     """Smallest p where the non-Markovian capacity exceeds the Markovian one
-    (the same family at alpha = 0)."""
+    (the same family at alpha = 0, the point q = p of its curve)."""
     return _find_pa(_Scan(spec_nm, _Curves(rho, layout, opt, optimize, quench),
                           scan_step, refine, threshold))
 
@@ -509,8 +508,8 @@ def critical_strengths(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec,
                        threshold: float = COLLAPSE_THRESHOLD,
                        optimize: bool = True,
                        quench: QuenchConfig | None = None) -> CriticalStrengths:
-    """All three critical strengths of one problem, on one shared curve (and
-    the Markovian one for p_a)."""
+    """All three critical strengths of one problem, on one shared curve
+    (which holds the Markovian points of p_a too)."""
     scan = _Scan(spec, _Curves(rho, layout, opt, optimize, quench), scan_step,
                  refine, threshold)
     pc = _find_pc(scan)
@@ -566,14 +565,11 @@ def sweep(axis: str, grid: tuple[float, float, int], *, state=None,
         return spec_v, rho_v
 
     points = [point(v) for v in values]
-    if axis == "p":
-        # one curve: the state and the channel family are the same at every p
+    if axis in ("p", "alpha"):
+        # one curve: the state and the channel family are the same at every point
+        qs = _strength(spec.kind, [s.alpha for s, _ in points], [s.p for s, _ in points])
         curves = _Curves(rho, layout, opt, optimize, quench)
-        results = [_reduce(row) for row in curves.rows(spec, [s.p for s, _ in points])]
-    elif axis == "alpha":
-        # one record: the state and the draws are the same at every alpha
-        curves = _Curves(rho, layout, opt, optimize, quench)
-        results = [_reduce(curves.rows(s, [s.p])[0]) for s, _ in points]
+        results = [_reduce(row) for row in curves.rows(spec, qs.tolist())]
     else:
         results = [mean_capacity(rho_v, layout, spec_v, opt, optimize, quench)
                    for spec_v, rho_v in points]

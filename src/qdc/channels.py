@@ -9,16 +9,15 @@ sum_j w_j U_j (x) conj(U_j): the basis of the U_j after the identity
 identity (``_superops``).  The exact-Pauli bases are real (P (x) conj(P)
 is), so on a real state they keep it real.
 
-The channel weights are
-
-* dephasing:    (1 - a*p)(1 - p) on I,  (1 + a*(1 - p))*p on Uz,
-* depolarizing: (1 - 3*a*p)(1 - p) on I,  (1 + 3*a*(1 - p))*p/3 on each of
-  Ux, Uy, Uz,
-
-where ``a`` is the non-Markovianity strength.  With exact Pauli unitaries
-these are the deterministic channels; the random variants replace the Paulis
-by unitaries whose Euler parameters are drawn from Gaussians centered at the
-Pauli triples.
+The non-Markovianity strength ``a`` only moves weight from the identity to
+the m' Pauli-like unitaries (m' = 1 for dephasing, Uz; 3 for depolarizing,
+Ux, Uy, Uz): the channel at (p, a) is the a = 0 channel at the strength
+q = (1 + m'*a*(1 - p))*p (``_strength``), with weights 1 - q on I, equal to
+(1 - m'*a*p)(1 - p) up to rounding, and q/m' on each unitary
+(``_channel_weights``).  ``ChannelSpec`` is the one check of p.  With exact
+Pauli unitaries these are the deterministic channels; the random variants
+replace the Paulis by unitaries whose Euler parameters are drawn from
+Gaussians centered at the Pauli triples, and depend on neither p nor a.
 """
 
 from __future__ import annotations
@@ -32,6 +31,8 @@ import numpy as np
 from .qmath import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, _real_if_exact, n_qubits
 
 COMPLETENESS_TOL = 1e-10
+# how far past the end of its range ChannelSpec admits a p
+_P_SLACK = 1e-12
 
 
 class ChannelError(ValueError):
@@ -115,7 +116,7 @@ class ChannelSpec:
         if not 0.0 <= self.epsilon < np.inf:
             raise ChannelError(f"epsilon={self.epsilon} must be finite and >= 0")
         lo, hi = p_range(self)
-        if not lo <= self.p <= hi + 1e-12:
+        if not lo <= self.p <= hi + _P_SLACK:
             raise ChannelError(f"{self.kind.value} p={self.p} outside [{lo}, {hi}] "
                                f"for alpha={self.alpha}")
 
@@ -184,26 +185,28 @@ def _kraus_set(weights: np.ndarray, unitaries: np.ndarray) -> KrausSet:
     return ks
 
 
-def _channel_weights(kind: ChannelKind, alpha: float, p) -> np.ndarray:
-    """Weights of the identity and then of each Pauli-like unitary, ``(..., m)``
-    for p of shape ``(...)``: for each p, the floats of the scalar formula."""
-    p = np.asarray(p, dtype=float)
-    if kind is ChannelKind.DEPHASING:
-        # written so that a NaN fails it too
-        if not (p.min(initial=0.0) >= 0.0 and p.max(initial=0.5) <= 0.5):
-            bad = p[~((0.0 <= p) & (p <= 0.5))].flat[0]
-            raise ChannelError(f"dephasing p={bad} outside [0, 1/2]")
-        out = np.empty(p.shape + (2,))
-        out[..., 0] = (1.0 - alpha * p) * (1.0 - p)
-        out[..., 1] = (1.0 + alpha * (1.0 - p)) * p
-        return out
-    w_id = (1.0 - 3.0 * alpha * p) * (1.0 - p)
-    if w_id.min(initial=0.0) < -1e-15:
-        raise ChannelError(f"depolarizing weight (1-3ap)(1-p) < 0 at alpha={alpha}, "
-                           f"p={p[w_id < -1e-15].flat[0]}")
-    out = np.empty(p.shape + (4,))
-    out[..., 0] = np.maximum(0.0, w_id)
-    out[..., 1:] = ((1.0 + 3.0 * alpha * (1.0 - p)) * p / 3.0)[..., None]
+def _strength(kind: ChannelKind, alpha, p):
+    """q = (1 + m'*alpha*(1 - p))*p, elementwise: the channel at (p, alpha) is
+    the alpha = 0 channel at strength q."""
+    alpha, p = np.asarray(alpha, dtype=float), np.asarray(p, dtype=float)
+    return (1.0 + len(_PAULIS[kind]) * alpha * (1.0 - p)) * p
+
+
+def _channel_weights(kind: ChannelKind, q) -> np.ndarray:
+    """Weights of the identity and then of each Pauli-like unitary,
+    (1 - q, q/m', ..., q/m'), ``(..., m' + 1)`` for strengths q of shape
+    ``(...)``.  The identity's weight is clamped at 0: ChannelSpec admits a p
+    up to ``_P_SLACK`` past its range, and dq/dp <= 1 + m'*alpha <= 4."""
+    q = np.asarray(q, dtype=float)
+    top = 1.0 + 4 * _P_SLACK
+    # written so that a NaN fails it too
+    if not (q.min(initial=0.0) >= 0.0 and q.max(initial=top) <= top):
+        bad = q[~((0.0 <= q) & (q <= top))].flat[0]
+        raise ChannelError(f"{kind.value} strength q={bad} outside [0, 1]")
+    m = len(_PAULIS[kind])
+    out = np.empty(q.shape + (m + 1,))
+    out[..., 0] = np.maximum(0.0, 1.0 - q)
+    out[..., 1:] = (q / m)[..., None]
     return out
 
 
@@ -283,7 +286,7 @@ def _draw_unitaries(spec: ChannelSpec, n_targets: int, rngs) -> np.ndarray:
 def sample_per_qubit_kraus(spec: ChannelSpec, n_targets: int,
                            rng: np.random.Generator) -> list[KrausSet]:
     """One KrausSet per target qubit, honoring the draw policy."""
-    w = _channel_weights(spec.kind, spec.alpha, spec.p)
+    w = _channel_weights(spec.kind, _strength(spec.kind, spec.alpha, spec.p))
     sets = [_kraus_set(w, u) for u in _draw_unitaries(spec, n_targets, [rng])[0]]
     if spec.draw_policy is DrawPolicy.SHARED_ACROSS_QUBITS:
         return sets * n_targets
@@ -301,8 +304,8 @@ def _seeded_unitaries(spec: ChannelSpec, n_targets: int, seeds) -> np.ndarray:
 
 def deterministic_kraus(spec: ChannelSpec) -> KrausSet:
     """The exact-Pauli channel for the given spec (epsilon ignored)."""
-    return _kraus_set(_channel_weights(spec.kind, spec.alpha, spec.p),
-                      _PAULIS[spec.kind])
+    q = _strength(spec.kind, spec.alpha, spec.p)
+    return _kraus_set(_channel_weights(spec.kind, q), _PAULIS[spec.kind])
 
 
 @functools.cache

@@ -3,7 +3,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qdc.capacity
@@ -14,7 +14,7 @@ from qdc.analysis import (AnalysisError, QuenchConfig, critical_strengths,
 from qdc.capacity import (PartyLayout, _capacities, _marginals, _Realizations,
                           capacity_one_receiver, evaluate)
 from qdc.channels import (ChannelError, ChannelKind, ChannelSpec, DrawPolicy,
-                          _channel_weights, _seeded_unitaries,
+                          _channel_weights, _seeded_unitaries, _strength,
                           sample_per_qubit_kraus)
 from qdc.optimizer import OptimizerConfig
 from qdc.oracles import bell_depolarizing_threshold, pa_closed_form, pc_closed_form
@@ -161,10 +161,11 @@ def test_batched_quench_matches_one_realization_at_a_time(state, lay, spec):
     # drawn and evaluated as a batch, the way a curve does it
     real = _Realizations.of(_seeded_unitaries(
         spec, lay.n_senders, [(13, k) for k in range(n)]), lay.n_senders)
-    weights = _channel_weights(spec.kind, spec.alpha, [spec.p])
+    qs = _strength(spec.kind, spec.alpha, [spec.p])
+    weights = _channel_weights(spec.kind, qs)
     assert np.array_equal(_capacities(_marginals(rho, lay), weights, real)[0], values)
-    assert np.array_equal(analysis._capacity_curve(_marginals(rho, lay), spec,
-                                                   [spec.p], real)[0], values)
+    assert np.array_equal(analysis._capacity_curve(_marginals(rho, lay), spec.kind,
+                                                   qs, real)[0], values)
     res = quenched_capacity(rho, lay, spec, QuenchConfig(n, master_seed=13))
     assert res.realizations_used == n
     assert abs(res.mean_capacity_bits - np.sum(values) / n) < 1e-12
@@ -176,9 +177,15 @@ def test_quenched_result_independent_of_chunking(monkeypatch):
     lay = PartyLayout(3, 1)
     spec = ChannelSpec(ChannelKind.DEPOLARIZING, 0.5, 0.1, epsilon=1.0)
     qc = QuenchConfig(40, master_seed=2)
-    whole = quenched_capacity(rho, lay, spec, qc)
+
+    def results():
+        # one point, and an alpha-sweep: one curve of four points
+        return (quenched_capacity(rho, lay, spec, qc),
+                sweep("alpha", (0.0, 0.9, 4), rho=rho, layout=lay, spec=spec, quench=qc))
+
+    whole = results()
     monkeypatch.setattr(analysis, "_CHUNK", 7)
-    chunked = quenched_capacity(rho, lay, spec, qc)
+    chunked = results()
     assert chunked == whole
 
 
@@ -250,25 +257,25 @@ def test_realizations_keep_unitaries_only_for_the_environment_side(state, lay, k
     curves = analysis._Curves(build(state), lay, OPT, False,
                               QuenchConfig(20, master_seed=4))
     spec = ChannelSpec(kind, 0.5, 0.1, epsilon=0.5)
-    real = curves.realizations(spec)
+    real = curves._family(spec).real
     assert (real.unitaries is not None) == keeps
     kept = _Realizations.of(_seeded_unitaries(
         spec, lay.n_senders, [(4, k) for k in range(20)]), lay.n_senders)
-    weights = _channel_weights(kind, 0.5, [0.1, 0.2])
+    weights = _channel_weights(kind, _strength(kind, 0.5, [0.1, 0.2]))
     assert np.array_equal(_capacities(curves.marginals, weights, real),
                           _capacities(curves.marginals, weights, kept))
 
 
 def _count_curve_cells(monkeypatch) -> list[tuple]:
-    """Record each (channel family, p, realization) cell the scans evaluate
-    at the curve layer."""
+    """Record each (channel family, strength q, realization) cell the scans
+    evaluate at the curve layer; a family is its kind and realizations."""
     cells = []
     capacity_curve = analysis._capacity_curve
 
-    def counted(marginals, spec, ps, real, lo=0, hi=None, *args):
+    def counted(marginals, kind, qs, real, lo=0, hi=None, *args):
         hi = len(real) if hi is None else hi
-        cells.extend((spec, p, k) for p in ps for k in range(lo, hi))
-        return capacity_curve(marginals, spec, ps, real, lo, hi, *args)
+        cells.extend(((kind, id(real)), q, k) for q in qs for k in range(lo, hi))
+        return capacity_curve(marginals, kind, qs, real, lo, hi, *args)
 
     monkeypatch.setattr(analysis, "_capacity_curve", counted)
     return cells
@@ -285,8 +292,8 @@ def _mark_find_pa(monkeypatch, cells) -> list[int]:
 
 def _cells_per_point(cells) -> dict:
     read = {}
-    for spec, p, _ in cells:
-        read[spec, p] = read.get((spec, p), 0) + 1
+    for family, q, _ in cells:
+        read[family, q] = read.get((family, q), 0) + 1
     return read
 
 
@@ -295,7 +302,7 @@ def test_find_pc_evaluates_lower_end_once(monkeypatch):
     spec = ChannelSpec(ChannelKind.DEPHASING, 0.5, 0.0)
     pc = find_pc(build(GGHZ(3, 1 / np.sqrt(2))), PartyLayout(2, 1), spec,
                  scan_step=1e-2, refine=1e-3, optimize=False)
-    assert pc is not None and [p for _, p, _ in cells].count(0.0) == 1
+    assert pc is not None and [q for _, q, _ in cells].count(0.0) == 1
 
 
 @pytest.mark.parametrize("spec, quench, optimize", [
@@ -330,8 +337,10 @@ def test_critical_strengths_reads_each_curve_point_once(monkeypatch, spec, quenc
                                 optimize=optimize, quench=quench)
         assert (cs.p_c, cs.p_a) != (None, None)
         assert len(set(cells)) == len(cells)
-        # p_a's scan reads the Markovian curve besides the shared one
-        assert {s.alpha for s, _, _ in cells} == {0.0, spec.alpha}
+        # p_a's scan reads the Markovian points (q = p, here its first grid
+        # point past 0) from the one curve the scans share
+        assert len({family for family, _, _ in cells}) == 1
+        assert 5e-2 in {q for _, q, _ in cells[before_pa[0]:]}
     if quench is not None:
         partial = {key for key, count in _cells_per_point(cells[:before_pa[0]]).items()
                    if count < quench.realizations}
@@ -349,6 +358,8 @@ def test_find_pa_completes_no_row_past_its_flip(monkeypatch):
     spec = ChannelSpec(ChannelKind.DEPHASING, 0.8, 0.0, epsilon=0.5)
     cells = _count_curve_cells(monkeypatch)
     before_pa = _mark_find_pa(monkeypatch, cells)
+    # p_a's Markovian points are its grid points, q = p
+    grid = {min(k * 5e-2, 0.5) for k in range(12)}
     read = []
     for chunk in (analysis._CHUNK, 12):
         monkeypatch.setattr(analysis, "_CHUNK", chunk)
@@ -360,7 +371,8 @@ def test_find_pa_completes_no_row_past_its_flip(monkeypatch):
                                 quench=QuenchConfig(6, master_seed=2,
                                                     optimize_per_realization=True))
         assert cs.p_a == 0.40625          # flips on the grid interval (0.4, 0.45]
-        read.append((max(p for _, p, _ in cells[before_pa[0]:]), len(cells)))
+        read.append((max(q for _, q, _ in cells[before_pa[0]:] if q in grid),
+                     len(cells)))
         assert len(set(cells)) == len(cells)
     (whole_last, whole_cells), (last, n_cells) = read
     assert whole_last == 0.5 and last == 0.45
@@ -474,7 +486,8 @@ def _chunked_quench_mean(rho, lay, spec, qc):
     ``_CHUNK`` realizations, one p at a time."""
     seeds = [(qc.master_seed, k) for k in range(qc.realizations)]
     values = np.concatenate([
-        _capacities(_marginals(rho, lay), _channel_weights(spec.kind, spec.alpha, [spec.p]),
+        _capacities(_marginals(rho, lay),
+                    _channel_weights(spec.kind, _strength(spec.kind, spec.alpha, [spec.p])),
                     _Realizations.of(_seeded_unitaries(
                         spec, lay.n_senders, seeds[i:i + analysis._CHUNK]), lay.n_senders))[0]
         for i in range(0, len(seeds), analysis._CHUNK)])
@@ -620,13 +633,17 @@ def test_sweep_alpha_shares_one_record(monkeypatch, spec, optimize, quench):
     # and every row is the one a separate mean_capacity call gives
     rho, lay = build(GGHZ(3, 1 / np.sqrt(2))), PartyLayout(2, 1)
     opt = OptimizerConfig(max_evaluations=120, restarts=1)
-    draws = []
-    draw = analysis._seeded_unitaries
+    draws, curve_calls = [], []
+    draw, capacity_curve = analysis._seeded_unitaries, analysis._capacity_curve
     monkeypatch.setattr(analysis, "_seeded_unitaries",
                         lambda *a: draws.append(a) or draw(*a))
+    monkeypatch.setattr(analysis, "_capacity_curve",
+                        lambda *a: curve_calls.append(a) or capacity_curve(*a))
     rows = sweep("alpha", (0.0, 0.9, 4), rho=rho, layout=lay, spec=spec, opt=opt,
                  optimize=optimize, quench=quench)
     assert len(draws) == (1 if spec.is_random else 0)
+    # one curve: the four points' strengths fit one call
+    assert len(curve_calls) == 1
     for row in rows:
         q = mean_capacity(rho, lay, dataclasses.replace(spec, alpha=row["alpha"]), opt,
                           optimize, quench)
@@ -634,6 +651,35 @@ def test_sweep_alpha_shares_one_record(monkeypatch, spec, optimize, quench):
                 np.float64(row["std_error"]).tobytes()) == \
             (np.float64(q.mean_capacity_bits).tobytes(),
              np.float64(q.std_error_bits).tobytes())
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(list(ChannelKind)), alpha=st.floats(0.0, 1.0),
+       share=st.floats(0.0, 1.0), two_receivers=st.booleans(), optimize=st.booleans(),
+       epsilon=st.sampled_from([0.0, 0.5, 1.0]), policy=st.sampled_from(list(DrawPolicy)),
+       seed=st.integers(0, 2**16))
+def test_the_channel_at_p_and_alpha_is_the_markovian_one_at_its_strength(
+        kind, alpha, share, two_receivers, optimize, epsilon, policy, seed):
+    # alpha only moves weight from the identity to the Pauli-like unitaries,
+    # which depend on neither p nor alpha: the capacity, or the quenched mean
+    # over the same draws, at (p, alpha) is the alpha = 0 one at strength
+    # q = (1 + m' alpha (1 - p)) p, bit for bit, wherever that spec is valid
+    p = share * p_range(ChannelSpec(kind, alpha, 0.0))[1]
+    m = 1 if kind is ChannelKind.DEPHASING else 3
+    q = (1.0 + m * alpha * (1.0 - p)) * p
+    assume(q <= p_range(ChannelSpec(kind, 0.0, 0.0))[1])
+    state, lay = ((GGHZ(4, 0.6), PartyLayout(2, 2, split=1)) if two_receivers
+                  else (GGHZ(3, 1 / np.sqrt(2)), PartyLayout(2, 1)))
+    rho = build(state)
+    opt = OptimizerConfig(max_evaluations=60, restarts=1)
+    specs = [ChannelSpec(kind, a, x, epsilon, policy) for a, x in ((alpha, p), (0.0, q))]
+    if epsilon == 0.0:
+        got = [evaluate(rho, lay, s, opt=opt, optimize=optimize).capacity_bits.hex()
+               for s in specs]
+    else:
+        qc = QuenchConfig(4, master_seed=seed, optimize_per_realization=optimize)
+        got = [quenched_capacity(rho, lay, s, qc, opt) for s in specs]
+    assert got[0] == got[1]
 
 
 @pytest.mark.parametrize("state, lay", [

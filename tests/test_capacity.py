@@ -9,8 +9,8 @@ from qdc.capacity import (RANK_TOL, LayoutError, PartyLayout, _block_entropy,
                           bound_two_receivers, capacity_noiseless,
                           capacity_one_receiver, encode, evaluate)
 from qdc.channels import (ChannelKind, ChannelSpec, _basis, _channel_weights,
-                          _seeded_unitaries, _superops, apply_local_channel,
-                          sample_per_qubit_kraus, unitary_from_params)
+                          _seeded_unitaries, _strength, _superops, apply_local_channel,
+                          p_range, sample_per_qubit_kraus, unitary_from_params)
 from qdc.optimizer import EncodingParams, OptimizerConfig
 from qdc.oracles import (bell_dephasing_spectrum, bell_depolarizing_spectrum,
                          theorem3_bound)
@@ -217,7 +217,7 @@ def test_batched_objective_rows_equal_one_row_calls(state, lay):
     rho = build(state)
     for kind in ChannelKind:
         spec = ChannelSpec(kind, 0.4, 0.2, epsilon=0.6)
-        sups = _superops(_channel_weights(kind, 0.4, 0.2), _basis(_seeded_unitaries(
+        sups = _superops(_channel_weights(kind, _strength(kind, 0.4, 0.2)), _basis(_seeded_unitaries(
             spec, lay.n_senders, [(3, k) for k in range(5)])))
         for senders, receiver in lay.blocks:
             block = partial_trace(rho, senders + [receiver])
@@ -363,6 +363,18 @@ def test_receiver_phase_makes_rho_complex_not_the_capacity(state, lay):
     assert above > 0
 
 
+@pytest.mark.parametrize("kind", list(ChannelKind))
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9])
+def test_every_p_a_spec_admits_has_a_capacity(kind, alpha):
+    # ChannelSpec admits p up to 1e-12 past the end of its range; there the
+    # identity's weight 1 - q is clamped at 0, as it reads at the end itself
+    rho, lay = build(GGHZ(3, 1 / np.sqrt(2))), PartyLayout(2, 1)
+    hi = p_range(ChannelSpec(kind, alpha, 0.0))[1]
+    at_end, past = (evaluate(rho, lay, ChannelSpec(kind, alpha, p), optimize=False)
+                    for p in (hi, hi + 5e-13))
+    assert abs(past.capacity_bits - at_end.capacity_bits) < 1e-9
+
+
 # --- the environment side: pure one-receiver blocks under dephasing ---------
 
 def _dephasing_noise(n_senders, alpha, p, drawn, seed):
@@ -371,7 +383,8 @@ def _dephasing_noise(n_senders, alpha, p, drawn, seed):
     spec = ChannelSpec(ChannelKind.DEPHASING, alpha, p, epsilon=0.7 if drawn else 0.0)
     u = (_seeded_unitaries(spec, n_senders, [(seed, 0)]) if drawn
          else np.broadcast_to(SIGMA_Z, (1, 1, 1, 2, 2)))
-    return _channel_weights(spec.kind, alpha, [p]), _Realizations.of(u, n_senders)
+    return (_channel_weights(spec.kind, _strength(spec.kind, alpha, [p])),
+            _Realizations.of(u, n_senders))
 
 
 @settings(max_examples=80, deadline=None)
@@ -412,7 +425,8 @@ def test_environment_side_of_a_rank_two_block():
     spec = ChannelSpec(ChannelKind.DEPHASING, 0.4, 0.2, epsilon=0.6)
     real = _Realizations((np.empty((1, 0, 2, 2)),
                           _seeded_unitaries(spec, 1, [(5, 0)])[:, 0]))
-    weights = (np.ones((1, 1)), _channel_weights(spec.kind, spec.alpha, [spec.p]))
+    weights = (np.ones((1, 1)), _channel_weights(spec.kind, _strength(spec.kind, spec.alpha,
+                                                                    [spec.p])))
     x = rng.uniform(0, 4 * np.pi, (1, 6))
     got, got_grad = _env_problem(vecs, _kraus_products(weights, real, senders, 0, 1))(
         np.arange(1), x)
@@ -437,7 +451,8 @@ def test_environment_side_rows_equal_one_row_calls(state, lay):
     (_, senders, vecs), = marg.blocks
     spec = ChannelSpec(ChannelKind.DEPHASING, 0.6, 0.0, epsilon=0.5)
     real = _Realizations.of(_seeded_unitaries(spec, n, [(2, k) for k in range(3)]), n)
-    weights = _channel_weights(spec.kind, spec.alpha, [0.0, 0.1, 0.3])
+    weights = _channel_weights(spec.kind, _strength(spec.kind, spec.alpha,
+                                                    [0.0, 0.1, 0.3]))
     noise = _kraus_products((weights,) * n, real, senders, 0, 3)
     x = rng.uniform(0, 4 * np.pi, (9, 3 * n))
     values, grads = _env_problem(vecs, noise)(np.arange(9), x)

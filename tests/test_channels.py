@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from qdc.qmath import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, dm_from_statevector
 from qdc.channels import (ChannelError, ChannelKind, ChannelSpec, DrawPolicy,
                           KrausSet, _apply_local, _basis, _channel_weights,
-                          _seeded_unitaries, _superop, _superops, _weighted,
+                          _seeded_unitaries, _strength, _superop, _superops, _weighted,
                           apply_local_channel, deterministic_kraus,
                           p_range, parse_channel, pauli_means, sample_per_qubit_kraus,
                           unitary_from_params, UnitaryParams)
@@ -48,12 +48,20 @@ def test_depolarizing_weights():
 
 
 def scalar_weights(kind, alpha, p):
-    """The channel weights of one p, in Python floats, as the formula reads."""
-    if kind is ChannelKind.DEPHASING:
-        return [(1.0 - alpha * p) * (1.0 - p), (1.0 + alpha * (1.0 - p)) * p]
-    w_id = (1.0 - 3.0 * alpha * p) * (1.0 - p)
-    w_p = (1.0 + 3.0 * alpha * (1.0 - p)) * p / 3.0
-    return [max(0.0, w_id), w_p, w_p, w_p]
+    """The channel weights of one p, in Python floats, as the formula reads:
+    the strength q = (1 + m' a (1 - p)) p, then 1 - q on I and q/m' on each
+    of the m' Pauli-like unitaries."""
+    m = 1 if kind is ChannelKind.DEPHASING else 3
+    q = (1.0 + m * alpha * (1.0 - p)) * p
+    return [max(0.0, 1.0 - q)] + [q / m] * m
+
+
+def product_weights(kind, alpha, p):
+    """The weights as the product formula reads: (1 - m' a p)(1 - p) on I and
+    (1 + m' a (1 - p)) p / m' on each unitary."""
+    m = 1 if kind is ChannelKind.DEPHASING else 3
+    w_p = (1.0 + m * alpha * (1.0 - p)) * p / m
+    return [max(0.0, (1.0 - m * alpha * p) * (1.0 - p))] + [w_p] * m
 
 
 @pytest.mark.parametrize("kind", list(ChannelKind))
@@ -62,23 +70,34 @@ def test_channel_weights_of_a_batch_equal_the_scalar_formula_bitwise(kind):
         hi = p_range(ChannelSpec(kind, alpha, 0.0))[1]
         # the grid ends at p = 1/2 (dephasing) or p = min(1, 1/(3 alpha))
         ps = [float(p) for p in np.linspace(0.0, hi, 97)] + [hi]
-        batch = _channel_weights(kind, alpha, ps)
+        batch = _channel_weights(kind, _strength(kind, alpha, ps))
         assert batch.shape == (len(ps), 2 if kind is ChannelKind.DEPHASING else 4)
         for p, row in zip(ps, batch):
             want = np.array(scalar_weights(kind, alpha, p))
             assert row.tobytes() == want.tobytes(), (alpha, p)
-            assert _channel_weights(kind, alpha, p).tobytes() == want.tobytes()
+            assert _channel_weights(kind, _strength(kind, alpha, p)).tobytes() == \
+                want.tobytes()
+            # the unitaries' weights keep the product formula's bits, and the
+            # identity's moves by an ulp at most
+            product = np.array(product_weights(kind, alpha, p))
+            assert row[1:].tobytes() == product[1:].tobytes(), (alpha, p)
+            assert abs(row[0] - product[0]) <= 2.3e-16, (alpha, p)
 
 
 def test_channel_weights_reject_a_p_out_of_range_in_a_batch():
-    with pytest.raises(ChannelError, match="dephasing p=0.6 outside"):
-        _channel_weights(ChannelKind.DEPHASING, 0.3, [0.1, 0.6, 0.7])
-    with pytest.raises(ChannelError, match="dephasing p=nan outside"):
-        _channel_weights(ChannelKind.DEPHASING, 0.3, [0.1, np.nan])
-    # a negative identity weight, (1 - 3 a p)(1 - p) < 0, at p > 1/(3a)
+    # ChannelSpec checks p for its alpha; the weights take any strength in
+    # [0, 1], and reject one outside it or NaN
+    with pytest.raises(ChannelError, match="dephasing strength q=1.5 outside"):
+        _channel_weights(ChannelKind.DEPHASING, [0.1, 1.5, 1.7])
+    with pytest.raises(ChannelError, match="dephasing strength q=nan outside"):
+        _channel_weights(ChannelKind.DEPHASING, [0.1, np.nan])
+    with pytest.raises(ChannelError, match="q=-0.1 outside"):
+        _channel_weights(ChannelKind.DEPOLARIZING, [0.1, -0.1])
+    # past q = 1, where (1 - 3 a p)(1 - p) < 0, at p > 1/(3a)
     for ps in (0.5, [0.1, 0.5]):
-        with pytest.raises(ChannelError, match="alpha=0.9, p=0.5"):
-            _channel_weights(ChannelKind.DEPOLARIZING, 0.9, ps)
+        with pytest.raises(ChannelError, match="depolarizing strength q=1.17"):
+            _channel_weights(ChannelKind.DEPOLARIZING,
+                             _strength(ChannelKind.DEPOLARIZING, 0.9, ps))
 
 
 def test_kraus_completeness_enforced():
@@ -110,6 +129,11 @@ def test_channel_spec_ranges():
     ChannelSpec(ChannelKind.DEPOLARIZING, 0.0, 1.0)
     with pytest.raises(ChannelError):
         ChannelSpec(ChannelKind.DEPHASING, 1.5, 0.2)
+    # 1e-12 of slack past the end of the range, and no NaN
+    ChannelSpec(ChannelKind.DEPHASING, 0.5, 0.5 + 5e-13)
+    for p in (0.5 + 2e-12, np.nan, -1e-13):
+        with pytest.raises(ChannelError):
+            ChannelSpec(ChannelKind.DEPHASING, 0.5, p)
     for eps in (-0.1, np.inf, np.nan):
         with pytest.raises(ChannelError):
             ChannelSpec(ChannelKind.DEPHASING, 0.3, 0.2, epsilon=eps)
@@ -192,14 +216,11 @@ def frozen_kraus_set(spec, rng):
         mean = pauli_means(which).as_array()
         return frozen_unitary(*rng.normal(mean, spec.epsilon))
 
-    a, p = spec.alpha, spec.p
     if spec.kind is ChannelKind.DEPHASING:
         mats = (I2, drawn("z"))
-        weights = ((1.0 - a * p) * (1.0 - p), (1.0 + a * (1.0 - p)) * p)
     else:
         mats = (I2, drawn("x"), drawn("y"), drawn("z"))
-        w_p = (1.0 + 3.0 * a * (1.0 - p)) * p / 3.0
-        weights = (max(0.0, (1.0 - 3.0 * a * p) * (1.0 - p)), w_p, w_p, w_p)
+    weights = scalar_weights(spec.kind, spec.alpha, spec.p)
     return np.array([np.sqrt(w) * m for w, m in zip(weights, mats)])
 
 
@@ -229,7 +250,8 @@ def test_samplers_match_frozen_builder_bitwise(kind, policy):
         for ks, ops in zip(got, want):
             assert np.array_equal(np.array(ks.operators), ops)
     seeds = [(6, k) for k in range(20)]
-    batch = _weighted(_channel_weights(kind, 0.3, 0.2), _seeded_unitaries(spec, 3, seeds))
+    batch = _weighted(_channel_weights(kind, _strength(kind, 0.3, 0.2)),
+                      _seeded_unitaries(spec, 3, seeds))
     m = 2 if kind is ChannelKind.DEPHASING else 4
     assert batch.shape == (20, 1 if policy is DrawPolicy.SHARED_ACROSS_QUBITS else 3, m, 2, 2)
     for row, seed in zip(batch, seeds):
@@ -247,7 +269,8 @@ def test_batched_kernel_equals_unbatched_calls(n):
     rhos /= np.trace(rhos, axis1=1, axis2=2)[:, None, None]
     spec = ChannelSpec(ChannelKind.DEPOLARIZING, 0.3, 0.2, epsilon=0.8)
     targets = [n - 1, 0, 2]
-    ops = _superops(_channel_weights(spec.kind, spec.alpha, spec.p), _basis(
+    ops = _superops(_channel_weights(spec.kind, _strength(spec.kind, spec.alpha, spec.p)),
+                    _basis(
         _seeded_unitaries(spec, len(targets), [(n, k) for k in range(b)])))
 
     def per_target(row):

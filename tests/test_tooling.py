@@ -76,10 +76,10 @@ def test_benchmark_keeps_one_workload_on_each_side_of_the_settling(monkeypatch):
     calls = []
     capacity_curve = qdc.analysis._capacity_curve
 
-    def counted(marginals, spec, ps, real, lo=0, hi=None, *args):
+    def counted(marginals, kind, qs, real, lo=0, hi=None, *args):
         hi = len(real) if hi is None else hi
-        calls.append((ps, lo, hi, len(real)))
-        return capacity_curve(marginals, spec, ps, real, lo, hi, *args)
+        calls.append((qs, lo, hi, len(real)))
+        return capacity_curve(marginals, kind, qs, real, lo, hi, *args)
 
     monkeypatch.setattr(qdc.analysis, "_capacity_curve", counted)
     for workload, settles in (("quench_id", True), ("scan_det", False)):
@@ -89,9 +89,9 @@ def test_benchmark_keeps_one_workload_on_each_side_of_the_settling(monkeypatch):
         assert calls, workload
         assert any(lo > 0 or hi < n_r for _, lo, hi, n_r in calls) == settles, workload
         read = {}
-        for ps, lo, hi, _ in calls:
-            for p in ps:
-                read[p] = read.get(p, 0) + hi - lo
+        for qs, lo, hi, _ in calls:
+            for q in qs:
+                read[q] = read.get(q, 0) + hi - lo
         n_r = calls[0][3]
         assert any(count < n_r for count in read.values()) == settles, workload
 
@@ -103,28 +103,35 @@ def test_benchmark_keeps_one_workload_on_each_side_of_the_one_cell_schedule(
     # curve call; the reduced quench_id operation (20 realizations) still
     # evaluates a midpoint on its own
     import qdc.analysis
+    from qdc.channels import _strength
     workloads = load("workloads", monkeypatch)
-    calls, grids = [], set()
+    calls, grids, problem = [], set(), {}
     capacity_curve = qdc.analysis._capacity_curve
     first_crossing = qdc.analysis._first_crossing
 
-    def counted(marginals, spec, ps, *args):
-        calls.append(list(ps))
-        return capacity_curve(marginals, spec, ps, *args)
+    def counted(marginals, kind, qs, *args):
+        calls.append(list(qs))
+        return capacity_curve(marginals, kind, qs, *args)
 
     def recorded(predicate, lo, hi, scan_step, *args):
-        # the scan's grid, as the scan builds it
+        # the scan's grid, as the scan builds it, in q: the strengths of the
+        # scanned channel and, for p_a's Markovian points, q = p
         n_steps = int(np.ceil((hi - lo) / scan_step))
-        grids.update([lo] + [min(lo + k * scan_step, hi) for k in range(1, n_steps + 1)])
+        grid = [lo] + [min(lo + k * scan_step, hi) for k in range(1, n_steps + 1)]
+        grids.update(grid + _strength(problem["kind"], problem["alpha"], grid).tolist())
         return first_crossing(predicate, lo, hi, scan_step, *args)
 
     monkeypatch.setattr(qdc.analysis, "_capacity_curve", counted)
     monkeypatch.setattr(qdc.analysis, "_first_crossing", recorded)
-    for workload, alone in (("scan_det", False), ("quench_id", True)):
+    # the reduced operations scan the first problem and the first cell
+    for workload, alone, kind, alpha in (
+            ("scan_det", False, *workloads.SCAN_PROBLEMS[0][3:]),
+            ("quench_id", True, workloads.DEPOL, workloads.QID_CELLS[0][3])):
+        problem.update(kind=kind, alpha=alpha)
         calls.clear()
         grids.clear()
         for op in workloads.WORKLOADS[workload].make(workloads.DEFAULT_SEED, True):
             op.run()
-        midpoints = [ps for ps in calls if not set(ps) <= grids]
+        midpoints = [qs for qs in calls if not set(qs) <= grids]
         assert midpoints, workload
-        assert any(len(ps) == 1 for ps in midpoints) == alone, workload
+        assert any(len(qs) == 1 for qs in midpoints) == alone, workload
