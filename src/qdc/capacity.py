@@ -4,8 +4,9 @@ Conventions: qubit order is senders first, receivers last.  With N senders
 the classical bound is N bits.  Noise acts on the transmitted sender qubits
 only, so receiver marginals are always taken from the pre-channel state.
 Each sender's noise is a weighted set of unitaries, w_0 rho + sum_j w_j U_j
-rho U_j^dag.  A block takes one of two routes, decided from its rank r and
-its senders' term counts m_i alone (``_output_entropies``):
+rho U_j^dag: the senders share the channel's m weights and each has its own
+unitaries.  A block takes one of two routes, decided from its rank r and m
+alone (``_output_entropies``):
 
 * The kernel.  Sender i's noise is a 4x4 superoperator S, and encoding with
   U and then noise is the one superoperator S (U (x) conj(U)).  A
@@ -14,7 +15,7 @@ its senders' term counts m_i alone (``_output_entropies``):
   unitary into its noise and returns the block entropy with its exact
   gradient in the encoding parameters, from one more kernel pass with the
   adjoint superoperators.
-* The environment side, when r m_1 ... m_n < d (see RANK_TOL): in practice a
+* The environment side, when r m^n < d (see RANK_TOL): in practice a
   pure one-receiver block under dephasing, 2^n Kraus products against
   d = 2^(n+1).  The block's output has the nonzero spectrum of the Gram
   matrix of the vectors (K_(1,j_1) U_1 (x) ... (x) K_(n,j_n) U_n) psi, half
@@ -25,10 +26,11 @@ its senders' term counts m_i alone (``_output_entropies``):
   Both routes share the encoding gradient's generators (``_encoding_grad``).
 
 Every capacity, one or many, goes through one batched entry,
-``_output_entropies``, over a grid of weight rows (a p-point each) by
-channel realizations (``_Realizations``: each sender's unitaries, with the
-superoperator basis and Gram matrices derived from them once): a single
-``evaluate`` is its grid of one, and a quenched mean or a scan curve hands
+``_output_entropies``, over a grid of weight rows (a p-point each, shared
+by the senders) by channel realizations (``_Realizations``: each sender's
+unitaries, with the superoperator basis and Gram matrices derived from them
+once): a single ``evaluate`` is its grid of one, the spec's weights with the
+unitaries of ``kraus_override``, and a quenched mean or a scan curve hands
 it many at once.  The block states, their vectors and the receiver
 entropies it needs are traced out of rho once (``_marginals``) and may be
 shared by every call on the same state.  A block state with no imaginary
@@ -41,14 +43,14 @@ it runs with.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .channels import (ChannelSpec, KrausSet, _apply_local, _kraus_set, _kron_conj,
-                       _superops, deterministic_kraus, unitary_from_params)
+from .channels import (_PAULIS, ChannelError, ChannelSpec, KrausSet, _apply_local,
+                       _channel_weights, _kron_conj, _strength, _superops,
+                       unitary_from_params)
 from .optimizer import EncodingParams, OptimizerConfig, minimize
 from .qmath import (SIGMA_Z, _real_if_exact, entropy_and_log2, partial_trace,
                     von_neumann_entropy)
@@ -56,9 +58,6 @@ from .qmath import (SIGMA_Z, _real_if_exact, entropy_and_log2, partial_trace,
 # surplus over the classical bound above which a capacity counts as dense
 # codeable; at or below it the capacity has collapsed
 COLLAPSE_THRESHOLD = 1e-9
-
-# the no-channel case of the noisy formulas
-_NO_NOISE = _kraus_set(np.ones(1), np.empty((0, 2, 2)))
 
 
 class LayoutError(ValueError):
@@ -153,18 +152,30 @@ def encode(rho: np.ndarray, encoding: EncodingParams) -> np.ndarray:
                         range(len(unitaries)))
 
 
-def _sender_sets(spec: ChannelSpec | None, layout: PartyLayout,
-                 kraus_override: list[KrausSet] | None) -> list[KrausSet]:
-    """Each sender's noise as a KrausSet."""
-    if kraus_override is not None:
-        if len(kraus_override) != layout.n_senders:
-            raise LayoutError("kraus_override must supply one KrausSet per sender")
-        return list(kraus_override)
+def _sender_channels(spec: ChannelSpec | None, layout: PartyLayout,
+                     kraus_override: list[KrausSet] | None
+                     ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The weights every sender shares, ``(m,)``, and each sender's unitaries,
+    ``(1, m-1, 2, 2)``: the spec's channel (the identity without one), or the
+    realization of it that ``kraus_override`` gives, one KrausSet per sender.
+    Senders given the same unitaries share the array."""
     if spec is None:
-        return [_NO_NOISE] * layout.n_senders
-    if spec.is_random:
-        raise ValueError("a random channel needs kraus_override")
-    return [deterministic_kraus(spec)] * layout.n_senders
+        if kraus_override is not None:
+            raise ChannelError("kraus_override needs the spec of its channel")
+        return np.ones(1), (np.empty((1, 0, 2, 2)),) * layout.n_senders
+    weights = _channel_weights(spec.kind, _strength(spec.kind, spec.alpha, spec.p))
+    if kraus_override is None:
+        if spec.is_random:
+            raise ValueError("a random channel needs kraus_override")
+        return weights, (_PAULIS[spec.kind][None],) * layout.n_senders
+    if len(kraus_override) != layout.n_senders:
+        raise LayoutError("kraus_override must supply one KrausSet per sender")
+    # bitwise, so a set of another kind (another m) or strength fails it
+    if any(ks.weights.tobytes() != weights.tobytes() for ks in kraus_override):
+        raise ChannelError(f"kraus_override is not the {spec.kind.value} channel at "
+                           f"alpha={spec.alpha}, p={spec.p}")
+    rows = {id(ks.unitaries): ks.unitaries[None] for ks in kraus_override}
+    return weights, tuple(rows[id(ks.unitaries)] for ks in kraus_override)
 
 
 def _block_entropy(block_rho: np.ndarray, sups) -> float | np.ndarray:
@@ -236,16 +247,16 @@ def _block_entropy_and_grad(block_rho: np.ndarray, sups,
 
 
 # The environment side.  A block state psi psi^dag of rank r (psi is d x r),
-# after each of its n senders' channels sum_j K_j rho K_j^dag with m_i terms,
+# after each of its n senders' channels sum_j K_j rho K_j^dag with m terms,
 # is V V^dag for the d x (M r) matrix V of the vectors v_(j,a) =
-# (K_(1,j_1) (x) ... (x) K_(n,j_n) (x) I) psi_a, M = m_1 ... m_n.  Its nonzero
+# (K_(1,j_1) (x) ... (x) K_(n,j_n) (x) I) psi_a, M = m^n.  Its nonzero
 # spectrum is that of the Gram matrix V^dag V, so when M r < d the entropy
 # comes from that smaller matrix.
 
 
 def _kron_rows(ops: list[np.ndarray]) -> np.ndarray:
     """Every product K_(1,j_1) (x) ... (x) K_(n,j_n) of per-sender operators
-    ``(k, m_i, 2, 2)``, stacked: ``(k, M 2^n, 2^n)``, j_1 most significant."""
+    ``(k, m, 2, 2)``, stacked: ``(k, M 2^n, 2^n)``, j_1 most significant."""
     out = ops[0]
     for op in ops[1:]:
         k, m, d = out.shape[0], out.shape[1] * op.shape[1], 2 * out.shape[-1]
@@ -301,13 +312,12 @@ def _env_objective(psi_s: np.ndarray, psi_rows: list[np.ndarray], noise: np.ndar
     return entropy, _encoding_grad(params, u, local)
 
 
-def _amplitudes(weights: list[np.ndarray], r: int) -> np.ndarray:
-    """sqrt(w_(1,j_1) ... w_(n,j_n)) for each row of per-sender weights
-    ``(P, m_i)``, each repeated r times: ``(P, M r)``, as ``_outputs`` orders
-    (j, a)."""
-    s = np.sqrt(weights[0])
-    for w in weights[1:]:
-        s = (s[:, :, None] * np.sqrt(w)[:, None, :]).reshape(len(s), -1)
+def _amplitudes(weights: np.ndarray, n: int, r: int) -> np.ndarray:
+    """sqrt(w_j_1 ... w_j_n) for n senders at each row of weights ``(P, m)``,
+    each repeated r times: ``(P, m^n r)``, as ``_outputs`` orders (j, a)."""
+    root = s = np.sqrt(weights)
+    for _ in range(n - 1):
+        s = (s[:, :, None] * root[:, None, :]).reshape(len(s), -1)
     return np.repeat(s, r, axis=-1)
 
 
@@ -318,9 +328,9 @@ _GRAM_SLICE = 256
 @dataclass(eq=False)
 class _Realizations:
     """R realizations of each sender's noise unitaries (real if exact): at
-    weights w, sender q's channel in realization b is w_0 rho +
-    sum_{j>=1} w_j U_j rho U_j^dag with U_j = ``unitaries[q][b, j-1]``
-    (``(R, m_q - 1, 2, 2)``).  Senders given the same array share a group,
+    weights w, shared by the senders, sender q's channel in realization b is
+    w_0 rho + sum_{j>=1} w_j U_j rho U_j^dag with U_j = ``unitaries[q][b, j-1]``
+    (``(R, m - 1, 2, 2)``).  Senders given the same array share a group,
     and what it derives from them, whatever the weights: the superoperator
     basis U (x) conj(U), the identity and the unitaries as one stack, and
     the environment-side Gram matrices of block vectors at unit weights.
@@ -346,8 +356,8 @@ class _Realizations:
         rows = [u[:, i] for i in range(u.shape[1])]
         real = _Realizations(tuple(rows[min(q, len(rows) - 1)] for q in range(n_senders)))
         if marg is not None and not any(
-                _takes_environment_side(block, psi, [u.shape[2] + 1] * len(senders))
-                for block, senders, psi in marg.blocks):
+                _takes_environment_side(block, psi, u.shape[2] + 1)
+                for block, _, psi in marg.blocks):
             for q in range(n_senders):
                 real.basis(q)
             real.unitaries = None
@@ -362,12 +372,12 @@ class _Realizations:
         return self._derived[key]
 
     def basis(self, q: int) -> np.ndarray:
-        """U (x) conj(U) of sender q's unitaries, ``(R, m_q - 1, 4, 4)``."""
+        """U (x) conj(U) of sender q's unitaries, ``(R, m - 1, 4, 4)``."""
         return self._keep(("basis", self.groups[q]),
                           lambda: _real_if_exact(_kron_conj(self.unitaries[q])))
 
     def terms(self, q: int) -> np.ndarray:
-        """The identity and sender q's unitaries, ``(R, m_q, 2, 2)``."""
+        """The identity and sender q's unitaries, ``(R, m, 2, 2)``."""
         u = self.unitaries[q]
         return self._keep(("terms", self.groups[q]), lambda: np.concatenate(
             [np.broadcast_to(np.eye(2, dtype=u.dtype), (len(u), 1, 2, 2)), u], axis=1))
@@ -398,19 +408,19 @@ class _Marginals:
 
 
 # An eigenvalue of a block state at or below RANK_TOL does not count in its
-# rank r.  A block takes the environment side when r M < d (M the product of
-# its senders' Kraus term counts): in practice the pure one-receiver blocks
-# under dephasing (M = 2^n against d = 2^(n+1)).  A pure state built in
+# rank r.  A block of n senders with m Kraus terms each takes the environment
+# side when r m^n < d: in practice the pure one-receiver blocks under
+# dephasing (2^n against d = 2^(n+1)).  A pure state built in
 # float64 shows eigenvalues of at most ~5e-16 off its vector (the states of
 # qdc.states.build, and random 2- to 5-qubit states); dropping true
 # eigenvalues of at most RANK_TOL moves an entropy by less than 2e-11.
 RANK_TOL = 1e-14
 
 
-def _takes_environment_side(block: np.ndarray, psi: np.ndarray, terms) -> bool:
+def _takes_environment_side(block: np.ndarray, psi: np.ndarray, m: int) -> bool:
     """Whether a block state with vectors psi ``(d, r)`` takes the environment
-    side under senders with ``terms`` Kraus terms each: r M < d."""
-    return psi.shape[1] * math.prod(terms) < len(block)
+    side under senders with m Kraus terms each: r m^n < d, n = log2(d) - 1."""
+    return psi.shape[1] * m ** (len(block).bit_length() - 2) < len(block)
 
 
 def _block_vectors(block: np.ndarray) -> np.ndarray:
@@ -436,28 +446,28 @@ def _block_objective(block_rho: np.ndarray, sups, rows: np.ndarray,
     return _block_entropy_and_grad(block_rho, [s[rows] for s in sups], x)
 
 
-def _kernel_superops(weights, real: _Realizations, lo: int, hi: int) -> list[np.ndarray]:
-    """Each sender's superoperator at each (weight row, realization in
-    [lo, hi)), a-major, ``(P (hi - lo), 4, 4)``: the weights contracted with
-    the realizations' basis as it is stored, not a gathered copy of it, once
-    for senders that share both."""
+def _kernel_superops(weights: np.ndarray, real: _Realizations, lo: int,
+                     hi: int) -> list[np.ndarray]:
+    """Each sender's superoperator at each (row of ``weights`` ``(P, m)``,
+    realization in [lo, hi)), a-major, ``(P (hi - lo), 4, 4)``: the weights
+    contracted with the realizations' basis as it is stored, not a gathered
+    copy of it, once for senders of one group."""
     made = {}
-    for q in range(len(weights)):
-        key = (id(weights[q]), real.groups[q])
-        if key not in made:
-            made[key] = _superops(weights[q][:, None],
-                                  real.basis(q)[None, lo:hi]).reshape(-1, 4, 4)
-    return [made[id(weights[q]), real.groups[q]] for q in range(len(weights))]
+    for q, g in enumerate(real.groups):
+        if g not in made:
+            made[g] = _superops(weights[:, None],
+                                real.basis(q)[None, lo:hi]).reshape(-1, 4, 4)
+    return [made[g] for g in real.groups]
 
 
-def _kraus_products(weights, real: _Realizations, senders: list[int], lo: int,
-                    hi: int) -> np.ndarray:
+def _kraus_products(weights: np.ndarray, real: _Realizations, senders: list[int],
+                    lo: int, hi: int) -> np.ndarray:
     """The products N_j of the senders' Kraus operators sqrt(w) U at each
-    (weight row, realization in [lo, hi)), a-major, stacked: ``(P (hi - lo),
-    M 2^n, 2^n)`` (``_kron_rows``)."""
-    return _kron_rows([(np.sqrt(weights[q])[:, None, :, None, None]
-                        * real.terms(q)[None, lo:hi]).reshape(-1, len(weights[q][0]), 2, 2)
-                       for q in senders])
+    (row of ``weights`` ``(P, m)``, realization in [lo, hi)), a-major, stacked:
+    ``(P (hi - lo), m^n 2^n, 2^n)`` (``_kron_rows``)."""
+    roots = np.sqrt(weights)[:, None, :, None, None]
+    return _kron_rows([(roots * real.terms(q)[None, lo:hi]).reshape(
+        -1, weights.shape[1], 2, 2) for q in senders])
 
 
 def _env_problem(psi: np.ndarray, noise: np.ndarray):
@@ -469,26 +479,26 @@ def _env_problem(psi: np.ndarray, noise: np.ndarray):
                    noise)
 
 
-def _output_entropies(marg: _Marginals, weights, real: _Realizations, lo: int,
-                      hi: int, opt: OptimizerConfig,
+def _output_entropies(marg: _Marginals, weights: np.ndarray, real: _Realizations,
+                      lo: int, hi: int, opt: OptimizerConfig,
                       optimize: bool) -> tuple[np.ndarray, np.ndarray]:
     """Largest block entropy after the senders' noise, and the encoding that
     reaches it, ``(P (hi - lo), 3 * n_senders)``, for each row of a grid:
-    weight row a of ``weights[q]`` (sender q's, ``(P, m_q)``) by realization
-    b in [lo, hi) of ``real``, a-major.
+    weight row a of ``weights`` ``(P, m)``, shared by the senders, by
+    realization b in [lo, hi) of ``real``, a-major.
 
     Each block's state is traced out of rho before it is encoded: local
     unitaries and noise on the traced qubits drop out, so the result is
-    exact.  A block takes the environment side when r M < d (see RANK_TOL),
+    exact.  A block takes the environment side when r m^n < d (see RANK_TOL),
     else the kernel with each sender's superoperator.  With ``optimize``,
     each block entropy is minimized over the unitaries of the block's own
     senders: its rows x (restarts + 1) problems run in one lockstep group.
     Else the encoding is the identity and no unitary is built.
     """
-    n_rows = len(weights[0]) * (hi - lo)
+    n_rows = len(weights) * (hi - lo)
     sups, entropies, encodings = [], [], []
     for block, senders, psi in marg.blocks:
-        env = _takes_environment_side(block, psi, [weights[q].shape[-1] for q in senders])
+        env = _takes_environment_side(block, psi, weights.shape[1])
         if not env:
             sups = sups or _kernel_superops(weights, real, lo, hi)
         if optimize:
@@ -498,7 +508,7 @@ def _output_entropies(marg: _Marginals, weights, real: _Realizations, lo: int,
             e, x = minimize(objective, n_rows, len(senders), opt)
             encodings.append(x)
         elif env:
-            s = _amplitudes([weights[q] for q in senders], psi.shape[1])
+            s = _amplitudes(weights, len(senders), psi.shape[1])
             gram = (s[:, None, :, None] * real.gram(psi, senders)[None, lo:hi]
                     ) * s[:, None, None, :]
             e = von_neumann_entropy(gram.reshape(n_rows, s.shape[1], s.shape[1]))
@@ -519,8 +529,7 @@ def _capacities(marg: _Marginals, weights: np.ndarray, real: _Realizations,
     ``real``: ``(P, hi - lo)``, with the identity encoding or, with
     ``optimize``, the encoding optimized per (row, realization)."""
     hi = len(real) if hi is None else hi
-    outputs, _ = _output_entropies(marg, (weights,) * marg.n_senders, real, lo, hi,
-                                   opt, optimize)
+    outputs, _ = _output_entropies(marg, weights, real, lo, hi, opt, optimize)
     classical = float(marg.n_senders)
     return np.maximum(classical, classical + sum(marg.receiver_terms) - outputs
                       ).reshape(len(weights), hi - lo)
@@ -539,14 +548,11 @@ def _capacity(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec | None,
     is covariant so that the encoding drops out.
     """
     marg = _marginals(rho, layout)
-    sets = _sender_sets(spec, layout, kraus_override)
+    weights, unitaries = _sender_channels(spec, layout, kraus_override)
     covariant = spec is not None and spec.is_covariant and kraus_override is None
     fixed = not optimize or spec is None or covariant
-    # one weight row and one realization; senders that share a set share them
-    rows = {id(ks): (ks.weights[None], ks.unitaries[None]) for ks in sets}
-    outputs, x = _output_entropies(
-        marg, [rows[id(ks)][0] for ks in sets],
-        _Realizations(tuple(rows[id(ks)][1] for ks in sets)), 0, 1, opt, not fixed)
+    outputs, x = _output_entropies(marg, weights[None], _Realizations(unitaries), 0, 1,
+                                   opt, not fixed)
     return _result(layout.n_senders, list(marg.receiver_terms), float(outputs[0]),
                    EncodingParams.from_flat(x[0]))
 

@@ -1,13 +1,15 @@
 """Non-Markovian dephasing / depolarizing channels and their random variants.
 
-A single-qubit channel realization is a ``KrausSet``; ``apply_local_channel``
-applies one per designated sender qubit, through the module's single kernel
-for local operators, which takes each target's 4x4 superoperator with an
-optional leading batch axis.  A channel of weights w_j on I, U_1, ... is
-sum_j w_j U_j (x) conj(U_j): the basis of the U_j after the identity
-(``_basis``) is built once, and each p contracts its weights with it and the
-identity (``_superops``).  The exact-Pauli bases are real (P (x) conj(P)
-is), so on a real state they keep it real.
+Every channel here is w_0 rho + sum_j w_j U_j rho U_j^dag, and a
+single-qubit realization of one is a ``KrausSet``: its weights on I, U_1, ...
+and its unitaries.  ``apply_local_channel`` applies one per designated sender
+qubit, through the module's single kernel for local operators, which takes
+each target's 4x4 superoperator with an optional leading batch axis.  The
+superoperator is sum_j w_j U_j (x) conj(U_j): the basis of the U_j after the
+identity (``_basis``, which checks them unitary) is built once, and each p
+contracts its weights with it and the identity (``_superops``).  The
+exact-Pauli bases are real (P (x) conj(P) is), so on a real state they keep
+it real.
 
 The non-Markovianity strength ``a`` only moves weight from the identity to
 the m' Pauli-like unitaries (m' = 1 for dephasing, Uz; 3 for depolarizing,
@@ -138,51 +140,36 @@ def p_range(spec: ChannelSpec) -> tuple[float, float]:
     return 0.0, hi
 
 
-def _check_completeness(ops: np.ndarray) -> None:
-    """Raise unless every Kraus set in an ``(..., m, 2, 2)`` stack has
-    sum K^dag K = I."""
-    gram = np.einsum("...mba,...mbc->...ac", ops.conj(), ops)
-    # written so that a non-finite operator fails it too
-    if not np.max(np.abs(gram - I2), initial=0.0) <= COMPLETENESS_TOL:
-        raise ChannelError("Kraus set violates completeness")
-
-
 @dataclass(frozen=True, eq=False)
 class KrausSet:
-    """Ordered single-qubit Kraus operators with sum K^dag K = I, and the
-    superoperator the kernel applies: sum_K K (x) conj(K).
-
-    The capacity layer reads a set as weights on the identity and then on
-    unitaries (``weights`` ``(m,)``, ``unitaries`` ``(m-1, 2, 2)``).  A set
-    built here from weights and unitaries (``_kraus_set``) keeps them, and its
-    superoperator is ``_superops`` of their basis, as a curve computes it; a
-    set given by its operators is weight 0 on the identity and weight 1 on
-    each operator."""
-    operators: tuple = field()
+    """One single-qubit channel realization, w_0 rho + sum_j w_j U_j rho U_j^dag:
+    its ``weights`` ``(m,)``, the identity's first, and its ``unitaries``
+    ``(m-1, 2, 2)``.  The weights are finite, >= 0 and sum to one within
+    COMPLETENESS_TOL, and each U_j is unitary.  The superoperator the kernel
+    applies is ``_superops`` of the unitaries' basis, as a curve computes it,
+    and ``operators`` are the Kraus operators sqrt(w_0) I, sqrt(w_j) U_j."""
+    weights: np.ndarray
+    unitaries: np.ndarray
     superop: np.ndarray = field(init=False, repr=False)
-    weights: np.ndarray = field(init=False, repr=False)
-    unitaries: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for k in self.operators:
-            if k.shape != (2, 2):
-                raise ChannelError("Kraus operators must be 2x2")
-        ops = np.reshape(self.operators, (-1, 2, 2))
-        _check_completeness(ops)
-        self._set(_superop(ops), np.concatenate([[0.0], np.ones(len(ops))]), ops)
-
-    def _set(self, superop, weights, unitaries) -> None:
-        for name, value in (("superop", superop), ("weights", weights),
-                            ("unitaries", unitaries)):
+        w = np.asarray(self.weights, dtype=float)
+        u = np.asarray(self.unitaries, dtype=complex)
+        if w.ndim != 1 or u.shape != (len(w) - 1, 2, 2):
+            raise ChannelError(f"weights {w.shape} need unitaries (m-1, 2, 2), "
+                               f"got {u.shape}")
+        # written so that a NaN or an infinite weight fails it too
+        if not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= COMPLETENESS_TOL):
+            raise ChannelError(f"channel weights {w} must be >= 0 and sum to 1")
+        for name, value in (("weights", w), ("unitaries", u),
+                            ("superop", _superops(w, _basis(u)))):
             object.__setattr__(self, name, value)
 
-
-def _kraus_set(weights: np.ndarray, unitaries: np.ndarray) -> KrausSet:
-    """The KrausSet sqrt(w_0) I, sqrt(w_j) U_j, with the bits a curve gives
-    the same channel."""
-    ks = KrausSet(tuple(_weighted(weights, unitaries)))
-    ks._set(_superops(weights, _basis(unitaries)), weights, unitaries)
-    return ks
+    @property
+    def operators(self) -> tuple:
+        """The Kraus operators sqrt(w_0) I, sqrt(w_j) U_j."""
+        return tuple(np.sqrt(self.weights)[:, None, None]
+                     * np.concatenate([I2[None], self.unitaries]))
 
 
 def _strength(kind: ChannelKind, alpha, p):
@@ -210,24 +197,10 @@ def _channel_weights(kind: ChannelKind, q) -> np.ndarray:
     return out
 
 
-def _weighted(weights: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
-    """Kraus operators sqrt(w_0) I, sqrt(w_j) U_j from ``(..., m-1, 2, 2)``
-    unitaries and ``(..., m)`` weights; the result has shape
-    ``(..., m, 2, 2)``."""
-    u = np.asarray(unitaries, dtype=complex)
-    ident = np.broadcast_to(I2, u.shape[:-3] + (1, 2, 2))
-    return np.sqrt(weights)[..., None, None] * np.concatenate([ident, u], axis=-3)
-
-
 def _kron_conj(u: np.ndarray) -> np.ndarray:
     """U (x) conj(U), the superoperator of rho -> U rho U^dag, for each 2x2 U."""
     return (u[..., :, None, :, None] * u.conj()[..., None, :, None, :]).reshape(
         u.shape[:-2] + (4, 4))
-
-
-def _superop(ops) -> np.ndarray:
-    """sum_K K (x) conj(K) of each ``(..., m, 2, 2)`` Kraus set; real if exact."""
-    return _real_if_exact(_kron_conj(np.asarray(ops)).sum(axis=-3))
 
 
 _EYE4 = np.eye(4)
@@ -235,8 +208,11 @@ _EYE4 = np.eye(4)
 
 def _check_unitary(unitaries: np.ndarray) -> None:
     """Raise unless each 2x2 of the stack is unitary: weights sum to one, so
-    U_j's completeness is each channel's."""
-    _check_completeness(unitaries[..., None, :, :])
+    the U_j's unitarity is each channel's completeness."""
+    gram = np.einsum("...ba,...bc->...ac", unitaries.conj(), unitaries)
+    # written so that a non-finite matrix fails it too
+    if not np.max(np.abs(gram - I2), initial=0.0) <= COMPLETENESS_TOL:
+        raise ChannelError("a channel matrix is not unitary")
 
 
 def _basis(unitaries) -> np.ndarray:
@@ -287,7 +263,7 @@ def sample_per_qubit_kraus(spec: ChannelSpec, n_targets: int,
                            rng: np.random.Generator) -> list[KrausSet]:
     """One KrausSet per target qubit, honoring the draw policy."""
     w = _channel_weights(spec.kind, _strength(spec.kind, spec.alpha, spec.p))
-    sets = [_kraus_set(w, u) for u in _draw_unitaries(spec, n_targets, [rng])[0]]
+    sets = [KrausSet(w, u) for u in _draw_unitaries(spec, n_targets, [rng])[0]]
     if spec.draw_policy is DrawPolicy.SHARED_ACROSS_QUBITS:
         return sets * n_targets
     return sets
@@ -305,7 +281,7 @@ def _seeded_unitaries(spec: ChannelSpec, n_targets: int, seeds) -> np.ndarray:
 def deterministic_kraus(spec: ChannelSpec) -> KrausSet:
     """The exact-Pauli channel for the given spec (epsilon ignored)."""
     q = _strength(spec.kind, spec.alpha, spec.p)
-    return _kraus_set(_channel_weights(spec.kind, q), _PAULIS[spec.kind])
+    return KrausSet(_channel_weights(spec.kind, q), _PAULIS[spec.kind])
 
 
 @functools.cache

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,9 +10,10 @@ from qdc.capacity import (RANK_TOL, LayoutError, PartyLayout, _block_entropy,
                           _marginals, _output_entropies, _Realizations,
                           bound_two_receivers, capacity_noiseless,
                           capacity_one_receiver, encode, evaluate)
-from qdc.channels import (ChannelKind, ChannelSpec, _basis, _channel_weights,
-                          _seeded_unitaries, _strength, _superops, apply_local_channel,
-                          p_range, sample_per_qubit_kraus, unitary_from_params)
+from qdc.channels import (ChannelError, ChannelKind, ChannelSpec, DrawPolicy, KrausSet,
+                          _basis, _channel_weights, _seeded_unitaries, _strength,
+                          _superops, apply_local_channel, deterministic_kraus, p_range,
+                          sample_per_qubit_kraus, unitary_from_params)
 from qdc.optimizer import EncodingParams, OptimizerConfig
 from qdc.oracles import (bell_dephasing_spectrum, bell_depolarizing_spectrum,
                          theorem3_bound)
@@ -118,7 +121,6 @@ def test_covariant_channel_skips_optimization():
 ])
 def test_fixed_encoding_skips_encode(monkeypatch, spec, kwargs):
     import qdc.capacity
-    from qdc.channels import deterministic_kraus
     calls = []
     monkeypatch.setattr(qdc.capacity, "unitary_from_params",
                         lambda *a: calls.append(a) or unitary_from_params(*a))
@@ -127,7 +129,8 @@ def test_fixed_encoding_skips_encode(monkeypatch, spec, kwargs):
         rho = build(state)
         got = evaluate(rho, lay, spec, **kwargs).channel_output_entropy
         assert calls == []
-        ks = qdc.capacity._NO_NOISE if spec is None else deterministic_kraus(spec)
+        ks = (KrausSet(np.ones(1), np.empty((0, 2, 2))) if spec is None
+              else deterministic_kraus(spec))
         want = max(von_neumann_entropy(apply_local_channel(
             encode(partial_trace(rho, senders + [r]),
                    EncodingParams.identity(len(senders))),
@@ -277,6 +280,31 @@ def test_kraus_override_and_rng_requirements():
         capacity_one_receiver(rho, lay, spec, kraus_override=kraus[:1])
 
 
+def test_kraus_override_must_be_the_specs_channel():
+    # the override's weights are bitwise the spec's, so a set of another p,
+    # alpha or kind, or one given without a spec, names another channel
+    rho = build(GGHZ(3, 1 / np.sqrt(2)))
+    lay = PartyLayout(2, 1)
+    spec = ChannelSpec(ChannelKind.DEPHASING, 0.3, 0.2, epsilon=0.5)
+    rng = np.random.default_rng(2)
+    for policy in DrawPolicy:
+        same = replace(spec, draw_policy=policy)
+        evaluate(rho, lay, same, kraus_override=sample_per_qubit_kraus(same, 2, rng),
+                 optimize=False)
+    det = replace(spec, epsilon=0.0)
+    evaluate(rho, lay, det, kraus_override=[deterministic_kraus(det)] * 2)
+    for other in (replace(spec, p=0.4), replace(spec, p=float(np.nextafter(0.2, 1))),
+                  replace(spec, alpha=0.5),
+                  replace(spec, kind=ChannelKind.DEPOLARIZING)):
+        for ks in (sample_per_qubit_kraus(other, 2, rng),
+                   [deterministic_kraus(other)] * 2):
+            with pytest.raises(ChannelError, match="kraus_override is not"):
+                evaluate(rho, lay, spec, kraus_override=ks, optimize=False)
+    for ks in (sample_per_qubit_kraus(spec, 2, rng), [deterministic_kraus(det)] * 2):
+        with pytest.raises(ChannelError, match="needs the spec"):
+            evaluate(rho, lay, None, kraus_override=ks)
+
+
 def test_encode_applies_local_unitaries():
     rho = build(GGHZ(3, 1 / np.sqrt(2)))
     enc = EncodingParams.identity(2)
@@ -399,8 +427,7 @@ def test_environment_side_equals_the_kernel(n_qubits, complex_state, drawn, alph
     rho = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
     (block, senders, vecs), = _marginals(rho, PartyLayout(n, 1)).blocks
     assert vecs.shape[1] == 1                   # pure: 2^n Kraus products < d
-    w, real = _dephasing_noise(n, alpha, p, drawn, seed)
-    weights = (w,) * n
+    weights, real = _dephasing_noise(n, alpha, p, drawn, seed)
     x = rng.uniform(0, 4 * np.pi, (1, 3 * n)) if encoded else np.zeros((1, 3 * n))
     env = _env_problem(vecs, _kraus_products(weights, real, senders, 0, 1))
     sups = _kernel_superops(weights, real, 0, 1)
@@ -415,18 +442,17 @@ def test_environment_side_equals_the_kernel(n_qubits, complex_state, drawn, alph
 
 
 def test_environment_side_of_a_rank_two_block():
-    # r = 2 and a noiseless sender (m = 1) beside a dephased one: r M = 4 < 8
+    # r = 2 under no noise (m = 1): r m^n = 2 < 8.  With the senders sharing
+    # their weights, a block of rank r >= 2 takes the environment side only
+    # at m = 1, since r m^n < 2^(n+1) forces it
     rng = np.random.default_rng(9)
     a = rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2))
     rho = a @ a.conj().T
     rho /= np.trace(rho).real
     (block, senders, vecs), = _marginals(rho, PartyLayout(2, 1)).blocks
     assert vecs.shape[1] == 2
-    spec = ChannelSpec(ChannelKind.DEPHASING, 0.4, 0.2, epsilon=0.6)
-    real = _Realizations((np.empty((1, 0, 2, 2)),
-                          _seeded_unitaries(spec, 1, [(5, 0)])[:, 0]))
-    weights = (np.ones((1, 1)), _channel_weights(spec.kind, _strength(spec.kind, spec.alpha,
-                                                                    [spec.p])))
+    real = _Realizations((np.empty((1, 0, 2, 2)),) * 2)
+    weights = np.ones((1, 1))
     x = rng.uniform(0, 4 * np.pi, (1, 6))
     got, got_grad = _env_problem(vecs, _kraus_products(weights, real, senders, 0, 1))(
         np.arange(1), x)
@@ -453,7 +479,7 @@ def test_environment_side_rows_equal_one_row_calls(state, lay):
     real = _Realizations.of(_seeded_unitaries(spec, n, [(2, k) for k in range(3)]), n)
     weights = _channel_weights(spec.kind, _strength(spec.kind, spec.alpha,
                                                     [0.0, 0.1, 0.3]))
-    noise = _kraus_products((weights,) * n, real, senders, 0, 3)
+    noise = _kraus_products(weights, real, senders, 0, 3)
     x = rng.uniform(0, 4 * np.pi, (9, 3 * n))
     values, grads = _env_problem(vecs, noise)(np.arange(9), x)
     some = np.array([7, 2])
@@ -463,7 +489,7 @@ def test_environment_side_rows_equal_one_row_calls(state, lay):
     caps = _capacities(marg, weights, real)
     for i in range(9):
         a, b = divmod(i, 3)
-        one = _kraus_products((weights[a:a + 1],) * n, real, senders, b, b + 1)
+        one = _kraus_products(weights[a:a + 1], real, senders, b, b + 1)
         value, grad = _env_problem(vecs, one)(np.arange(1), x[i:i + 1])
         assert value[0] == values[i] and np.array_equal(grad[0], grads[i])
         assert caps[a, b] == _capacities(marg, weights[a:a + 1], real, b, b + 1)[0, 0]
@@ -526,8 +552,7 @@ def test_environment_side_capacities_equal_the_kernel(state, lay):
     assert vecs.shape[1] == 1                   # pure: the environment side
     opt = OptimizerConfig(max_evaluations=200, restarts=1)
     for alpha, p in ((0.0, 0.1), (0.5, 0.2), (0.9, 0.45)):
-        w, real = _dephasing_noise(lay.n_senders, alpha, p, False, 0)
-        weights = (w,) * lay.n_senders
+        weights, real = _dephasing_noise(lay.n_senders, alpha, p, False, 0)
         sups = _kernel_superops(weights, real, 0, 1)
         for optimize in (False, True):
             got, x = _output_entropies(marg, weights, real, 0, 1, opt, optimize)

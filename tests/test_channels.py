@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from qdc.qmath import I2, SIGMA_X, SIGMA_Y, SIGMA_Z, dm_from_statevector
 from qdc.channels import (ChannelError, ChannelKind, ChannelSpec, DrawPolicy,
                           KrausSet, _apply_local, _basis, _channel_weights,
-                          _seeded_unitaries, _strength, _superop, _superops, _weighted,
+                          _seeded_unitaries, _strength, _superops,
                           apply_local_channel, deterministic_kraus,
                           p_range, parse_channel, pauli_means, sample_per_qubit_kraus,
                           unitary_from_params, UnitaryParams)
@@ -102,22 +102,53 @@ def test_channel_weights_reject_a_p_out_of_range_in_a_batch():
 
 def test_kraus_completeness_enforced():
     with pytest.raises(ChannelError):
-        KrausSet((I2, I2))
+        KrausSet(np.array([1.0, 1.0]), I2[None])
     with pytest.raises(ChannelError):
-        KrausSet((np.full((2, 2), np.nan),))
+        KrausSet(np.array([0.0, 1.0]), np.full((1, 2, 2), np.nan))
+
+
+def test_kraus_set_rejects_invalid_weights_and_unitaries():
+    u = SIGMA_Z[None]
+    for w in ([-0.1, 1.1], [np.nan, 1.0], [np.inf, 1.0], [0.5, np.inf], [0.4, 0.5],
+              [0.6, 0.5]):
+        with pytest.raises(ChannelError, match="weights"):
+            KrausSet(np.array(w), u)
+    with pytest.raises(ChannelError, match="not unitary"):
+        KrausSet(np.array([0.5, 0.5]), 1.001 * u)
+    with pytest.raises(ChannelError, match="not unitary"):
+        KrausSet(np.array([0.5, 0.5]), np.full((1, 2, 2), np.inf))
+    for w, units in ((np.array([0.5, 0.5]), np.array([SIGMA_X, SIGMA_Z])),
+                     (np.array([0.5, 0.5]), SIGMA_Z), (np.array([[0.5, 0.5]]), u),
+                     (np.ones(1), u), (np.array([0.5, 0.5]), np.ones((1, 3, 3)))):
+        with pytest.raises(ChannelError, match="need unitaries"):
+            KrausSet(w, units)
+    # tolerated rounding of the weights' sum
+    KrausSet(np.array([0.5, 0.5 + 1e-12]), u)
+
+
+def kraus_superop(ops):
+    """Reference: sum_K K (x) conj(K) of a Kraus set."""
+    return sum(np.kron(k, k.conj()) for k in ops)
 
 
 def test_kraus_set_superop_follows_its_operators():
     # the superoperator is derived, never passed in, so the two cannot disagree
     with pytest.raises(TypeError):
-        KrausSet((I2,), np.eye(4))
+        KrausSet(np.ones(1), np.empty((0, 2, 2)), np.eye(4))
     rng = np.random.default_rng(3)
     for kind in ChannelKind:
         for spec in (ChannelSpec(kind, 0.3, 0.2), ChannelSpec(kind, 0.3, 0.2, epsilon=0.6)):
             sets = (sample_per_qubit_kraus(spec, 2, rng) if spec.is_random
                     else [deterministic_kraus(spec)])
             for ks in sets:
-                assert np.max(np.abs(ks.superop - _superop(ks.operators))) < 1e-15
+                assert np.max(np.abs(ks.superop - kraus_superop(ks.operators))) < 1e-15
+    # sets built by hand: no noise, one unitary, and random weights on three
+    u = unitary_from_params(rng.uniform(0, 4 * np.pi, (3, 3)))
+    w = rng.uniform(size=4)
+    for ks in (KrausSet(np.ones(1), np.empty((0, 2, 2))),
+               KrausSet(np.array([0.0, 1.0]), u[:1]), KrausSet(w / w.sum(), u)):
+        assert len(ks.operators) == len(ks.weights)
+        assert np.max(np.abs(ks.superop - kraus_superop(ks.operators))) < 1e-15
 
 
 def test_channel_spec_ranges():
@@ -195,7 +226,8 @@ def test_kernel_matches_kron_reference(n, targets):
     u = unitary_from_params(UnitaryParams(*rng.uniform(0, 2 * np.pi, 3)))
     deph = ChannelSpec(ChannelKind.DEPHASING, 0.4, 0.25, epsilon=0.3)
     depol = ChannelSpec(ChannelKind.DEPOLARIZING, 0.3, 0.2, epsilon=0.8)
-    kraus = [KrausSet((u,)), sample_per_qubit_kraus(deph, 1, rng)[0],
+    kraus = [KrausSet(np.array([0.0, 1.0]), u[None]),
+             sample_per_qubit_kraus(deph, 1, rng)[0],
              sample_per_qubit_kraus(depol, 1, rng)[0]]
     got = apply_local_channel(rho, kraus, targets)
     assert np.max(np.abs(got - kron_lifted_channel(rho, kraus, targets))) < 1e-12
@@ -250,8 +282,11 @@ def test_samplers_match_frozen_builder_bitwise(kind, policy):
         for ks, ops in zip(got, want):
             assert np.array_equal(np.array(ks.operators), ops)
     seeds = [(6, k) for k in range(20)]
-    batch = _weighted(_channel_weights(kind, _strength(kind, 0.3, 0.2)),
-                      _seeded_unitaries(spec, 3, seeds))
+    w = _channel_weights(kind, _strength(kind, 0.3, 0.2))
+    u = _seeded_unitaries(spec, 3, seeds)
+    # sqrt(w) [I, U], as the sets carry their operators
+    batch = np.sqrt(w)[:, None, None] * np.concatenate(
+        [np.broadcast_to(I2, u.shape[:-3] + (1, 2, 2)), u], axis=-3)
     m = 2 if kind is ChannelKind.DEPHASING else 4
     assert batch.shape == (20, 1 if policy is DrawPolicy.SHARED_ACROSS_QUBITS else 3, m, 2, 2)
     for row, seed in zip(batch, seeds):
