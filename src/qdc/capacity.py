@@ -52,8 +52,8 @@ from .channels import (_PAULIS, ChannelError, ChannelSpec, KrausSet, _apply_loca
                        _channel_weights, _kron_conj, _strength, _superops,
                        unitary_from_params)
 from .optimizer import EncodingParams, OptimizerConfig, minimize
-from .qmath import (SIGMA_Z, _real_if_exact, entropy_and_log2, partial_trace,
-                    von_neumann_entropy)
+from .qmath import (RANK_TOL, SIGMA_Z, _real_if_exact, entropy_and_log2,
+                    partial_trace, von_neumann_entropy)
 
 # surplus over the classical bound above which a capacity counts as dense
 # codeable; at or below it the capacity has collapsed
@@ -407,14 +407,13 @@ class _Marginals:
     receiver_terms: tuple[float, ...]
 
 
-# An eigenvalue of a block state at or below RANK_TOL does not count in its
-# rank r.  A block of n senders with m Kraus terms each takes the environment
-# side when r m^n < d: in practice the pure one-receiver blocks under
-# dephasing (2^n against d = 2^(n+1)).  A pure state built in
+# An eigenvalue of a block state at or below RANK_TOL (``qmath``) does not
+# count in its rank r.  A block of n senders with m Kraus terms each takes
+# the environment side when r m^n < d: in practice the pure one-receiver
+# blocks under dephasing (2^n against d = 2^(n+1)).  A pure state built in
 # float64 shows eigenvalues of at most ~5e-16 off its vector (the states of
 # qdc.states.build, and random 2- to 5-qubit states); dropping true
 # eigenvalues of at most RANK_TOL moves an entropy by less than 2e-11.
-RANK_TOL = 1e-14
 
 
 def _takes_environment_side(block: np.ndarray, psi: np.ndarray, m: int) -> bool:

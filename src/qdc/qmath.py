@@ -14,6 +14,9 @@ import numpy as np
 HERMITICITY_TOL = 1e-8
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9
+# an eigenvalue at or below RANK_TOL is read as 0: it does not count in a
+# block state's rank (``capacity``), nor in ``entropy_and_log2``
+RANK_TOL = 1e-14
 
 I2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -120,10 +123,14 @@ def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
 
 def entropy_and_log2(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """S(rho) in bits and the matrix log2(rho) for each matrix of a stack
-    ``(..., d, d)``, with the eigenvalue convention of
-    ``von_neumann_entropy``: the log is taken as 0 on the kernel of rho."""
+    ``(..., d, d)``, the optimizer's objective and what its gradient
+    -Tr(d rho log2 rho) needs.  Both read an eigenvalue at or below RANK_TOL
+    as 0 (``von_neumann_entropy`` keeps it), so they agree with each other,
+    and the eigensolver's rounding of a zero eigenvalue, times its log
+    (~ -56), does not enter the gradient."""
     evals, vecs = np.linalg.eigh(rho)
     evals, logs = _clipped_log2(evals)
+    logs[evals <= RANK_TOL] = 0.0
     return (-np.sum(evals * logs, axis=-1),
             (vecs * logs[..., None, :]) @ vecs.conj().swapaxes(-1, -2))
 

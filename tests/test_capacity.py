@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qdc.capacity import (RANK_TOL, LayoutError, PartyLayout, _block_entropy,
                           _block_entropy_and_grad, _block_objective, _capacities,
@@ -419,6 +419,12 @@ def _dephasing_noise(n_senders, alpha, p, drawn, seed):
 @given(n_qubits=st.integers(2, 5), complex_state=st.booleans(), drawn=st.booleans(),
        alpha=st.floats(0.0, 1.0), p=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
        encoded=st.booleans(), seed=st.integers(0, 2**32 - 1))
+# the kernel's output here has 16 of its 32 eigenvalues within 3e-17 of 0,
+# whose logs (~ -60) put 1.3e-13 and 1.0e-13 of rounding into its gradient
+@example(n_qubits=5, complex_state=False, drawn=False, alpha=0.0, p=0.36025010601935087,
+         encoded=False, seed=58938312)
+@example(n_qubits=5, complex_state=False, drawn=False, alpha=0.0808580699503545,
+         p=0.24344831055981364, encoded=False, seed=3194393015)
 def test_environment_side_equals_the_kernel(n_qubits, complex_state, drawn, alpha,
                                             p, encoded, seed):
     rng = np.random.default_rng(seed)

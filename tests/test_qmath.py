@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qdc.qmath import (I2, SIGMA_X, SIGMA_Y, SIGMA_Z, QmathError,
-                       check_density_matrix, dm_from_statevector,
+from qdc.qmath import (I2, RANK_TOL, SIGMA_X, SIGMA_Y, SIGMA_Z, QmathError,
+                       check_density_matrix, dm_from_statevector, entropy_and_log2,
                        hermitian_eigenvalues, is_hermitian, n_qubits,
                        partial_trace, shannon_entropy, von_neumann_entropy)
 
@@ -83,6 +83,21 @@ def test_entropy_of_a_stack():
     stack[4] = np.diag([1.1, -0.1, 0, 0, 0, 0, 0, 0])
     with pytest.raises(QmathError):
         von_neumann_entropy(stack)
+
+
+def test_entropy_and_log2_read_eigenvalues_at_rank_tol_as_zero():
+    # the value and the log matrix, which the gradient contracts, agree: an
+    # eigenvalue at or below RANK_TOL counts in neither
+    rng = np.random.default_rng(4)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    for tiny, counted in ((RANK_TOL / 2, False), (2 * RANK_TOL, True), (3e-17, False),
+                          (0.0, False)):
+        evals = np.array([0.6, 0.4 - tiny, tiny, 0.0])
+        entropy, log = entropy_and_log2((q * evals) @ q.conj().T)
+        assert abs(entropy - shannon_entropy(evals[:3] if counted else evals[:2])) < 1e-14
+        if not counted:
+            want = (q[:, :2] * np.log2(evals[:2])) @ q[:, :2].conj().T
+            assert np.max(np.abs(log - want)) < 1e-12
 
 
 def test_shannon_entropy():
