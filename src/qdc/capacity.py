@@ -15,8 +15,9 @@ alone (``_output_entropies``):
   unitary into its noise and returns the block entropy with its exact
   gradient in the encoding parameters, from one more kernel pass with the
   adjoint superoperators.
-* The environment side, when r m^n < d (see RANK_TOL): in practice a
-  pure one-receiver block under dephasing, 2^n Kraus products against
+* The environment side, when r m^n < d (r counts no eigenvalue at or below
+  ``qmath.RANK_TOL``, as no entropy does): in practice a pure one-receiver
+  block under dephasing, 2^n Kraus products against
   d = 2^(n+1).  The block's output has the nonzero spectrum of the Gram
   matrix of the vectors (K_(1,j_1) U_1 (x) ... (x) K_(n,j_n) U_n) psi, half
   the block's size.  With a fixed encoding that matrix is the weights times
@@ -52,8 +53,8 @@ from .channels import (_PAULIS, ChannelError, ChannelSpec, KrausSet, _apply_loca
                        _channel_weights, _kron_conj, _strength, _superops,
                        unitary_from_params)
 from .optimizer import EncodingParams, OptimizerConfig, minimize
-from .qmath import (RANK_TOL, SIGMA_Z, _real_if_exact, entropy_and_log2,
-                    partial_trace, von_neumann_entropy)
+from .qmath import (SIGMA_Z, _real_if_exact, entropy_and_log2, partial_trace,
+                    support_vectors, von_neumann_entropy)
 
 # surplus over the classical bound above which a capacity counts as dense
 # codeable; at or below it the capacity has collapsed
@@ -400,20 +401,16 @@ class _Marginals:
     """What every capacity of one state and layout shares, whatever the
     channel: each block's state (its senders leading, its receiver last)
     (real if every entry is), the indices of its senders and its vectors psi
-    ``(d, r)`` (psi psi^dag is the block state without its eigenvalues at or
-    below RANK_TOL), and the receiver entropies."""
+    ``(d, r)`` (``qmath.support_vectors``), and the receiver entropies."""
     n_senders: int
     blocks: tuple[tuple[np.ndarray, list[int], np.ndarray], ...]
     receiver_terms: tuple[float, ...]
 
 
-# An eigenvalue of a block state at or below RANK_TOL (``qmath``) does not
-# count in its rank r.  A block of n senders with m Kraus terms each takes
-# the environment side when r m^n < d: in practice the pure one-receiver
-# blocks under dephasing (2^n against d = 2^(n+1)).  A pure state built in
-# float64 shows eigenvalues of at most ~5e-16 off its vector (the states of
-# qdc.states.build, and random 2- to 5-qubit states); dropping true
-# eigenvalues of at most RANK_TOL moves an entropy by less than 2e-11.
+# A block state's rank r counts no eigenvalue at or below qmath.RANK_TOL
+# (``qmath.support_vectors``).  A block of n senders with m Kraus terms each
+# takes the environment side when r m^n < d: in practice the pure
+# one-receiver blocks under dephasing (2^n against d = 2^(n+1)).
 
 
 def _takes_environment_side(block: np.ndarray, psi: np.ndarray, m: int) -> bool:
@@ -422,18 +419,12 @@ def _takes_environment_side(block: np.ndarray, psi: np.ndarray, m: int) -> bool:
     return psi.shape[1] * m ** (len(block).bit_length() - 2) < len(block)
 
 
-def _block_vectors(block: np.ndarray) -> np.ndarray:
-    evals, vecs = np.linalg.eigh(block)
-    keep = evals > RANK_TOL
-    return vecs[:, keep] * np.sqrt(evals[keep])
-
-
 def _marginals(rho: np.ndarray, layout: PartyLayout) -> _Marginals:
     layout.check(rho)
     states = [_real_if_exact(partial_trace(rho, senders + [r]))
               for senders, r in layout.blocks]
     return _Marginals(layout.n_senders,
-                      tuple((b, senders, _block_vectors(b))
+                      tuple((b, senders, support_vectors(b))
                             for b, (senders, _) in zip(states, layout.blocks)),
                       tuple(von_neumann_entropy(partial_trace(rho, {r}))
                             for r in layout.receiver_indices))
@@ -488,7 +479,7 @@ def _output_entropies(marg: _Marginals, weights: np.ndarray, real: _Realizations
 
     Each block's state is traced out of rho before it is encoded: local
     unitaries and noise on the traced qubits drop out, so the result is
-    exact.  A block takes the environment side when r m^n < d (see RANK_TOL),
+    exact.  A block takes the environment side when r m^n < d (r its rank),
     else the kernel with each sender's superoperator.  With ``optimize``,
     each block entropy is minimized over the unitaries of the block's own
     senders: its rows x (restarts + 1) problems run in one lockstep group.

@@ -176,6 +176,15 @@ def opt_config(opt_evals, opt_seed, opt_restarts) -> OptimizerConfig:
                            restarts=opt_restarts)
 
 
+def quench_config(spec, realizations, seed, optimize=False) -> QuenchConfig | None:
+    """The quench of a random channel; None without one, so that a
+    deterministic run checks no realization count or master seed."""
+    if spec is None or not spec.is_random:
+        return None
+    return QuenchConfig(realizations=realizations, master_seed=seed,
+                        optimize_per_realization=optimize)
+
+
 def run_guard(f):
     """Map domain errors to exit 2 (usage) and numeric ones to exit 1."""
     import functools
@@ -207,17 +216,16 @@ def capacity(state_spec, senders, receivers, split, channel_spec,
     _, rho, layout, spec = build_problem(state_spec, senders, receivers,
                                          split, channel_spec)
     opt = opt_config(opt_evals, opt_seed, opt_restarts)
-    qc = QuenchConfig(realizations=realizations, master_seed=seed)
+    qc = quench_config(spec, realizations, seed)
     res = mean_capacity(rho, layout, spec, opt, not no_optimize, qc)
-    quenched = spec is not None and spec.is_random
     rec = make_record(state_spec, layout, spec,
                       capacity_bits=res.mean_capacity_bits,
                       dense_codeable=res.mean_capacity_bits - layout.n_senders
                       > COLLAPSE_THRESHOLD,
-                      std_error=res.std_error_bits if quenched else None,
-                      realizations=res.realizations_used if quenched else None,
-                      master_seed=seed if quenched else None,
-                      opt_seed=opt_seed, optimized=not (no_optimize or quenched))
+                      std_error=res.std_error_bits if qc else None,
+                      realizations=res.realizations_used if qc else None,
+                      master_seed=seed if qc else None,
+                      opt_seed=opt_seed, optimized=not no_optimize and qc is None)
     emit([rec], fmt_name, out)
 
 
@@ -241,10 +249,7 @@ def sweep_cmd(state_spec, senders, receivers, split, channel_spec,
     state, rho, layout, spec = build_problem(state_spec, senders, receivers,
                                              split, channel_spec)
     opt = opt_config(opt_evals, opt_seed, opt_restarts)
-    quench = None
-    if spec is not None and spec.is_random:
-        quench = QuenchConfig(realizations=realizations, master_seed=seed,
-                              optimize_per_realization=not no_optimize)
+    quench = quench_config(spec, realizations, seed, not no_optimize)
     rows = sweep(axis, (lo, hi, steps), state=state, rho=rho, layout=layout,
                  spec=spec, opt=opt, optimize=not no_optimize, quench=quench,
                  param=param)
@@ -283,10 +288,7 @@ def critical(state_spec, senders, receivers, split, channel_spec,
     _, rho, layout, spec = build_problem(state_spec, senders, receivers,
                                          split, channel_spec)
     opt = opt_config(opt_evals, opt_seed, opt_restarts)
-    quench = None
-    if spec.is_random:
-        quench = QuenchConfig(realizations=realizations, master_seed=seed,
-                              optimize_per_realization=not no_optimize)
+    quench = quench_config(spec, realizations, seed, not no_optimize)
     cs = critical_strengths(rho, layout, spec, opt, scan_step, refine,
                             threshold, optimize=not no_optimize, quench=quench)
     rec = make_record(state_spec, layout, spec, opt_seed=opt_seed,
@@ -319,8 +321,7 @@ def quench(state_spec, senders, receivers, split, channel_spec,
     _, rho, layout, spec = build_problem(state_spec, senders, receivers,
                                          split, channel_spec)
     opt = opt_config(opt_evals, opt_seed, opt_restarts)
-    qc = QuenchConfig(realizations=realizations, master_seed=seed,
-                      optimize_per_realization=optimize_per_realization)
+    qc = quench_config(spec, realizations, seed, optimize_per_realization)
     res = quenched_capacity(rho, layout, spec, qc, opt)
     rec = make_record(state_spec, layout, spec,
                       capacity_bits=res.mean_capacity_bits,
@@ -432,9 +433,8 @@ def _table_rows_quenched(realizations, scan_step, refine, seed) -> list[dict]:
         for alpha, refs in zip(TABLE_III_ALPHAS, grid):
             for eps, ref in zip(TABLE_III_EPSILONS, refs):
                 spec = ChannelSpec(ChannelKind.DEPOLARIZING, alpha, 0.0, eps)
-                qc = QuenchConfig(realizations=realizations, master_seed=seed)
-                value = find_pc(rho, layout, spec, opt, scan_step, refine,
-                                optimize=False, quench=qc)
+                value = find_pc(rho, layout, spec, opt, scan_step, refine, optimize=False,
+                                quench=quench_config(spec, realizations, seed))
                 ok = value is not None and abs(value - ref) <= 0.02
                 rows.append({"table": "III", "quantity": "p_c",
                              "state": family, "n_senders": ns,

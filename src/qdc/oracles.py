@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qmath import shannon_entropy
+from .qmath import check_density_matrix, shannon_entropy
 
 
 @dataclass(frozen=True)
@@ -22,6 +22,12 @@ class OracleReport:
     closed_form_value: float
     abs_error: float
     passed: bool
+
+
+def _spectrum(rho: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a checked density matrix, sorted descending."""
+    check_density_matrix(rho)
+    return np.linalg.eigvalsh(rho)[::-1]
 
 
 def _report(name: str, numeric: float, closed: float, tol: float) -> OracleReport:
@@ -140,7 +146,6 @@ def run_all_oracles(fast: bool = True) -> list[OracleReport]:
     from .capacity import PartyLayout, bound_two_receivers, capacity_one_receiver
     from .channels import (ChannelKind, ChannelSpec, apply_local_channel,
                            deterministic_kraus)
-    from .qmath import hermitian_eigenvalues
     from .states import GGHZ, Bell, build
 
     reports: list[OracleReport] = []
@@ -157,7 +162,7 @@ def run_all_oracles(fast: bool = True) -> list[OracleReport]:
                     spec = ChannelSpec(ChannelKind.DEPHASING, a, p)
                     ks = deterministic_kraus(spec)
                     out = apply_local_channel(rho, [ks] * n, list(range(n)))
-                    evals = hermitian_eigenvalues(out)
+                    evals = _spectrum(out)
                     _, nm = gghz_dephasing_spectrum(n, x, p, a)
                     worst = max(worst, abs(evals[0] - max(nm)),
                                 abs(evals[1] - min(nm)))
@@ -177,13 +182,13 @@ def run_all_oracles(fast: bool = True) -> list[OracleReport]:
     for p in np.linspace(0.0, 0.33, 8):
         for a in np.linspace(0.0, 1.0, 8):
             ks = deterministic_kraus(ChannelSpec(ChannelKind.DEPOLARIZING, a, p))
-            evals = hermitian_eigenvalues(apply_local_channel(bell, [ks], [0]))
+            evals = _spectrum(apply_local_channel(bell, [ks], [0]))
             ref = sorted(bell_depolarizing_spectrum(p, a), reverse=True)
             worst = max(worst, float(np.max(np.abs(evals - np.asarray(ref)))))
     for p in np.linspace(0.0, 0.5, 8):
         for a in np.linspace(0.0, 1.0, 8):
             ks = deterministic_kraus(ChannelSpec(ChannelKind.DEPHASING, a, p))
-            evals = hermitian_eigenvalues(apply_local_channel(bell, [ks], [0]))
+            evals = _spectrum(apply_local_channel(bell, [ks], [0]))
             ref = bell_dephasing_spectrum(p, a)
             worst = max(worst, abs(evals[0] - ref[0]), abs(evals[1] - ref[1]))
     reports.append(_report("bell spectra vs numeric", worst, 0.0, 1e-9))

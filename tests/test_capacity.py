@@ -1,23 +1,24 @@
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qdc.capacity import (RANK_TOL, LayoutError, PartyLayout, _block_entropy,
+from qdc.capacity import (LayoutError, PartyLayout, _block_entropy,
                           _block_entropy_and_grad, _block_objective, _capacities,
                           _env_problem, _kernel_superops, _kraus_products,
                           _marginals, _output_entropies, _Realizations,
                           bound_two_receivers, capacity_noiseless,
                           capacity_one_receiver, encode, evaluate)
 from qdc.channels import (ChannelError, ChannelKind, ChannelSpec, DrawPolicy, KrausSet,
-                          _basis, _channel_weights, _seeded_unitaries, _strength,
-                          _superops, apply_local_channel, deterministic_kraus, p_range,
-                          sample_per_qubit_kraus, unitary_from_params)
+                          _basis, _channel_weights, _kron_conj, _seeded_unitaries,
+                          _strength, _superops, apply_local_channel, deterministic_kraus,
+                          p_range, sample_per_qubit_kraus, unitary_from_params)
 from qdc.optimizer import EncodingParams, OptimizerConfig
 from qdc.oracles import (bell_dephasing_spectrum, bell_depolarizing_spectrum,
                          theorem3_bound)
-from qdc.qmath import (I2, SIGMA_Z, partial_trace, shannon_entropy,
+from qdc.qmath import (I2, RANK_TOL, SIGMA_Z, partial_trace, shannon_entropy,
                        von_neumann_entropy)
 from qdc.states import GGHZ, GW3, GW4, Bell, WUniform, build
 
@@ -565,3 +566,29 @@ def test_environment_side_capacities_equal_the_kernel(state, lay):
             got, x = _output_entropies(marg, weights, real, 0, 1, opt, optimize)
             want, _ = _block_entropy_and_grad(block, sups, x)
             assert abs(got[0] - want[0]) <= 1e-13
+
+
+@pytest.mark.parametrize("state, lay", [
+    (GGHZ(3, 1 / np.sqrt(2)), PartyLayout(2, 1)),
+    (WUniform(4), PartyLayout(3, 1)),
+    (GGHZ(4, 1 / np.sqrt(2)), PartyLayout(2, 2, split=1)),
+    (WUniform(4), PartyLayout(2, 2, split=1)),
+])
+def test_optimized_entropy_equals_a_recompute_at_its_encoding(state, lay):
+    # the optimizer's entropy and von_neumann_entropy read a spectrum alike
+    # (qmath.RANK_TOL): each block recomputed with the kernel at the optimized
+    # encoding (von_neumann_entropy, as _block_entropy takes it) gives the
+    # reported output entropy, on either route
+    rho = build(state)
+    marg = _marginals(rho, lay)
+    for kind in ChannelKind:
+        for (alpha, p), policy in product(((0.5, 0.2), (0.9, 0.05), (0.3, 0.3)),
+                                          DrawPolicy):
+            spec = ChannelSpec(kind, alpha, p, epsilon=0.5, draw_policy=policy)
+            kraus = sample_per_qubit_kraus(spec, lay.n_senders, np.random.default_rng(11))
+            res = evaluate(rho, lay, spec, kraus_override=kraus)
+            u = unitary_from_params(res.encoding.to_flat().reshape(-1, 3))
+            want = max(_block_entropy(block, [kraus[q].superop @ _kron_conj(u[q])
+                                              for q in senders])
+                       for block, senders, _ in marg.blocks)
+            assert abs(res.channel_output_entropy - want) <= 1e-14, (kind, alpha, p, policy)

@@ -115,7 +115,7 @@ def test_usage_errors_exit_2():
                   "--channel", "dephasing:p=0.1"],
                  *([cmd, "--state", "bell", "--senders", "1", "--channel",
                     "dephasing:p=0.1,eps=0.5", "--realizations", "2", "--seed", "-1"]
-                   for cmd in ("quench", "capacity")),
+                   for cmd in ("quench", "capacity", "critical")),
                  ["table", "--which", "III", "--realizations", "2", "--seed", "-1"],
                  # a state_param sweep of a field that is not a float of the state
                  *(["sweep", "--state", "gghz:n=3,x=0.7", "--senders", "2",
@@ -208,6 +208,23 @@ def test_out_writes_file(tmp_path):
                  "--format", "csv", "--out", str(out))
     assert res.exit_code == 0
     assert out.read_text().startswith("state,")
+
+
+def test_negative_seed_without_a_random_channel_runs():
+    # --seed seeds a quench only; a deterministic channel (or none) reads no
+    # seed, so a negative one is no error there
+    for cmd, channel, extra in (
+            ("capacity", "dephasing:alpha=0.5,p=0.2", []),
+            ("capacity", None, []),
+            ("critical", "dephasing:alpha=0.5,p=0", ["--scan-step", "0.01"]),
+            ("sweep", "dephasing:alpha=0.5,p=0", ["--axis", "p", "--lo", "0",
+                                                  "--hi", "0.1", "--steps", "2"])):
+        args = [cmd, "--state", "bell", "--senders", "1", "--no-optimize", *extra,
+                *(["--channel", channel] if channel else [])]
+        res = invoke(*args, "--seed", "-1")
+        assert res.exit_code == 0, args
+        assert res.output == invoke(*args).output
+        assert json.loads(res.output.splitlines()[0])["master_seed"] == ""
 
 
 def test_capacity_random_channel_uses_quenched_mean():

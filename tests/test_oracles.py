@@ -29,14 +29,13 @@ def test_gghz_spectrum_matches_numeric_channel():
     from qdc.capacity import PartyLayout
     from qdc.channels import ChannelKind, ChannelSpec, apply_local_channel, \
         deterministic_kraus
-    from qdc.qmath import hermitian_eigenvalues
     from qdc.states import GGHZ, build
 
     n, x, p, a = 2, 0.6, 0.3, 0.5
     rho = build(GGHZ(n + 1, x))
     ks = deterministic_kraus(ChannelSpec(ChannelKind.DEPHASING, a, p))
     out = apply_local_channel(rho, [ks] * n, list(range(n)))
-    evals = hermitian_eigenvalues(out)
+    evals = np.linalg.eigvalsh(out)[::-1]
     _, nm = gghz_dephasing_spectrum(n, x, p, a)
     assert evals[0] == pytest.approx(max(nm), abs=1e-8)
     assert evals[1] == pytest.approx(min(nm), abs=1e-8)

@@ -4,8 +4,7 @@ from hypothesis import given, strategies as st
 
 from qdc.qmath import (I2, RANK_TOL, SIGMA_X, SIGMA_Y, SIGMA_Z, QmathError,
                        check_density_matrix, dm_from_statevector, entropy_and_log2,
-                       hermitian_eigenvalues, is_hermitian, n_qubits,
-                       partial_trace, shannon_entropy, von_neumann_entropy)
+                       n_qubits, partial_trace, shannon_entropy, von_neumann_entropy)
 
 
 def random_density_matrix(n, rng):
@@ -86,15 +85,17 @@ def test_entropy_of_a_stack():
 
 
 def test_entropy_and_log2_read_eigenvalues_at_rank_tol_as_zero():
-    # the value and the log matrix, which the gradient contracts, agree: an
-    # eigenvalue at or below RANK_TOL counts in neither
+    # the value, the log matrix, which the gradient contracts, and
+    # von_neumann_entropy agree: an eigenvalue at or below RANK_TOL counts in none
     rng = np.random.default_rng(4)
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     for tiny, counted in ((RANK_TOL / 2, False), (2 * RANK_TOL, True), (3e-17, False),
                           (0.0, False)):
         evals = np.array([0.6, 0.4 - tiny, tiny, 0.0])
-        entropy, log = entropy_and_log2((q * evals) @ q.conj().T)
+        rho = (q * evals) @ q.conj().T
+        entropy, log = entropy_and_log2(rho)
         assert abs(entropy - shannon_entropy(evals[:3] if counted else evals[:2])) < 1e-14
+        assert abs(von_neumann_entropy(rho) - entropy) < 1e-14
         if not counted:
             want = (q[:, :2] * np.log2(evals[:2])) @ q[:, :2].conj().T
             assert np.max(np.abs(log - want)) < 1e-12
@@ -113,19 +114,12 @@ def test_check_density_matrix():
         check_density_matrix(np.array([[0.5, 0.5j], [0.5j, 0.5]]))
 
 
-def test_hermitian_eigenvalues_sorted():
-    evals = hermitian_eigenvalues(np.diag([0.1, 0.7, 0.2, 0.0]))
-    assert np.allclose(evals, [0.7, 0.2, 0.1, 0.0])
-    with pytest.raises(QmathError):
-        hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
 @given(st.integers(0, 10_000))
 def test_random_dm_properties(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 4))
     rho = random_density_matrix(n, rng)
-    assert is_hermitian(rho)
+    check_density_matrix(rho)
     s = von_neumann_entropy(rho)
     assert 0.0 <= s <= n + 1e-9
     red = partial_trace(rho, {0})
