@@ -8,16 +8,16 @@ Critical strengths of a noisy dense-coding problem:
   the Markovian one.
 
 All three are located by a forward scan over a p-grid followed by bisection
-on the first grid interval where the detection predicate flips.  The forward
-grid is read in chunks of 1, 2, 4, ... points, up to the first chunk that
-holds a flip.  When a point of the scanned family is one fixed-encoding
-cell (one realization, identity or covariant encoding), a curve call costs
-far more than a point, so what the walk is about to read is evaluated ahead
-of it, in few calls: the forward grid in windows of ``_WINDOW`` points, and
-a bisection's dyadic tree of midpoints, ``_WINDOW`` at most, before it walks
-the tree.  Any other family's points are evaluated as the walk reads them.
-The walk reads every value from the same memo either way, so the result
-does not depend on the schedule.
+on the first grid interval where the detection predicate flips.  The walk
+asks the predicate for the flags of a list of points, in order, and keeps
+every flag it gets.  When a point of the scanned family is one
+fixed-encoding cell (one realization, identity or covariant encoding), a
+curve call costs far more than a point, so the walk reads the forward grid
+in windows of ``_WINDOW`` points, and a midpoint it has no flag for with
+the dyadic tree of midpoints under it, ``_WINDOW`` at most.  Any other
+family's grid is read in chunks of 1, 2, 4, ... points and its midpoints one
+at a time.  A flag depends on its point only, so the result does not
+depend on the window.
 
 Every capacity this module takes with a channel is read through one record,
 ``_Curves``, the only code that decides whether a channel family is random,
@@ -34,9 +34,10 @@ evaluate each (q, realization) cell once.  The collapse and revival tests
 settle a point from its first realizations where they decide it
 (``_Curves.first_flip``): a capacity is clamped at the classical bound N, so
 a row whose missing realizations read N can only rise as they are
-evaluated.  p_a reads full rows, a chunk's points in order, a rectangle's
-worth at a time, up to the first flip; quenched means and sweeps read full
-rows; completing a row evaluates only its missing realizations.  A curve is
+evaluated; the points settle in order, up to the first flip.  p_a reads
+full rows, a rectangle's worth of points at a time, in order, up to the
+first flip; quenched means and sweeps read full rows; completing a row
+evaluates only its missing realizations.  A curve is
 evaluated in batches: a rectangle of q-points (their channel weights, taken
 at once) by realizations goes to the capacity layer, which picks each
 block's route (the kernel or the environment side) and runs the rectangle
@@ -70,7 +71,7 @@ _CHUNK = 256
 # each further slice is twice the one before it (8, 16, 32, ...)
 _FIRST_SLICE = 8
 # grid points, or bisection midpoints, that a scan of a one-cell family
-# evaluates ahead of its walk in one call; chosen by measurement (ROADMAP)
+# reads in one predicate call; chosen by measurement (ROADMAP)
 _WINDOW = 64
 
 
@@ -237,14 +238,13 @@ class _Curves:
             hi = stop(n)
             values = _capacity_curve(self.marginals, family.kind, group, family.real,
                                      n, hi, self.opt, family.optimize)
-            for q, v in zip(group, values):
-                if n > 0:
+            if n > 0:
+                for q, v in zip(group, values):
                     family.rows[q][n:hi] = v
-                elif hi < n_r:
-                    family.rows[q] = np.concatenate([v, np.full(n_r - hi, self.classical)])
-                else:
-                    family.rows[q] = v
-                family.evaluated[q] = hi
+            else:
+                family.rows.update(zip(group, values if hi == n_r else np.pad(
+                    values, ((0, 0), (0, n_r - hi)), constant_values=self.classical)))
+            family.evaluated.update(dict.fromkeys(group, hi))
 
     def rows(self, spec: ChannelSpec, qs) -> list[np.ndarray]:
         """Per-realization capacities of the family of ``spec`` at each
@@ -257,20 +257,21 @@ class _Curves:
         return [family.rows[q] for q in qs]
 
     def first_flip(self, spec: ChannelSpec, qs: list, threshold: float,
-                   above: bool) -> int | None:
-        """Index of the first strength of ``qs`` where the mean capacity of
-        the family of ``spec`` lies more than ``threshold`` above the
-        classical bound (``above``) or does not (not ``above``), or None.
+                   above: bool) -> list[bool]:
+        """Whether the mean capacity of the family of ``spec`` lies more than
+        ``threshold`` above the classical bound (``above``) or does not (not
+        ``above``), at each strength of ``qs`` in order, up to the first
+        where it does (the first flip); past it, only where that is settled
+        already.
 
         A point is settled from the realizations evaluated so far.  The
         others hold the classical bound N, the least value a capacity takes,
         so the mean of a filled row sums an array of the same length in the
         same order as the full row, and float addition is monotone: a filled
         row above the threshold is above it when full.  A row is read in
-        full otherwise.  Each point takes its realizations in slices of
-        ``_FIRST_SLICE``, twice that, four times, ..., every point not
-        settled in each round; points after a settled flip are left as they
-        are.
+        full otherwise.  The first slice of ``_FIRST_SLICE`` realizations of
+        every new point is evaluated together; then each point in turn takes
+        slices twice, four times, ... that size until it settles.
         """
         family = self._family(spec)
         rows, evaluated, n_r = family.rows, family.evaluated, len(family.real)
@@ -278,23 +279,22 @@ class _Curves:
         def next_slice(n: int) -> int:
             return min(n_r, 2 * n + _FIRST_SLICE)
 
-        live, first = list(dict.fromkeys(qs)), None
+        def is_above(points) -> list[bool]:
+            return (_means(np.array([rows[q] for q in points]))
+                    - self.classical > threshold).tolist()
+
         # a point not evaluated at all reads exactly N, so it is not settled
-        self._extend(family, [q for q in live if q not in evaluated], next_slice)
-        while True:
-            is_above = (_means(np.array([rows[q] for q in live]))
-                        - self.classical > threshold).tolist()
-            unsettled = []
-            for q, a in zip(live, is_above):
-                if not (a or evaluated[q] == n_r):
-                    unsettled.append(q)
-                elif a == above:
-                    first = qs.index(q)
-                    break
-            if not unsettled:
-                return first
-            live = unsettled
-            self._extend(family, live, next_slice)
+        self._extend(family, [q for q in dict.fromkeys(qs) if q not in evaluated],
+                     next_slice)
+        reads, flags = dict(zip(qs, is_above(qs))), []
+        for q in qs:
+            while not (reads[q] or evaluated[q] == n_r):
+                if any(flags):
+                    return flags
+                self._extend(family, [q], next_slice)
+                reads[q] = is_above([q])[0]
+            flags.append(reads[q] == above)
+        return flags
 
 
 def quenched_capacity(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec,
@@ -353,28 +353,25 @@ class _Scan:
         """The strength q of the scanned channel at each p of ``ps``."""
         return _strength(self.spec.kind, self.spec.alpha, ps).tolist()
 
-    def ahead(self, strengths):
-        """What evaluates the rows at ``strengths(ps)`` for a list of p ahead
-        of a scan's walk, or None unless each point of the scanned family is
-        one fixed-encoding cell."""
-        if not self.curves._family(self.spec).one_cell:
-            return None
-        return lambda ps: self.curves.rows(self.spec, strengths(ps))
+    @property
+    def window(self) -> int:
+        """Points per predicate call: ``_WINDOW`` for a one-cell family, else 1."""
+        return _WINDOW if self.curves._family(self.spec).one_cell else 1
 
     def crossing(self, lo: float, above: bool) -> float | None:
         """Smallest p in [lo, hi] where the mean capacity lies more than the
         threshold above the classical bound (``above``) or does not."""
-        def flips(ps) -> int | None:
+        def flips(ps) -> list[bool]:
             return self.curves.first_flip(self.spec, self.strengths(ps),
                                           self.threshold, above)
 
         return _first_crossing(flips, lo, p_range(self.spec)[1], self.scan_step,
-                               self.refine, self.ahead(self.strengths))
+                               self.refine, self.window)
 
 
 def _midpoints(a: float, b: float, refine: float, depth: int) -> list[float]:
     """The midpoints a bisection of [a, b] down to width <= refine can take
-    in its first ``depth`` steps."""
+    in its first ``depth`` steps, each before the midpoints under it."""
     if depth == 0 or not b - a > refine:
         return []
     mid = 0.5 * (a + b)
@@ -383,51 +380,52 @@ def _midpoints(a: float, b: float, refine: float, depth: int) -> list[float]:
 
 
 def _first_crossing(predicate, lo: float, hi: float, scan_step: float,
-                    refine: float, ahead=None) -> float | None:
+                    refine: float, window: int = 1) -> float | None:
     """Smallest p in [lo, hi] where predicate flips to True.
 
-    ``predicate`` maps a list of p to the index of its first p where it is
-    True, or None.  Forward scan on a uniform grid, read in chunks of 1, 2,
-    4, ... points up to the first chunk that flips, then bisection inside
-    the first flipping interval down to width <= refine.  Grid points are
-    generated as lo + k*scan_step so that round decimals are hit exactly.
-    Only the first check, of lo itself (the first chunk), can return lo.
+    ``predicate`` maps a list of p to their flags, in order; the list may
+    stop after its first True.  Forward scan on the grid p_k = min(lo +
+    k*scan_step, hi), k = 0, 1, ..., up to the first point that flips, then
+    bisection inside the grid interval that ends there down to width <=
+    refine.  Each grid point is computed as lo + k*scan_step when it is
+    read, so that round decimals are hit exactly and no grid is built
+    ahead.  Only the first point, lo itself, can return lo.
 
-    ``ahead``, if given, evaluates the curves at a list of p before the
-    predicate reads them: the grid in windows of at least ``_WINDOW``
-    points (a whole chunk when it is longer), and on a bisection step that
-    finds its midpoint not yet evaluated, the top of the dyadic tree under
-    it, ``_WINDOW`` points at most.  The walk and its result are the same
-    with or without it.
+    The forward scan reads ``window`` points per call, or chunks of 1, 2,
+    4, ... points when ``window`` is 1.  A bisection step whose midpoint has
+    no flag yet reads the dyadic tree of midpoints under it, ``window`` at
+    most, the midpoint first.  Every flag is kept, so no point is read
+    twice.
     """
-    n_steps = int(np.ceil((hi - lo) / scan_step))
-    grid = [lo] + [min(lo + k * scan_step, hi) for k in range(1, n_steps + 1)]
-    hit, start, size, read = None, 0, 1, 0
-    while hit is None and start < len(grid):
-        if ahead is not None and read < start + size:
-            end = max(start + size, read + _WINDOW)
-            ahead(grid[read:end])
-            read = end
-        first = predicate(grid[start:start + size])
-        if first is not None:
-            hit = start + first
-        start, size = start + size, 2 * size
+    flags: dict[float, bool] = {}
+
+    def read(ps: list) -> list[bool]:
+        got = predicate(ps)
+        flags.update(zip(ps, got))
+        return got
+
+    # p_n is the first grid point at hi; rounding can put n one past it
+    n, start, size, hit = int(np.ceil((hi - lo) / scan_step)), 0, window, None
+    if n > 0 and lo + (n - 1) * scan_step >= hi:
+        n -= 1
+    while hit is None and start <= n:
+        got = read([min(lo + k * scan_step, hi)
+                    for k in range(start, min(start + size, n + 1))])
+        if True in got:
+            hit = start + got.index(True)
+        start, size = start + size, 2 * size if window == 1 else window
     if hit is None:
         return None
     if hit == 0:
         return lo
-    a, b = grid[hit - 1], grid[hit]
-    # the deepest tree of at most _WINDOW midpoints: 2**depth - 1 of them
-    depth, tree = (_WINDOW + 1).bit_length() - 1, set()
+    a, b = (min(lo + k * scan_step, hi) for k in (hit - 1, hit))
+    # the deepest tree of at most `window` midpoints: 2**depth - 1 of them
+    depth = (window + 1).bit_length() - 1
     while b - a > refine:
         mid = 0.5 * (a + b)
-        if ahead is not None and mid not in tree:
-            tree = set(_midpoints(a, b, refine, depth))
-            ahead(sorted(tree))
-        if predicate([mid]) is not None:
-            b = mid
-        else:
-            a = mid
+        if mid not in flags:
+            read(_midpoints(a, b, refine, depth))
+        a, b = (a, mid) if flags[mid] else (mid, b)
     return b
 
 
@@ -454,18 +452,19 @@ def _find_pa(scan: _Scan) -> float | None:
     def both(ps) -> list[float]:
         return scan.strengths(ps) + list(ps)
 
-    def advantaged(ps) -> int | None:
+    def advantaged(ps) -> list[bool]:
         # in order, one rectangle's points at a time, up to the first flip
+        flags = []
         for i in range(0, len(ps), batch):
             rows = scan.curves.rows(scan.spec, both(ps[i:i + batch]))
             means = _means(np.array(rows)).reshape(2, -1)
-            flags = means[0] - means[1] > scan.threshold
-            if flags.any():
-                return i + int(np.argmax(flags))
-        return None
+            flags += (means[0] - means[1] > scan.threshold).tolist()
+            if True in flags:
+                break
+        return flags
 
     return _first_crossing(advantaged, lo, hi, scan.scan_step, scan.refine,
-                           scan.ahead(both))
+                           scan.window)
 
 
 def find_pc(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec,

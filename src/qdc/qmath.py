@@ -16,8 +16,9 @@ import numpy as np
 
 PSD_TOL = 1e-9
 # A pure float64 state shows eigenvalues of at most ~5e-16 off its vector
-# (qdc.states.build, random 2- to 5-qubit states); dropping true eigenvalues
-# of at most RANK_TOL moves an entropy by less than 2e-11.
+# (qdc.states.build, random 2- to 5-qubit states).  The cut is hard: an
+# eigenvalue crossing it moves an entropy by up to RANK_TOL*log2(1/RANK_TOL)
+# ~ 4.65e-13 bits, the slack two routes to an optimized output must allow.
 RANK_TOL = 1e-14
 
 I2 = np.eye(2, dtype=complex)

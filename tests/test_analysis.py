@@ -1,5 +1,7 @@
+import bisect
 import dataclasses
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -321,9 +323,8 @@ def test_critical_strengths_reads_each_curve_point_once(monkeypatch, spec, quenc
                                                         optimize):
     # each (p, realization) cell is evaluated at most once, also when a
     # point's realizations come in slices, when p_a completes its row and
-    # when a one-cell family is evaluated ahead of the walk: in grid windows
-    # and bisection trees, or in windows of three that the doubling chunks
-    # outgrow and subtrees of three
+    # when the walk reads a one-cell family in grid windows and bisection
+    # trees, or in windows and subtrees of three
     cells = _count_curve_cells(monkeypatch)
     before_pa = _mark_find_pa(monkeypatch, cells)
     windows = [analysis._WINDOW] + ([3] if quench is None and not optimize else [])
@@ -481,6 +482,92 @@ def _scalar_crossing(predicate, lo, hi, scan_step, refine):
     return b
 
 
+def _flags(breaks):
+    """A flag function that is True on [b0, b1), [b2, b3), ... of ``breaks``."""
+    return lambda p: bisect.bisect_right(breaks, p) % 2 == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=st.floats(0.0, 0.5), span=st.floats(0.0, 0.5), step=st.floats(1e-3, 0.2),
+       share=st.floats(1e-4, 1.0), window=st.sampled_from([1, 3, 64]),
+       case=st.sampled_from(["random", "one interval", "at lo", "none", "at hi"]),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_first_crossing_matches_a_point_by_point_walk(lo, span, step, share, window,
+                                                      case, seed, data):
+    # random flag functions on random grids, read in windows of 1, 3 and 64
+    # points by a predicate that may stop after its first True: the same
+    # crossing as a forward scan plus bisection that reads one point at a
+    # time, and no point is asked for once its flag is known
+    hi, refine = lo + span, step * share
+    grid = [min(lo + k * step, hi) for k in range(int(np.ceil(span / step)) + 1)]
+    point = st.floats(lo, hi)
+    if case == "random":
+        breaks = data.draw(st.lists(point, max_size=6))
+    elif case == "one interval":
+        # several crossings inside one grid interval, its end flipped
+        assume(len(grid) > 1)
+        k = data.draw(st.integers(1, len(grid) - 1))
+        shares = data.draw(st.lists(st.floats(0.01, 0.99), min_size=3, max_size=3))
+        breaks = [grid[k - 1] + f * (grid[k] - grid[k - 1]) for f in shares]
+    else:
+        breaks = {"at lo": [lo], "none": [], "at hi": [hi]}[case]
+    flag = _flags(sorted(breaks))
+    rng, known = np.random.default_rng(seed), set()
+
+    def predicate(ps):
+        assert ps and not known & set(ps)
+        assert window == 1 or len(ps) <= window
+        flags = [flag(p) for p in ps]
+        if True in flags and rng.random() < 0.5:
+            flags = flags[:flags.index(True) + 1]
+        known.update(ps[:len(flags)])
+        return flags
+
+    got = analysis._first_crossing(predicate, lo, hi, step, refine, window)
+    assert got == _scalar_crossing(flag, lo, hi, step, refine)
+    if case == "at lo":
+        assert got == lo
+    if case == "none" or (case == "at hi" and hi > lo):
+        assert got == (None if case == "none" else hi)
+
+
+@pytest.mark.parametrize("window", [(), (analysis._WINDOW,)])
+def test_scan_grid_is_not_built_ahead_of_the_walk(window):
+    # a flip at lo on a grid of 5e6 points, read in the default window of
+    # one point and in one-cell windows: as a list the grid alone would take
+    # about 200 MB before the first predicate call
+    tracemalloc.start()
+    try:
+        got = analysis._first_crossing(lambda ps: [True] * len(ps), 0.0, 0.5, 1e-7,
+                                       1e-8, *window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == 0.0 and peak < 2**20
+
+
+def test_quenched_collapse_test_reads_no_point_past_its_flip(monkeypatch):
+    # the points of a collapse test settle in order and the test stops at
+    # its first flip: a point after it keeps its first slice, although a
+    # collapsed point settles only with its full row
+    rho, lay = build(GGHZ(3, 1 / np.sqrt(2))), PartyLayout(2, 1)
+    spec = ChannelSpec(ChannelKind.DEPOLARIZING, 0.3, 0.0, epsilon=0.5)
+    first_flip, past = analysis._Curves.first_flip, []
+
+    def recorded(self, spec, qs, threshold, above):
+        flags = first_flip(self, spec, qs, threshold, above)
+        if True in flags:
+            evaluated = self._family(spec).evaluated
+            past.extend(evaluated[q] for q in qs[flags.index(True) + 1:])
+        return flags
+
+    monkeypatch.setattr(analysis._Curves, "first_flip", recorded)
+    pc = find_pc(rho, lay, spec, scan_step=5e-3, refine=1e-3, optimize=False,
+                 quench=QuenchConfig(50, master_seed=0))
+    assert pc == 0.05437500000000001
+    assert past and max(past) <= analysis._FIRST_SLICE
+
+
 def _chunked_quench_mean(rho, lay, spec, qc):
     """Identity-encoding quenched mean, drawn and evaluated in chunks of
     ``_CHUNK`` realizations, one p at a time."""
@@ -545,9 +632,8 @@ def test_batched_scans_match_per_point_reference(monkeypatch, state, lay, spec,
     # several, and deterministic p-points seven at a time; a quenched collapse
     # or revival test settles some points from their first realizations.  A
     # deterministic family (the four benchmark scans; the W one collapses at
-    # p = 0.017125 on the 1e-3 grid) is evaluated ahead of the walk, in grid
-    # windows and bisection trees, here also in windows of three points,
-    # which cut the trees into subtrees of three
+    # p = 0.017125 on the 1e-3 grid) is read in grid windows and bisection
+    # trees, here also in windows of three points and subtrees of three
     monkeypatch.setattr(analysis, "_CHUNK", 7)
     cells = _count_curve_cells(monkeypatch)
     before_pa = _mark_find_pa(monkeypatch, cells)

@@ -101,6 +101,19 @@ def test_entropy_and_log2_read_eigenvalues_at_rank_tol_as_zero():
             assert np.max(np.abs(log - want)) < 1e-12
 
 
+def test_an_eigenvalue_crossing_rank_tol_moves_an_entropy_by_at_most_its_cut():
+    # the cut is hard: the same spectrum with one eigenvalue just above and
+    # just below 1e-14 reads up to RANK_TOL*log2(1/RANK_TOL) ~ 4.65e-13 bits
+    # apart, the slack two routes to an optimized output must allow
+    bound = RANK_TOL * np.log2(1 / RANK_TOL)
+    for rest in ([1.0], [0.6, 0.4], [0.5, 0.3, 0.2]):
+        rhos = [np.diag(np.pad([*rest[:-1], rest[-1] - tiny, tiny], (0, 3 - len(rest))))
+                for tiny in (np.nextafter(RANK_TOL, 1.0), np.nextafter(RANK_TOL, 0.0))]
+        for entropy in (von_neumann_entropy, lambda rho: float(entropy_and_log2(rho)[0])):
+            above, below = (entropy(rho) for rho in rhos)
+            assert 0.9 * bound < above - below <= bound + 1e-15
+
+
 def test_shannon_entropy():
     assert shannon_entropy([0.5, 0.5]) == 1.0
     assert shannon_entropy([1.0, 0.0]) == 0.0

@@ -135,3 +135,24 @@ def test_benchmark_keeps_one_workload_on_each_side_of_the_one_cell_schedule(
         midpoints = [qs for qs in calls if not set(qs) <= grids]
         assert midpoints, workload
         assert any(len(qs) == 1 for qs in midpoints) == alone, workload
+
+
+def test_benchmark_scan_pass_makes_no_more_curve_calls_than_recorded(monkeypatch):
+    # a default-seed scan_det pass over its four problems made 23
+    # _capacity_curve calls over 795 (q, realization) cells when the scan
+    # walk took one window per family; a schedule that evaluates more fails
+    import qdc.analysis
+    workloads = load("workloads", monkeypatch)
+    calls, cells = [], []
+    capacity_curve = qdc.analysis._capacity_curve
+
+    def counted(marginals, kind, qs, real, lo=0, hi=None, *args):
+        hi = len(real) if hi is None else hi
+        calls.append(1)
+        cells.append(len(qs) * (hi - lo))
+        return capacity_curve(marginals, kind, qs, real, lo, hi, *args)
+
+    monkeypatch.setattr(qdc.analysis, "_capacity_curve", counted)
+    for op in workloads.WORKLOADS["scan_det"].make(workloads.DEFAULT_SEED, False):
+        op.run()
+    assert len(calls) <= 23 and sum(cells) <= 795, (len(calls), sum(cells))
