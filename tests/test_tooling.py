@@ -143,16 +143,15 @@ def test_benchmark_scan_pass_makes_no_more_curve_calls_than_recorded(monkeypatch
     # walk took one window per family; a schedule that evaluates more fails
     import qdc.analysis
     workloads = load("workloads", monkeypatch)
-    calls, cells = [], []
+    cells = []              # one entry per call
     capacity_curve = qdc.analysis._capacity_curve
 
     def counted(marginals, kind, qs, real, lo=0, hi=None, *args):
         hi = len(real) if hi is None else hi
-        calls.append(1)
         cells.append(len(qs) * (hi - lo))
         return capacity_curve(marginals, kind, qs, real, lo, hi, *args)
 
     monkeypatch.setattr(qdc.analysis, "_capacity_curve", counted)
     for op in workloads.WORKLOADS["scan_det"].make(workloads.DEFAULT_SEED, False):
         op.run()
-    assert len(calls) <= 23 and sum(cells) <= 795, (len(calls), sum(cells))
+    assert len(cells) <= 23 and sum(cells) <= 795, (len(cells), sum(cells))
