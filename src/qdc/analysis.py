@@ -242,8 +242,11 @@ class _Curves:
                 for q, v in zip(group, values):
                     family.rows[q][n:hi] = v
             else:
-                family.rows.update(zip(group, values if hi == n_r else np.pad(
-                    values, ((0, 0), (0, n_r - hi)), constant_values=self.classical)))
+                if hi < n_r:
+                    filled = np.full((len(group), n_r), self.classical)
+                    filled[:, :hi] = values
+                    values = filled
+                family.rows.update(zip(group, values))
             family.evaluated.update(dict.fromkeys(group, hi))
 
     def rows(self, spec: ChannelSpec, qs) -> list[np.ndarray]:

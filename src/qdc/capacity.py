@@ -384,15 +384,19 @@ class _Realizations:
             [np.broadcast_to(np.eye(2, dtype=u.dtype), (len(u), 1, 2, 2)), u], axis=1))
 
     def gram(self, psi: np.ndarray, senders: list[int]) -> np.ndarray:
-        """Each realization's Gram matrix of the block vectors ``psi`` after
-        the senders' terms at unit weight, ``(R, M r, M r)``; real if exact."""
+        """Each realization's Gram matrix G of the block vectors ``psi`` after
+        the senders' terms at unit weight, ``(R, M r, M r)``, or its range
+        when the largest rank k in the stack is below M r: L ``(R, M r, k)``
+        with L L^dag = G (``qmath.support_vectors``); real if exact."""
         def make():
             terms = [self.terms(q) for q in senders]
             psi_s = psi.reshape(2 ** len(senders), -1)
-            # psi is kept with its matrices, so its id stays its own
-            return psi, _real_if_exact(np.concatenate([
+            gram = _real_if_exact(np.concatenate([
                 _outputs(_kron_rows([t[a:a + _GRAM_SLICE] for t in terms]), psi_s)[1]
                 for a in range(0, len(self), _GRAM_SLICE)]))
+            low = support_vectors(gram)
+            # psi is kept with its matrices, so its id stays its own
+            return psi, low if low.shape[-1] < gram.shape[-1] else gram
         return self._keep(("gram", id(psi), tuple(senders)), make)[1]
 
 
@@ -498,10 +502,13 @@ def _output_entropies(marg: _Marginals, weights: np.ndarray, real: _Realizations
             e, x = minimize(objective, n_rows, len(senders), opt)
             encodings.append(x)
         elif env:
-            s = _amplitudes(weights, len(senders), psi.shape[1])
-            gram = (s[:, None, :, None] * real.gram(psi, senders)[None, lo:hi]
-                    ) * s[:, None, None, :]
-            e = von_neumann_entropy(gram.reshape(n_rows, s.shape[1], s.shape[1]))
+            s = _amplitudes(weights, len(senders), psi.shape[1])[:, None, :, None]
+            w = s * real.gram(psi, senders)[None, lo:hi]
+            if w.shape[-1] < w.shape[-2]:       # s L for the range L: W^dag W
+                gram = w.conj().swapaxes(-1, -2) @ w
+            else:                               # s s^T o G
+                gram = w * s.swapaxes(-1, -2)
+            e = von_neumann_entropy(gram.reshape((n_rows,) + gram.shape[-2:]))
         else:
             e = _block_entropy(block, [sups[q] for q in senders])
         entropies.append(e)

@@ -1,10 +1,10 @@
 """Dense complex linear algebra for small multiqubit density matrices.
 
 Everything here works on plain ``numpy`` arrays of shape ``(d, d)`` with
-``d = 2**n`` and ``n <= 5`` (``partial_trace``, ``von_neumann_entropy`` and
-``entropy_and_log2`` also take a stack of them).  Qubit 0 is the
-most-significant tensor factor, i.e. the basis index of ``|q0 q1 ... q_{n-1}>``
-is ``sum(q_k * 2**(n-1-k))``.
+``d = 2**n`` and ``n <= 5`` (``partial_trace``, ``support_vectors``,
+``von_neumann_entropy`` and ``entropy_and_log2`` also take a stack of them).
+Qubit 0 is the most-significant tensor factor, i.e. the basis index of
+``|q0 q1 ... q_{n-1}>`` is ``sum(q_k * 2**(n-1-k))``.
 
 This module decides how a spectrum is read: both entropies and a state's
 rank (``support_vectors``) read an eigenvalue at or below RANK_TOL as 0.
@@ -104,12 +104,17 @@ def _clipped_log2(evals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def support_vectors(rho: np.ndarray) -> np.ndarray:
-    """Vectors psi ``(d, r)`` with psi psi^dag = rho less its eigenvalues at
-    or below RANK_TOL: each kept eigenvector times the root of its
-    eigenvalue, so r is rho's rank."""
+    """Vectors psi ``(..., d, k)`` with psi psi^dag = rho less its eigenvalues
+    at or below RANK_TOL: each kept eigenvector times the root of its
+    eigenvalue, so k is rho's rank, the largest in a stack, where a matrix
+    of lower rank r has zero columns past its first r."""
     evals, vecs = np.linalg.eigh(rho)
-    keep = evals > RANK_TOL
-    return vecs[:, keep] * np.sqrt(evals[keep])
+    d, rank = evals.shape[-1], np.sum(evals > RANK_TOL, axis=-1)
+    # eigh sorts ascending: a matrix keeps its last r columns, moved to the
+    # front; the columns past them wrap around and are scaled by 0
+    cols = np.arange(rank.max()) + (d - rank)[..., None]
+    roots = np.sqrt(np.take_along_axis(evals, cols % d, -1) * (cols < d))
+    return np.take_along_axis(vecs, cols[..., None, :] % d, -1) * roots[..., None, :]
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
