@@ -17,13 +17,16 @@ alone (``_output_entropies``):
   adjoint superoperators.
 * The environment side, when r m^n < d (r counts no eigenvalue at or below
   ``qmath.RANK_TOL``, as no entropy does): in practice a pure one-receiver
-  block under dephasing, 2^n Kraus products against
-  d = 2^(n+1).  The block's output has the nonzero spectrum of the Gram
-  matrix of the vectors (K_(1,j_1) U_1 (x) ... (x) K_(n,j_n) U_n) psi, half
-  the block's size.  With a fixed encoding that matrix is the weights times
-  a unit-weight Gram matrix built once per realization
-  (``_Realizations.gram``), so no kernel pass runs per p; the optimizer's
-  objective (``_env_objective``) gets each row's Kraus products made once.
+  block under dephasing, 2^n Kraus products against d = 2^(n+1).  The
+  block's output has the nonzero spectrum of the Gram matrix of the vectors
+  (K_(1,j_1) U_1 (x) ... (x) K_(n,j_n) U_n) psi, half the block's size.
+  With a fixed encoding that matrix is s s^T o G, s the roots of the
+  weights and G a unit-weight Gram matrix made once per realization
+  (``_Realizations.gram``), so no kernel pass runs per p.  A singular G
+  (exact dephasing: rank 2 for GHZ, n + 1 for W) is kept as its range
+  L L^dag = G, and each p reads the smaller (s L)^dag (s L).  The
+  optimizer's objective (``_env_objective``) gets each row's Kraus
+  products made once.
   Both routes share the encoding gradient's generators (``_encoding_grad``).
 
 Every capacity, one or many, goes through one batched entry,
@@ -334,7 +337,7 @@ class _Realizations:
     (``(R, m - 1, 2, 2)``).  Senders given the same array share a group,
     and what it derives from them, whatever the weights: the superoperator
     basis U (x) conj(U), the identity and the unitaries as one stack, and
-    the environment-side Gram matrices of block vectors at unit weights.
+    the environment side's unit-weight Gram matrices, or their ranges.
     ``unitaries`` is None once only the bases are kept."""
     unitaries: tuple[np.ndarray, ...] | None
     groups: tuple[int, ...] = field(init=False)
@@ -394,9 +397,9 @@ class _Realizations:
             gram = _real_if_exact(np.concatenate([
                 _outputs(_kron_rows([t[a:a + _GRAM_SLICE] for t in terms]), psi_s)[1]
                 for a in range(0, len(self), _GRAM_SLICE)]))
-            low = support_vectors(gram)
+            factor = support_vectors(gram)
             # psi is kept with its matrices, so its id stays its own
-            return psi, low if low.shape[-1] < gram.shape[-1] else gram
+            return psi, factor if factor.shape[-1] < gram.shape[-1] else gram
         return self._keep(("gram", id(psi), tuple(senders)), make)[1]
 
 

@@ -17,7 +17,7 @@ from qdc.channels import (ChannelError, ChannelKind, ChannelSpec, DrawPolicy, Kr
                           p_range, sample_per_qubit_kraus, unitary_from_params)
 from qdc.optimizer import EncodingParams, OptimizerConfig
 from qdc.oracles import (bell_dephasing_spectrum, bell_depolarizing_spectrum,
-                         theorem3_bound)
+                         gghz_dephasing_spectrum, theorem3_bound)
 from qdc.qmath import (I2, RANK_TOL, SIGMA_Z, partial_trace, shannon_entropy,
                        von_neumann_entropy)
 from qdc.states import GGHZ, GW3, GW4, Bell, WUniform, build
@@ -479,28 +479,94 @@ def test_environment_side_of_a_rank_two_block():
     (GGHZ(5, 0.8), PartyLayout(4, 1)),
 ])
 def test_environment_side_rows_equal_one_row_calls(state, lay):
-    # objective rows, and fixed-encoding (p, realization) cells, bit for bit
+    # objective rows, and fixed-encoding (p, realization) cells, bit for bit,
+    # for a drawn family (a full-rank Gram matrix) and the exact-Pauli one
+    # (the Gram matrix's range for GHZ and W)
     rho, n, rng = build(state), lay.n_senders, np.random.default_rng(4)
     marg = _marginals(rho, lay)
     (_, senders, vecs), = marg.blocks
     spec = ChannelSpec(ChannelKind.DEPHASING, 0.6, 0.0, epsilon=0.5)
-    real = _Realizations.of(_seeded_unitaries(spec, n, [(2, k) for k in range(3)]), n)
     weights = _channel_weights(spec.kind, _strength(spec.kind, spec.alpha,
                                                     [0.0, 0.1, 0.3]))
-    noise = _kraus_products(weights, real, senders, 0, 3)
-    x = rng.uniform(0, 4 * np.pi, (9, 3 * n))
-    values, grads = _env_problem(vecs, noise)(np.arange(9), x)
-    some = np.array([7, 2])
-    sub_values, sub_grads = _env_problem(vecs, noise)(some, x[some])
-    assert np.array_equal(sub_values, values[some])
-    assert np.array_equal(sub_grads, grads[some])
-    caps = _capacities(marg, weights, real)
-    for i in range(9):
-        a, b = divmod(i, 3)
-        one = _kraus_products(weights[a:a + 1], real, senders, b, b + 1)
-        value, grad = _env_problem(vecs, one)(np.arange(1), x[i:i + 1])
-        assert value[0] == values[i] and np.array_equal(grad[0], grads[i])
-        assert caps[a, b] == _capacities(marg, weights[a:a + 1], real, b, b + 1)[0, 0]
+    for real in (_Realizations.of(_seeded_unitaries(spec, n, [(2, k) for k in range(3)]), n),
+                 _Realizations.of(np.broadcast_to(SIGMA_Z, (1, 1, 1, 2, 2)), n)):
+        n_r = len(real)
+        noise = _kraus_products(weights, real, senders, 0, n_r)
+        x = rng.uniform(0, 4 * np.pi, (3 * n_r, 3 * n))
+        values, grads = _env_problem(vecs, noise)(np.arange(len(x)), x)
+        some = np.array([len(x) - 2, 2])
+        sub_values, sub_grads = _env_problem(vecs, noise)(some, x[some])
+        assert np.array_equal(sub_values, values[some])
+        assert np.array_equal(sub_grads, grads[some])
+        caps = _capacities(marg, weights, real)
+        for i in range(len(x)):
+            a, b = divmod(i, n_r)
+            one = _kraus_products(weights[a:a + 1], real, senders, b, b + 1)
+            value, grad = _env_problem(vecs, one)(np.arange(1), x[i:i + 1])
+            assert value[0] == values[i] and np.array_equal(grad[0], grads[i])
+            assert caps[a, b] == _capacities(marg, weights[a:a + 1], real, b, b + 1)[0, 0]
+
+
+def _eigensolver_sizes(monkeypatch) -> list[int]:
+    """The sizes of the matrices ``np.linalg.eigvalsh`` gets from here on."""
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: sizes.append(a.shape[-1]) or eigvalsh(a))
+    return sizes
+
+
+@pytest.mark.parametrize("x", [1 / np.sqrt(2), 0.6, 0.8])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_dephased_gghz_reads_two_by_two_spectra(monkeypatch, n, x):
+    # Z errors map gGHZ to two vectors, so the output has rank 2: its
+    # fixed-encoding entropy is read from a 2x2 matrix on the unit-weight
+    # Gram matrix's range and equals the closed-form spectrum's
+    marg = _marginals(build(GGHZ(n + 1, x)), PartyLayout(n, 1))
+    real = _Realizations.of(np.broadcast_to(SIGMA_Z, (1, 1, 1, 2, 2)), n)
+    ps = [0.0, 0.05, 0.1, 0.2, 0.3, 0.45, 0.5]
+    sizes = _eigensolver_sizes(monkeypatch)
+    for alpha in (0.0, 0.3, 0.5, 0.9):
+        weights = _channel_weights(ChannelKind.DEPHASING,
+                                   _strength(ChannelKind.DEPHASING, alpha, ps))
+        got, _ = _output_entropies(marg, weights, real, 0, 1, FAST_OPT, False)
+        for p, entropy in zip(ps, got):
+            want = shannon_entropy(gghz_dephasing_spectrum(n, x, p, alpha)[1])
+            assert abs(entropy - want) <= 1e-14, (alpha, p)
+    assert set(sizes) == {2}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_dephased_w_reads_n_plus_one_spectra(monkeypatch, n):
+    # Z errors map W_(n+1) into the span of |0...0>|1> and the n states
+    # with one sender excited: rank n + 1 of the 2^n vectors
+    marg = _marginals(build(WUniform(n + 1)), PartyLayout(n, 1))
+    real = _Realizations.of(np.broadcast_to(SIGMA_Z, (1, 1, 1, 2, 2)), n)
+    weights = _channel_weights(ChannelKind.DEPHASING,
+                               _strength(ChannelKind.DEPHASING, 0.5, [0.1, 0.3]))
+    sizes = _eigensolver_sizes(monkeypatch)
+    got, _ = _output_entropies(marg, weights, real, 0, 1, FAST_OPT, False)
+    assert set(sizes) == {n + 1}
+    want = _block_entropy(marg.blocks[0][0], _kernel_superops(weights, real, 0, 1))
+    assert np.max(np.abs(got - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("state, lay", [
+    (GGHZ(3, 1 / np.sqrt(2)), PartyLayout(2, 1)),
+    (WUniform(4), PartyLayout(3, 1)),
+    (GGHZ(5, 1 / np.sqrt(2)), PartyLayout(4, 1)),
+])
+def test_drawn_dephasing_family_reads_the_full_gram_matrix(monkeypatch, state, lay):
+    # drawn unitaries leave the M r vectors independent: the full Gram
+    # matrix, s s^T o G, as before
+    n = lay.n_senders
+    marg = _marginals(build(state), lay)
+    spec = ChannelSpec(ChannelKind.DEPHASING, 0.5, 0.0, epsilon=0.5)
+    real = _Realizations.of(_seeded_unitaries(spec, n, [(5, k) for k in range(4)]), n)
+    weights = _channel_weights(spec.kind, _strength(spec.kind, spec.alpha, [0.1, 0.3]))
+    sizes = _eigensolver_sizes(monkeypatch)
+    _output_entropies(marg, weights, real, 0, len(real), FAST_OPT, False)
+    assert set(sizes) == {2**n}
 
 
 def test_environment_side_dispatch(monkeypatch):

@@ -4,7 +4,8 @@ from hypothesis import given, strategies as st
 
 from qdc.qmath import (I2, RANK_TOL, SIGMA_X, SIGMA_Y, SIGMA_Z, QmathError,
                        check_density_matrix, dm_from_statevector, entropy_and_log2,
-                       n_qubits, partial_trace, shannon_entropy, von_neumann_entropy)
+                       n_qubits, partial_trace, shannon_entropy, support_vectors,
+                       von_neumann_entropy)
 
 
 def random_density_matrix(n, rng):
@@ -82,6 +83,30 @@ def test_entropy_of_a_stack():
     stack[4] = np.diag([1.1, -0.1, 0, 0, 0, 0, 0, 0])
     with pytest.raises(QmathError):
         von_neumann_entropy(stack)
+
+
+def test_support_vectors_of_a_stack_equal_per_matrix_calls():
+    # each matrix's vectors, then zero columns up to the stack's largest
+    # rank; one matrix gives its kept eigenvectors times their roots, in
+    # eigh's ascending order, bit for bit
+    rng = np.random.default_rng(6)
+    stack = []
+    for r in (3, 1, 4, 2):
+        a = rng.normal(size=(8, r)) + 1j * rng.normal(size=(8, r))
+        stack.append(a @ a.conj().T)
+    stack.append(np.zeros((8, 8)))
+    got = support_vectors(np.array(stack).reshape(5, 8, 8))
+    assert got.shape == (5, 8, 4)
+    for rho, vecs in zip(stack, got):
+        one = support_vectors(rho)
+        evals, eigvecs = np.linalg.eigh(rho)
+        keep = evals > RANK_TOL
+        assert np.array_equal(one, eigvecs[:, keep] * np.sqrt(evals[keep]))
+        r = one.shape[1]
+        assert np.array_equal(vecs[:, :r], one) and not vecs[:, r:].any()
+        assert np.max(np.abs(vecs @ vecs.conj().T - rho)) < 1e-12
+    two = support_vectors(np.array(stack[:4]).reshape(2, 2, 8, 8))
+    assert np.array_equal(two, got[:4].reshape(2, 2, 8, 4))
 
 
 def test_entropy_and_log2_read_eigenvalues_at_rank_tol_as_zero():

@@ -50,7 +50,12 @@ def test_benchmark_reduced_operations_pass_their_checks(monkeypatch):
 def test_benchmark_keeps_one_workload_on_each_side_of_the_dispatch(monkeypatch):
     # the reduced quench_opt operation (optimized dephasing) runs the
     # environment-side objective; the reduced quench_id operation
-    # (depolarizing) never takes the environment side
+    # (depolarizing) never takes the environment side; the reduced scan_det
+    # operation reads its exact-dephasing GHZ blocks on the range of the
+    # unit-weight Gram matrix (k < M r).  No timed workload reads a
+    # full-rank fixed-encoding Gram matrix (drawn dephasing, identity
+    # encoding): only quench_opt's untimed identity check does, and a
+    # benchmark change could add one
     import qdc.capacity
     workloads = load("workloads", monkeypatch)
     calls = {"objective": 0, "env": 0}
@@ -65,6 +70,16 @@ def test_benchmark_keeps_one_workload_on_each_side_of_the_dispatch(monkeypatch):
             op.run()
         assert (calls["objective"] > 0) == on_env, (workload, calls)
         assert (calls["env"] > 0) == on_env, (workload, calls)
+    read = []
+
+    def gram(*args, f=qdc.capacity._Realizations.gram):
+        out = f(*args)
+        read.append(out.shape)
+        return out
+    monkeypatch.setattr(qdc.capacity._Realizations, "gram", gram)
+    for op in workloads.WORKLOADS["scan_det"].make(workloads.DEFAULT_SEED, True):
+        op.run()
+    assert read and all(k < m_r for *_, m_r, k in read), read
 
 
 def test_benchmark_keeps_one_workload_on_each_side_of_the_settling(monkeypatch):
