@@ -3,20 +3,24 @@
 Critical strengths of a noisy dense-coding problem:
 
 * ``p_c``: smallest p at which the capacity collapses to the classical bound,
-* ``p_r``: smallest p >= p_c at which it revives above the bound,
+* ``p_r``: smallest p > p_c at which it revives above the bound,
 * ``p_a``: smallest p at which the non-Markovian capacity strictly exceeds
   the Markovian one.
 
-All three are located by a forward scan over a p-grid followed by bisection
-on the first grid interval where the detection predicate flips.  The walk
-asks the predicate for the flags of a list of points, in order, and keeps
-every flag it gets.  When a point of the scanned family is one
-fixed-encoding cell (one realization, identity or covariant encoding), a
-curve call costs far more than a point, so the walk reads the forward grid
-in windows of ``_WINDOW`` points, and a midpoint it has no flag for with
-the dyadic tree of midpoints under it, ``_WINDOW`` at most.  Any other
-family's grid is read in chunks of 1, 2, 4, ... points and its midpoints one
-at a time.  A flag depends on its point only, so the result does not
+All three are located by a forward scan over one p-grid, lo + k*scan_step,
+followed by bisection on the first grid interval where the detection
+predicate flips.  p_r's forward scan goes on along p_c's grid from the grid
+point that closes p_c's bracket, which has collapsed, so it reads the
+points p_c read from the curve.  The walk asks the predicate for the flags
+of an array of points, in order, and keeps every midpoint flag it gets.
+When a point of the scanned family is one fixed-encoding cell (one
+realization, identity or covariant encoding), a curve call costs far more
+than a point, so the walk reads the forward grid in windows of ``_WINDOW``
+points, and a midpoint it has no flag for with the dyadic tree of
+midpoints under it, ``_WINDOW`` at most.  Any other family's grid is read
+in chunks of 1, 2, 4, ... points and its midpoints one at a time.  Windows
+and chunks sit at fixed places on the grid, so p_r's first one ends where
+p_c's did.  A flag depends on its point only, so the result does not
 depend on the window.
 
 Every capacity this module takes with a channel is read through one record,
@@ -30,7 +34,10 @@ their p-grid and map each call's points to q; sweeps along p and along alpha
 are one curve, and p_a reads its Markovian points, q = p, from the scanned
 family.  ``_Curves`` keeps each point's row of per-realization capacities for
 one public call, evaluated up to some realization, so p_c, p_r and p_a
-evaluate each (q, realization) cell once.  The collapse and revival tests
+evaluate each (q, realization) cell once.  A family keeps its points in
+arrays (``_Family``): per point its strength, its row and the number of
+realizations evaluated in it, and the order that sorts the strengths, so a
+batch of points is looked up and extended with one ``np.searchsorted``.  The collapse and revival tests
 settle a point from its first realizations where they decide it
 (``_Curves.first_flip``): a capacity is clamped at the classical bound N, so
 a row whose missing realizations read N can only rise as they are
@@ -156,27 +163,79 @@ def _capacity_curve(marginals: _Marginals, kind: ChannelKind, qs,
 def _means(rows: np.ndarray) -> np.ndarray:
     """Mean of each row of a ``(points, realizations)`` stack, each row summed
     in index order, as ``_reduce`` sums it."""
-    return np.sum(rows, axis=1) / rows.shape[1]
+    return rows.sum(axis=1) / rows.shape[1]
 
 
 @dataclass(eq=False)
 class _Family:
     """A channel family, a random kind, epsilon and draw policy or a
     deterministic kind: its realizations, whether its encoding is optimized,
-    and each point's row of per-realization capacities, keyed by strength q,
-    with the number n of realizations evaluated in it, [0, n); the others
-    hold the classical bound, the least value a capacity takes."""
+    and its points.  A point is a strength q with a row of per-realization
+    capacities, of which the first n are evaluated; the others hold the
+    classical bound, the least value a capacity takes.
+
+    The points live in arrays, one slot each in the order they came: its
+    strength, its n and its row of ``values``, whose length doubles when it
+    fills, so adding points copies no row each time.  ``index`` holds the
+    strengths in order and ``order`` their slots, both closed by +inf at
+    slot -1, so a batch of strengths is looked up with one
+    ``np.searchsorted`` that always lands on an entry.  New points are
+    merged in, not sorted: numpy's sorts page in about 0.5 MB of code that
+    a scan does not otherwise run."""
     kind: ChannelKind
     real: _Realizations
     optimize: bool
-    rows: dict = field(default_factory=dict)
-    evaluated: dict = field(default_factory=dict)
+    classical: float
+    index: np.ndarray = field(default_factory=lambda: np.array([np.inf]))
+    order: np.ndarray = field(default_factory=lambda: np.array([-1]))
+    strengths: np.ndarray = field(default_factory=lambda: np.empty(0))
+    evaluated: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
+    values: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.values = np.empty((0, len(self.real)))
 
     @property
     def one_cell(self) -> bool:
         """Whether a point is one fixed-encoding capacity, cheap next to the
         fixed cost of a curve call."""
         return len(self.real) == 1 and not self.optimize
+
+    def find(self, qs: np.ndarray) -> np.ndarray:
+        """The slot of each strength of ``qs``, -1 where it has none."""
+        at = self.index.searchsorted(qs)
+        slots = self.order.take(at)
+        slots[self.index.take(at) != qs] = -1
+        return slots
+
+    def slots(self, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The slot of each strength of ``qs``, and the slots it adds: one
+        for each distinct strength that had none, with nothing evaluated and
+        its row at the classical bound."""
+        slots = self.find(qs)
+        missing = slots < 0
+        fresh = qs[missing]
+        if not fresh.size:
+            return slots, slots[:0]
+        new = np.array(sorted(set(fresh.tolist())))
+        start = len(self.strengths)
+        added = np.arange(start, start + new.size)
+        # the merged index: new strengths at their places, the others kept
+        at = self.index.searchsorted(new) + np.arange(new.size)
+        kept = np.ones(len(self.index) + new.size, dtype=bool)
+        kept[at] = False
+        index, order = np.empty(kept.size), np.empty(kept.size, dtype=int)
+        index[at], index[kept] = new, self.index
+        order[at], order[kept] = added, self.order
+        self.index, self.order = index, order
+        self.strengths = np.concatenate((self.strengths, new))
+        self.evaluated = np.concatenate((self.evaluated, np.zeros(new.size, dtype=int)))
+        if len(self.strengths) > len(self.values):
+            values, self.values = self.values, np.empty((2 * len(self.strengths), len(self.real)))
+            self.values[:start] = values[:start]
+        self.values[added] = self.classical
+        slots[missing] = start + new.searchsorted(fresh)
+        return slots, added
 
 
 @dataclass(eq=False)
@@ -223,43 +282,34 @@ class _Curves:
                 optimize = self.optimize and not spec.is_covariant
             self._families[key] = _Family(
                 spec.kind, _Realizations.of(u, self.layout.n_senders, self.marginals),
-                optimize)
+                optimize, self.classical)
         return self._families[key]
 
-    def _extend(self, family: _Family, qs, stop) -> None:
-        """Evaluate the realizations of each distinct q of ``qs`` from the
-        first not evaluated, n, up to ``stop(n)``; points with the same n
-        together."""
-        groups: dict[int, list] = {}
-        for q in qs:
-            groups.setdefault(family.evaluated.get(q, 0), []).append(q)
-        n_r = len(family.real)
-        for n, group in groups.items():
-            hi = stop(n)
-            values = _capacity_curve(self.marginals, family.kind, group, family.real,
-                                     n, hi, self.opt, family.optimize)
-            if n > 0:
-                for q, v in zip(group, values):
-                    family.rows[q][n:hi] = v
-            else:
-                if hi < n_r:
-                    filled = np.full((len(group), n_r), self.classical)
-                    filled[:, :hi] = values
-                    values = filled
-                family.rows.update(zip(group, values))
-            family.evaluated.update(dict.fromkeys(group, hi))
+    def _extend(self, family: _Family, group: np.ndarray, n: int, hi: int) -> None:
+        """Evaluate realizations [n, hi) of the points at ``group``, distinct
+        slots that have n evaluated, together."""
+        family.values[group, n:hi] = _capacity_curve(
+            self.marginals, family.kind, family.strengths.take(group), family.real, n, hi,
+            self.opt, family.optimize)
+        family.evaluated[group] = hi
 
-    def rows(self, spec: ChannelSpec, qs) -> list[np.ndarray]:
-        """Per-realization capacities of the family of ``spec`` at each
+    def rows(self, spec: ChannelSpec, qs) -> np.ndarray:
+        """Per-realization capacities of the family of ``spec``, one row per
         strength of ``qs``; the realizations not evaluated before are
         evaluated together."""
         family = self._family(spec)
+        qs = np.asarray(qs, dtype=float)
+        slots, _ = family.slots(qs)
         n_r = len(family.real)
-        self._extend(family, [q for q in dict.fromkeys(qs)
-                              if family.evaluated.get(q, 0) < n_r], lambda n: n_r)
-        return [family.rows[q] for q in qs]
+        read = np.zeros(len(family.strengths), dtype=bool)
+        read[slots] = True
+        read &= family.evaluated < n_r
+        # points with the same number of realizations evaluated together
+        for n in dict.fromkeys(family.evaluated[read].tolist()):
+            self._extend(family, (read & (family.evaluated == n)).nonzero()[0], n, n_r)
+        return family.values.take(slots, axis=0)
 
-    def first_flip(self, spec: ChannelSpec, qs: list, threshold: float,
+    def first_flip(self, spec: ChannelSpec, qs: np.ndarray, threshold: float,
                    above: bool) -> list[bool]:
         """Whether the mean capacity of the family of ``spec`` lies more than
         ``threshold`` above the classical bound (``above``) or does not (not
@@ -277,27 +327,27 @@ class _Curves:
         slices twice, four times, ... that size until it settles.
         """
         family = self._family(spec)
-        rows, evaluated, n_r = family.rows, family.evaluated, len(family.real)
+        n_r = len(family.real)
 
         def next_slice(n: int) -> int:
             return min(n_r, 2 * n + _FIRST_SLICE)
 
-        def is_above(points) -> list[bool]:
-            return (_means(np.array([rows[q] for q in points]))
-                    - self.classical > threshold).tolist()
+        def is_above(slots) -> np.ndarray:
+            return _means(family.values.take(slots, axis=0)) - self.classical > threshold
 
         # a point not evaluated at all reads exactly N, so it is not settled
-        self._extend(family, [q for q in dict.fromkeys(qs) if q not in evaluated],
-                     next_slice)
-        reads, flags = dict(zip(qs, is_above(qs))), []
-        for q in qs:
-            while not (reads[q] or evaluated[q] == n_r):
-                if any(flags):
-                    return flags
-                self._extend(family, [q], next_slice)
-                reads[q] = is_above([q])[0]
-            flags.append(reads[q] == above)
-        return flags
+        slots, added = family.slots(qs)
+        if added.size:
+            self._extend(family, added, 0, next_slice(0))
+        reads = is_above(slots)
+        for i in (~reads & (family.evaluated.take(slots) < n_r)).nonzero()[0]:
+            point = slots[i:i + 1]
+            while not reads[i] and (n := int(family.evaluated[point[0]])) < n_r:
+                if above in reads[:i].tolist():
+                    return (reads[:i] == above).tolist()
+                self._extend(family, point, n, next_slice(n))
+                reads[slots == point[0]] = is_above(point)
+        return (reads == above).tolist()
 
 
 def quenched_capacity(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec,
@@ -352,24 +402,27 @@ class _Scan:
             raise AnalysisError(f"threshold={self.threshold} must be finite and "
                                 "non-negative")
 
-    def strengths(self, ps) -> list[float]:
+    def strengths(self, ps: np.ndarray) -> np.ndarray:
         """The strength q of the scanned channel at each p of ``ps``."""
-        return _strength(self.spec.kind, self.spec.alpha, ps).tolist()
+        return _strength(self.spec.kind, self.spec.alpha, ps)
 
     @property
     def window(self) -> int:
         """Points per predicate call: ``_WINDOW`` for a one-cell family, else 1."""
         return _WINDOW if self.curves._family(self.spec).one_cell else 1
 
-    def crossing(self, lo: float, above: bool) -> float | None:
-        """Smallest p in [lo, hi] where the mean capacity lies more than the
-        threshold above the classical bound (``above``) or does not."""
+    def crossing(self, start: int, above: bool) -> tuple[float | None, int | None]:
+        """Smallest p from grid point ``start`` on where the mean capacity
+        lies more than the threshold above the classical bound (``above``)
+        or does not, and the index of the grid point that closes its
+        bracket (``_first_crossing``)."""
         def flips(ps) -> list[bool]:
             return self.curves.first_flip(self.spec, self.strengths(ps),
                                           self.threshold, above)
 
-        return _first_crossing(flips, lo, p_range(self.spec)[1], self.scan_step,
-                               self.refine, self.window)
+        lo, hi = p_range(self.spec)
+        return _first_crossing(flips, lo, hi, self.scan_step, self.refine, self.window,
+                               start)
 
 
 def _midpoints(a: float, b: float, refine: float, depth: int) -> list[float]:
@@ -383,66 +436,68 @@ def _midpoints(a: float, b: float, refine: float, depth: int) -> list[float]:
 
 
 def _first_crossing(predicate, lo: float, hi: float, scan_step: float,
-                    refine: float, window: int = 1) -> float | None:
-    """Smallest p in [lo, hi] where predicate flips to True.
+                    refine: float, window: int = 1,
+                    start: int = 0) -> tuple[float | None, int | None]:
+    """Smallest p in [p_start, hi] where predicate flips to True, and the
+    index of the grid point that closes its bracket (None, None if none).
 
-    ``predicate`` maps a list of p to their flags, in order; the list may
+    ``predicate`` maps an array of p to their flags, in order; the list may
     stop after its first True.  Forward scan on the grid p_k = min(lo +
-    k*scan_step, hi), k = 0, 1, ..., up to the first point that flips, then
-    bisection inside the grid interval that ends there down to width <=
-    refine.  Each grid point is computed as lo + k*scan_step when it is
-    read, so that round decimals are hit exactly and no grid is built
-    ahead.  Only the first point, lo itself, can return lo.
+    k*scan_step, hi), k = start, start + 1, ..., up to the first point that
+    flips, then bisection inside the grid interval that ends there down to
+    width <= refine.  Each grid point is computed as lo + k*scan_step when
+    it is read, so that round decimals are hit exactly and no grid is built
+    ahead.  Only the first point, p_start itself, can return itself.
 
-    The forward scan reads ``window`` points per call, or chunks of 1, 2,
-    4, ... points when ``window`` is 1.  A bisection step whose midpoint has
-    no flag yet reads the dyadic tree of midpoints under it, ``window`` at
-    most, the midpoint first.  Every flag is kept, so no point is read
-    twice.
+    The forward scan reads the grid in blocks of ``window`` points, [0,
+    window), [window, 2*window), ..., or, when ``window`` is 1, in blocks
+    [0, 1), [1, 3), [3, 7), ...; from ``start`` it reads the rest of the
+    block that holds it first, so a scan that goes on from another one's
+    flip reads no block the other has not read whole.  A bisection step
+    whose midpoint has no flag yet reads the dyadic tree of midpoints under
+    it, ``window`` at most, the midpoint first.  Every midpoint flag is
+    kept, so no point is read twice.
     """
-    flags: dict[float, bool] = {}
-
-    def read(ps: list) -> list[bool]:
-        got = predicate(ps)
-        flags.update(zip(ps, got))
-        return got
+    def grid(k):
+        return np.minimum(lo + k * scan_step, hi)
 
     # p_n is the first grid point at hi; rounding can put n one past it
-    n, start, size, hit = int(np.ceil((hi - lo) / scan_step)), 0, window, None
+    n, k, hit = int(np.ceil((hi - lo) / scan_step)), start, None
     if n > 0 and lo + (n - 1) * scan_step >= hi:
         n -= 1
-    while hit is None and start <= n:
-        got = read([min(lo + k * scan_step, hi)
-                    for k in range(start, min(start + size, n + 1))])
+    while hit is None and k <= n:
+        end = (k // window + 1) * window if window > 1 else 2 ** (k + 1).bit_length() - 1
+        got = predicate(grid(np.arange(k, min(end, n + 1))))
         if True in got:
-            hit = start + got.index(True)
-        start, size = start + size, 2 * size if window == 1 else window
+            hit = k + got.index(True)
+        k = end
     if hit is None:
-        return None
-    if hit == 0:
-        return lo
-    a, b = (min(lo + k * scan_step, hi) for k in (hit - 1, hit))
+        return None, None
+    if hit == start:
+        return float(grid(start)), hit
+    a, b = float(grid(hit - 1)), float(grid(hit))
     # the deepest tree of at most `window` midpoints: 2**depth - 1 of them
-    depth = (window + 1).bit_length() - 1
+    depth, flags = (window + 1).bit_length() - 1, {}
     while b - a > refine:
         mid = 0.5 * (a + b)
         if mid not in flags:
-            read(_midpoints(a, b, refine, depth))
+            ps = _midpoints(a, b, refine, depth)
+            flags.update(zip(ps, predicate(np.array(ps))))
         a, b = (a, mid) if flags[mid] else (mid, b)
-    return b
+    return b, hit
 
 
-def _find_pc(scan: _Scan) -> float | None:
-    lo = p_range(scan.spec)[0]
-    p = scan.crossing(lo, above=False)
-    return None if p == lo else p   # collapsed at lo: no advantage to lose
+def _find_pc(scan: _Scan) -> tuple[float | None, int | None]:
+    """p_c and the index of the grid point that closes its bracket."""
+    p, flip = scan.crossing(0, above=False)
+    # collapsed at lo (flip 0): no advantage to lose
+    return (p, flip) if flip else (None, None)
 
 
-def _find_pr(scan: _Scan, p_c: float | None) -> float | None:
-    if p_c is None:
-        return None
-    # start one refine-width past the collapse point
-    return scan.crossing(min(p_c + scan.refine, p_range(scan.spec)[1]), above=True)
+def _find_pr(scan: _Scan, flip: int | None) -> float | None:
+    # p_c's grid goes on from the point that closes its bracket, which has
+    # collapsed, so p_r is the smallest p past p_c where the capacity revives
+    return None if flip is None else scan.crossing(flip, above=True)[0]
 
 
 def _find_pa(scan: _Scan) -> float | None:
@@ -452,22 +507,20 @@ def _find_pa(scan: _Scan) -> float | None:
     family = scan.curves._family(scan.spec)
     batch, _ = _rectangle(len(family.real), scan.curves.opt, family.optimize)
 
-    def both(ps) -> list[float]:
-        return scan.strengths(ps) + list(ps)
-
     def advantaged(ps) -> list[bool]:
         # in order, one rectangle's points at a time, up to the first flip
         flags = []
         for i in range(0, len(ps), batch):
-            rows = scan.curves.rows(scan.spec, both(ps[i:i + batch]))
-            means = _means(np.array(rows)).reshape(2, -1)
+            chunk = ps[i:i + batch]
+            rows = scan.curves.rows(scan.spec, np.concatenate((scan.strengths(chunk), chunk)))
+            means = _means(rows).reshape(2, -1)
             flags += (means[0] - means[1] > scan.threshold).tolist()
             if True in flags:
                 break
         return flags
 
     return _first_crossing(advantaged, lo, hi, scan.scan_step, scan.refine,
-                           scan.window)
+                           scan.window)[0]
 
 
 def find_pc(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec,
@@ -480,18 +533,20 @@ def find_pc(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec,
     the capacity never collapses inside the channel's p-range.
     """
     return _find_pc(_Scan(spec, _Curves(rho, layout, opt, optimize, quench),
-                          scan_step, refine, threshold))
+                          scan_step, refine, threshold))[0]
 
 
 def find_pr(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec,
             opt: OptimizerConfig = OptimizerConfig(), scan_step: float = 1e-3,
             refine: float = 1e-4, threshold: float = COLLAPSE_THRESHOLD,
             optimize: bool = True, quench: QuenchConfig | None = None) -> float | None:
-    """Smallest p >= p_c at which the capacity revives above the bound; p_c
-    is found on the same scan."""
+    """Smallest p > p_c at which the capacity revives above the bound.  p_c
+    is found on the same scan, and p_r's forward scan goes on along p_c's
+    grid from the grid point that closes p_c's bracket, reading the points
+    p_c read from the curve they share."""
     scan = _Scan(spec, _Curves(rho, layout, opt, optimize, quench), scan_step,
                  refine, threshold)
-    return _find_pr(scan, _find_pc(scan))
+    return _find_pr(scan, _find_pc(scan)[1])
 
 
 def find_pa(rho: np.ndarray, layout: PartyLayout, spec_nm: ChannelSpec,
@@ -514,8 +569,8 @@ def critical_strengths(rho: np.ndarray, layout: PartyLayout, spec: ChannelSpec,
     (which holds the Markovian points of p_a too)."""
     scan = _Scan(spec, _Curves(rho, layout, opt, optimize, quench), scan_step,
                  refine, threshold)
-    pc = _find_pc(scan)
-    pr = _find_pr(scan, pc)
+    pc, flip = _find_pc(scan)
+    pr = _find_pr(scan, flip)
     pa = _find_pa(scan) if spec.alpha > 0.0 else None
     return CriticalStrengths(pc, pr, pa, refine)
 
@@ -571,7 +626,7 @@ def sweep(axis: str, grid: tuple[float, float, int], *, state=None,
         # one curve: the state and the channel family are the same at every point
         qs = _strength(spec.kind, [s.alpha for s, _ in points], [s.p for s, _ in points])
         curves = _Curves(rho, layout, opt, optimize, quench)
-        results = [_reduce(row) for row in curves.rows(spec, qs.tolist())]
+        results = [_reduce(row) for row in curves.rows(spec, qs)]
     else:
         results = [mean_capacity(rho_v, layout, spec_v, opt, optimize, quench)
                    for spec_v, rho_v in points]

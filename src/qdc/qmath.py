@@ -93,13 +93,16 @@ def partial_trace(rho: np.ndarray, keep: set[int] | list[int] | tuple[int, ...])
 
 
 def _clipped_log2(evals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues clipped at 0 and their base-2 logs, taken as 0 where an
-    eigenvalue is at or below RANK_TOL, so that it counts in neither the
+    """Eigenvalues clipped to [0, 1] and their base-2 logs, taken as 0 where
+    an eigenvalue is at or below RANK_TOL, so that it counts in neither the
     entropy nor the log.  Eigenvalues in (-PSD_TOL, 0] are eigensolver noise
-    on rank-deficient states; one below -PSD_TOL raises."""
+    on rank-deficient states; one below -PSD_TOL raises.  An eigenvalue of
+    a pure state can round to 1 + 2 ulp, whose -lambda*log2(lambda) would
+    read about -6e-16, so every term is >= 0 and so is the entropy."""
     if evals.min() < -PSD_TOL:
         raise QmathError(f"PSD violation: eigenvalue {evals.min()} < -{PSD_TOL}")
-    evals = np.maximum(evals, 0.0)     # np.clip(evals, 0.0, None), without its overhead
+    # np.clip(evals, 0.0, 1.0), without its overhead
+    evals = np.minimum(np.maximum(evals, 0.0), 1.0)
     return evals, np.log2(evals, out=np.zeros_like(evals), where=evals > RANK_TOL)
 
 

@@ -1,6 +1,7 @@
 import bisect
 import dataclasses
 import functools
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -350,6 +351,83 @@ def test_critical_strengths_reads_each_curve_point_once(monkeypatch, spec, quenc
             assert partial & set(_cells_per_point(cells[before_pa[0]:]))
 
 
+def _mark_find_pr(monkeypatch, cells) -> list[int]:
+    """Record how many cells had been evaluated when p_r's scan starts."""
+    marks = []
+    find_pr = analysis._find_pr
+    monkeypatch.setattr(analysis, "_find_pr",
+                        lambda scan, flip: marks.append(len(cells)) or find_pr(scan, flip))
+    return marks
+
+
+@pytest.mark.parametrize("spec, quench", [
+    (ChannelSpec(ChannelKind.DEPHASING, 0.5, 0.0), None),
+    (ChannelSpec(ChannelKind.DEPHASING, 0.6, 0.0, epsilon=0.6), QuenchConfig(30, master_seed=3)),
+])
+def test_critical_strengths_read_one_forward_grid(monkeypatch, spec, quench):
+    # p_c, p_r and p_a walk the one grid lo + k*scan_step: p_r goes on from
+    # the grid point that closes p_c's bracket, so each forward-grid (q,
+    # realization) cell is evaluated at most once, and the only points p_r
+    # reads off the grid are the midpoints of its own bracket
+    step, refine = 1e-2, 1e-3
+    rho, lay = build(GGHZ(3, 1 / np.sqrt(2))), PartyLayout(2, 1)
+    cells = _count_curve_cells(monkeypatch)
+    before_pr, before_pa = _mark_find_pr(monkeypatch, cells), _mark_find_pa(monkeypatch, cells)
+    windows = [analysis._WINDOW] + ([3] if quench is None else [])
+    for window in windows:
+        monkeypatch.setattr(analysis, "_WINDOW", window)
+        for marks in (cells, before_pr, before_pa):
+            marks.clear()
+        cs = critical_strengths(rho, lay, spec, scan_step=step, refine=refine,
+                                optimize=False, quench=quench)
+        assert None not in (cs.p_c, cs.p_r, cs.p_a)
+        hi = p_range(spec)[1]
+        ps = [min(k * step, hi) for k in range(int(np.ceil(hi / step)) + 1)]
+        grid = set(_strength(spec.kind, spec.alpha, ps).tolist()) | set(ps)
+        on_grid = [cell for cell in cells if cell[1] in grid]
+        assert len(set(on_grid)) == len(on_grid)
+        flip = next(k for k, p in enumerate(ps) if p >= cs.p_r)
+        bracket = _strength(spec.kind, spec.alpha, [ps[flip - 1], ps[flip]]).tolist()
+        off_grid = {q for _, q, _ in cells[before_pr[0]:before_pa[0]]} - grid
+        assert off_grid and all(bracket[0] < q < bracket[1] for q in off_grid)
+
+
+@pytest.mark.parametrize("window", [analysis._WINDOW, 3])
+def test_find_pr_reads_p_c_s_window_from_the_curve(monkeypatch, window):
+    # GHZ 3q 2S-1R dephasing collapses in (0.37, 0.38] and revives in (0.38,
+    # 0.39]: p_r's scan starts at p_c's flip 0.38, inside a window p_c read
+    # whole, so that window costs no curve call; each later window p_r reads
+    # is a whole window of p_c's grid, and the rest is its bisection
+    one_call = window == analysis._WINDOW
+    monkeypatch.setattr(analysis, "_WINDOW", window)
+    step, spec = 1e-2, ChannelSpec(ChannelKind.DEPHASING, 0.5, 0.0)
+    calls = []
+    capacity_curve = analysis._capacity_curve
+
+    def counted(marginals, kind, qs, *args):
+        calls.append(np.asarray(qs).tolist())
+        return capacity_curve(marginals, kind, qs, *args)
+
+    monkeypatch.setattr(analysis, "_capacity_curve", counted)
+    before_pr, before_pa = _mark_find_pr(monkeypatch, calls), _mark_find_pa(monkeypatch, calls)
+    cs = critical_strengths(build(GGHZ(3, 1 / np.sqrt(2))), PartyLayout(2, 1), spec,
+                            scan_step=step, refine=1e-3, optimize=False)
+    assert (cs.p_c, cs.p_r) == (0.379375, 0.385)
+    hi = p_range(spec)[1]
+    index = {q: k for k, q in enumerate(
+        _strength(spec.kind, spec.alpha,
+                  [min(k * step, hi) for k in range(int(np.ceil(hi / step)) + 1)]).tolist())}
+    read_by_p_c = {q for qs in calls[:before_pr[0]] for q in qs}
+    pr_calls = calls[before_pr[0]:before_pa[0]]
+    assert pr_calls and not read_by_p_c & {q for qs in pr_calls for q in qs}
+    for qs in pr_calls:
+        ks = [index[q] for q in qs if q in index]
+        assert not ks or ks == list(range(ks[0], ks[0] + window)) and ks[0] % window == 0
+    # the window of 64 holds 0.39, where the capacity has revived: p_r makes
+    # one call, for the midpoints of (0.38, 0.39]
+    assert not one_call or (len(pr_calls) == 1 and not set(pr_calls[0]) & set(index))
+
+
 def test_find_pa_completes_no_row_past_its_flip(monkeypatch):
     # optimized per realization: with rectangles of 12 problems (one point's
     # six realizations, two starts each) p_a reads its chunk one point at a
@@ -459,12 +537,13 @@ def test_scans_reject_invalid_threshold(value):
 
 # --- per-point reference: the scalar forward scan and bisection -----------
 
-def _scalar_crossing(predicate, lo, hi, scan_step, refine):
-    if predicate(lo):
-        return lo
+def _scalar_crossing(predicate, lo, hi, scan_step, refine, start=0):
+    first = min(lo + start * scan_step, hi)
+    if predicate(first):
+        return first
     n_steps = int(np.ceil((hi - lo) / scan_step))
-    prev, hit = lo, None
-    for k in range(1, n_steps + 1):
+    prev, hit = first, None
+    for k in range(start + 1, n_steps + 1):
         p = min(lo + k * scan_step, hi)
         if predicate(p):
             hit = p
@@ -495,11 +574,13 @@ def _flags(breaks):
 def test_first_crossing_matches_a_point_by_point_walk(lo, span, step, share, window,
                                                       case, seed, data):
     # random flag functions on random grids, read in windows of 1, 3 and 64
-    # points by a predicate that may stop after its first True: the same
-    # crossing as a forward scan plus bisection that reads one point at a
-    # time, and no point is asked for once its flag is known
+    # points by a predicate that may stop after its first True, from the
+    # grid's first point or a later one: the same crossing as a forward scan
+    # plus bisection that reads one point at a time, and no point is asked
+    # for once its flag is known
     hi, refine = lo + span, step * share
     grid = [min(lo + k * step, hi) for k in range(int(np.ceil(span / step)) + 1)]
+    start = data.draw(st.sampled_from([k for k, p in enumerate(grid) if p < hi] or [0]))
     point = st.floats(lo, hi)
     if case == "random":
         breaks = data.draw(st.lists(point, max_size=6))
@@ -515,6 +596,7 @@ def test_first_crossing_matches_a_point_by_point_walk(lo, span, step, share, win
     rng, known = np.random.default_rng(seed), set()
 
     def predicate(ps):
+        ps = ps.tolist()
         assert ps and not known & set(ps)
         assert window == 1 or len(ps) <= window
         flags = [flag(p) for p in ps]
@@ -523,9 +605,14 @@ def test_first_crossing_matches_a_point_by_point_walk(lo, span, step, share, win
         known.update(ps[:len(flags)])
         return flags
 
-    got = analysis._first_crossing(predicate, lo, hi, step, refine, window)
-    assert got == _scalar_crossing(flag, lo, hi, step, refine)
-    if case == "at lo":
+    got, flip = analysis._first_crossing(predicate, lo, hi, step, refine, window, start)
+    assert got == _scalar_crossing(flag, lo, hi, step, refine, start)
+    if got is not None:
+        # the grid point that closes the bracket: got lies in (p_{flip-1}, p_flip]
+        assert flip >= start and flag(min(lo + flip * step, hi))
+        assert flip == start or min(lo + (flip - 1) * step, hi) < got
+        assert got <= min(lo + flip * step, hi)
+    if case == "at lo" and start == 0:
         assert got == lo
     if case == "none" or (case == "at hi" and hi > lo):
         assert got == (None if case == "none" else hi)
@@ -538,8 +625,8 @@ def test_scan_grid_is_not_built_ahead_of_the_walk(window):
     # about 200 MB before the first predicate call
     tracemalloc.start()
     try:
-        got = analysis._first_crossing(lambda ps: [True] * len(ps), 0.0, 0.5, 1e-7,
-                                       1e-8, *window)
+        got, _ = analysis._first_crossing(lambda ps: [True] * len(ps), 0.0, 0.5, 1e-7,
+                                          1e-8, *window)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -557,8 +644,8 @@ def test_quenched_collapse_test_reads_no_point_past_its_flip(monkeypatch):
     def recorded(self, spec, qs, threshold, above):
         flags = first_flip(self, spec, qs, threshold, above)
         if True in flags:
-            evaluated = self._family(spec).evaluated
-            past.extend(evaluated[q] for q in qs[flags.index(True) + 1:])
+            family = self._family(spec)
+            past.extend(family.evaluated[family.find(qs[flags.index(True) + 1:])])
         return flags
 
     monkeypatch.setattr(analysis._Curves, "first_flip", recorded)
@@ -596,9 +683,12 @@ def _reference_strengths(rho, lay, spec, quench, opt, scan_step, refine):
     pc = _scalar_crossing(lambda p: cap(spec, p) - classical <= thr,
                           lo, hi, scan_step, refine)
     pc = None if pc == lo else pc
+    # p_r goes on along p_c's grid from the point that closes p_c's bracket,
+    # the first grid point at or past p_c
+    flip = None if pc is None else next(
+        k for k in itertools.count() if min(lo + k * scan_step, hi) >= pc)
     pr = None if pc is None else _scalar_crossing(
-        lambda p: cap(spec, p) - classical > thr,
-        min(pc + refine, hi), hi, scan_step, refine)
+        lambda p: cap(spec, p) - classical > thr, lo, hi, scan_step, refine, flip)
     m = dataclasses.replace(spec, alpha=0.0)
     pa = _scalar_crossing(lambda p: cap(spec, p) - cap(m, p) > thr,
                           lo, min(hi, p_range(m)[1]), scan_step, refine)

@@ -658,3 +658,27 @@ def test_optimized_entropy_equals_a_recompute_at_its_encoding(state, lay):
                                               for q in senders])
                        for block, senders, _ in marg.blocks)
             assert abs(res.channel_output_entropy - want) <= 1e-14, (kind, alpha, p, policy)
+
+
+@pytest.mark.parametrize("state, lay, sweep_alpha", [
+    (GGHZ(5, 1 / np.sqrt(2)), PartyLayout(4, 1), 0.5),
+    (WUniform(4), PartyLayout(3, 1), None),
+])
+def test_no_entropy_below_zero_and_no_capacity_above_its_bound(state, lay, sweep_alpha):
+    # a pure output's eigenvalue can round to 1 + 2 ulp, whose term would
+    # read about -6e-16: eigenvalues are read clipped to [0, 1], so at the
+    # noiseless point of exact dephasing no entropy is negative and the
+    # capacity never passes N + S(receiver), without any slack
+    from qdc.analysis import sweep
+    rho = build(state)
+    for optimize in (False, True):
+        res = evaluate(rho, lay, ChannelSpec(ChannelKind.DEPHASING, 0.5, 0.0),
+                       optimize=optimize)
+        bound = lay.n_senders + sum(res.receiver_entropy_terms)
+        assert res.channel_output_entropy >= 0.0
+        assert min(res.receiver_entropy_terms) >= 0.0
+        assert res.capacity_bits <= bound
+    if sweep_alpha is not None:
+        rows = sweep("p", (0.0, 0.2, 5), rho=rho, layout=lay, optimize=False,
+                     spec=ChannelSpec(ChannelKind.DEPHASING, sweep_alpha, 0.0))
+        assert rows[0]["capacity_bits"] <= bound
