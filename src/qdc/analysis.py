@@ -35,9 +35,9 @@ are one curve, and p_a reads its Markovian points, q = p, from the scanned
 family.  ``_Curves`` keeps each point's row of per-realization capacities for
 one public call, evaluated up to some realization, so p_c, p_r and p_a
 evaluate each (q, realization) cell once.  A family keeps its points in
-arrays (``_Family``): per point its strength, its row and the number of
-realizations evaluated in it, and the order that sorts the strengths, so a
-batch of points is looked up and extended with one ``np.searchsorted``.  The collapse and revival tests
+arrays (``_Family``), one slot per point, with its strength, its row and the
+number of realizations evaluated in it, and a dict from strength to slot;
+new points take the next slots.  The collapse and revival tests
 settle a point from its first realizations where they decide it
 (``_Curves.first_flip``): a capacity is clamped at the classical bound N, so
 a row whose missing realizations read N can only rise as they are
@@ -116,9 +116,8 @@ class QuenchedResult:
 
 
 def _reduce(values: np.ndarray) -> QuenchedResult:
-    """Mean and standard error of one contiguous row of capacities, summed
-    in index order."""
-    mean = float(np.sum(values) / values.size)
+    """Mean and standard error of one contiguous row of capacities."""
+    mean = float(_means(values[None])[0])
     if values.size > 1:
         stderr = float(np.std(values, ddof=1) / np.sqrt(values.size))
     else:
@@ -162,7 +161,7 @@ def _capacity_curve(marginals: _Marginals, kind: ChannelKind, qs,
 
 def _means(rows: np.ndarray) -> np.ndarray:
     """Mean of each row of a ``(points, realizations)`` stack, each row summed
-    in index order, as ``_reduce`` sums it."""
+    in index order."""
     return rows.sum(axis=1) / rows.shape[1]
 
 
@@ -174,20 +173,15 @@ class _Family:
     capacities, of which the first n are evaluated; the others hold the
     classical bound, the least value a capacity takes.
 
-    The points live in arrays, one slot each in the order they came: its
-    strength, its n and its row of ``values``, whose length doubles when it
-    fills, so adding points copies no row each time.  ``index`` holds the
-    strengths in order and ``order`` their slots, both closed by +inf at
-    slot -1, so a batch of strengths is looked up with one
-    ``np.searchsorted`` that always lands on an entry.  New points are
-    merged in, not sorted: numpy's sorts page in about 0.5 MB of code that
-    a scan does not otherwise run."""
+    ``slot`` maps each strength to its slot, given in the order the points
+    came.  A slot indexes three arrays, its strength, its n and its row of
+    ``values``; when they fill, the three are reallocated together at twice
+    the number of points, so adding points copies no row each time."""
     kind: ChannelKind
     real: _Realizations
     optimize: bool
     classical: float
-    index: np.ndarray = field(default_factory=lambda: np.array([np.inf]))
-    order: np.ndarray = field(default_factory=lambda: np.array([-1]))
+    slot: dict = field(default_factory=dict)
     strengths: np.ndarray = field(default_factory=lambda: np.empty(0))
     evaluated: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     values: np.ndarray = field(init=False)
@@ -201,41 +195,24 @@ class _Family:
         fixed cost of a curve call."""
         return len(self.real) == 1 and not self.optimize
 
-    def find(self, qs: np.ndarray) -> np.ndarray:
-        """The slot of each strength of ``qs``, -1 where it has none."""
-        at = self.index.searchsorted(qs)
-        slots = self.order.take(at)
-        slots[self.index.take(at) != qs] = -1
-        return slots
-
     def slots(self, qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The slot of each strength of ``qs``, and the slots it adds: one
-        for each distinct strength that had none, with nothing evaluated and
-        its row at the classical bound."""
-        slots = self.find(qs)
-        missing = slots < 0
-        fresh = qs[missing]
-        if not fresh.size:
-            return slots, slots[:0]
-        new = np.array(sorted(set(fresh.tolist())))
-        start = len(self.strengths)
-        added = np.arange(start, start + new.size)
-        # the merged index: new strengths at their places, the others kept
-        at = self.index.searchsorted(new) + np.arange(new.size)
-        kept = np.ones(len(self.index) + new.size, dtype=bool)
-        kept[at] = False
-        index, order = np.empty(kept.size), np.empty(kept.size, dtype=int)
-        index[at], index[kept] = new, self.index
-        order[at], order[kept] = added, self.order
-        self.index, self.order = index, order
-        self.strengths = np.concatenate((self.strengths, new))
-        self.evaluated = np.concatenate((self.evaluated, np.zeros(new.size, dtype=int)))
-        if len(self.strengths) > len(self.values):
-            values, self.values = self.values, np.empty((2 * len(self.strengths), len(self.real)))
-            self.values[:start] = values[:start]
-        self.values[added] = self.classical
-        slots[missing] = start + new.searchsorted(fresh)
-        return slots, added
+        for each distinct strength that had none, in the order of ``qs``,
+        with nothing evaluated and its row at the classical bound."""
+        keys, start = qs.tolist(), len(self.slot)
+        new = [q for q in dict.fromkeys(keys) if q not in self.slot]
+        end = start + len(new)
+        self.slot.update(zip(new, range(start, end)))
+        if end > len(self.strengths):
+            for name in ("strengths", "evaluated", "values"):
+                old = getattr(self, name)
+                grown = np.empty((2 * end,) + old.shape[1:], old.dtype)
+                grown[:start] = old[:start]
+                setattr(self, name, grown)
+        self.strengths[start:end] = new
+        self.evaluated[start:end] = 0
+        self.values[start:end] = self.classical
+        return np.array([self.slot[q] for q in keys], dtype=int), np.arange(start, end)
 
 
 @dataclass(eq=False)

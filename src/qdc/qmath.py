@@ -128,7 +128,8 @@ def von_neumann_entropy(rho: np.ndarray) -> float | np.ndarray:
     RANK_TOL adds 0, and a PSD violation in any matrix of a stack raises.
     """
     evals, logs = _clipped_log2(np.linalg.eigvalsh(rho))
-    s = -np.sum(evals * logs, axis=-1)
+    # 0.0 - x, not -x: a pure spectrum sums to +-0.0 and reads +0.0
+    s = 0.0 - np.sum(evals * logs, axis=-1)
     return float(s) if s.ndim == 0 else s
 
 
@@ -141,7 +142,7 @@ def entropy_and_log2(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (~ -56), does not enter the gradient."""
     evals, vecs = np.linalg.eigh(rho)
     evals, logs = _clipped_log2(evals)
-    return (-np.sum(evals * logs, axis=-1),
+    return (0.0 - np.sum(evals * logs, axis=-1),
             (vecs * logs[..., None, :]) @ vecs.conj().swapaxes(-1, -2))
 
 

@@ -476,6 +476,38 @@ def test_quenched_scan_settles_points_from_partial_rows(monkeypatch):
     assert n_full == 900 and n_settled < 900
 
 
+@settings(max_examples=200, deadline=None)
+@given(batches=st.lists(st.lists(st.sampled_from([0.0, 0.05, 0.1, 0.25, 1 / 3, 0.5])
+                                 | st.floats(0.0, 1.0), max_size=12), max_size=10),
+       n_r=st.integers(1, 5), classical=st.integers(1, 4))
+def test_family_slots_follow_a_first_seen_dict(batches, n_r, classical):
+    # each strength new to a family takes the next slot, in the order the
+    # strengths come, within a batch and across batches; a new row reads the
+    # classical bound with nothing evaluated, and growing the arrays keeps
+    # every row and count written before.  The store reads only the number
+    # of realizations, so a range stands in for them
+    family = analysis._Family(ChannelKind.DEPOLARIZING, range(n_r), False,
+                              float(classical))
+    ref, rows, counts = {}, [], []
+    for batch in batches:
+        new = [q for q in dict.fromkeys(batch) if q not in ref]
+        ref.update(zip(new, range(len(ref), len(ref) + len(new))))
+        slots, added = family.slots(np.array(batch, dtype=float))
+        assert slots.tolist() == [ref[q] for q in batch]
+        assert added.tolist() == [ref[q] for q in new]
+        assert family.strengths[added].tolist() == new
+        assert (family.evaluated[added] == 0).all()
+        assert (family.values[added] == classical).all()
+        # what an evaluation would write, to be kept when the arrays grow
+        for s in added.tolist():
+            rows.append(np.arange(n_r) + 10.0 * s)
+            counts.append(s % (n_r + 1))
+            family.values[s], family.evaluated[s] = rows[-1], counts[-1]
+        assert family.strengths[:len(ref)].tolist() == list(ref)
+        assert family.evaluated[:len(ref)].tolist() == counts
+        assert np.array_equal(family.values[:len(ref)], np.reshape(rows, (-1, n_r)))
+
+
 def _surplus_above(rows, classical, threshold):
     return analysis._means(rows) - classical > threshold
 
@@ -645,7 +677,8 @@ def test_quenched_collapse_test_reads_no_point_past_its_flip(monkeypatch):
         flags = first_flip(self, spec, qs, threshold, above)
         if True in flags:
             family = self._family(spec)
-            past.extend(family.evaluated[family.find(qs[flags.index(True) + 1:])])
+            past.extend(family.evaluated[[family.slot[q]
+                                          for q in qs[flags.index(True) + 1:].tolist()]])
         return flags
 
     monkeypatch.setattr(analysis._Curves, "first_flip", recorded)

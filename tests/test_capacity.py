@@ -18,8 +18,8 @@ from qdc.channels import (ChannelError, ChannelKind, ChannelSpec, DrawPolicy, Kr
 from qdc.optimizer import EncodingParams, OptimizerConfig
 from qdc.oracles import (bell_dephasing_spectrum, bell_depolarizing_spectrum,
                          gghz_dephasing_spectrum, theorem3_bound)
-from qdc.qmath import (I2, RANK_TOL, SIGMA_Z, partial_trace, shannon_entropy,
-                       von_neumann_entropy)
+from qdc.qmath import (I2, RANK_TOL, SIGMA_Z, entropy_and_log2, partial_trace,
+                       shannon_entropy, von_neumann_entropy)
 from qdc.states import GGHZ, GW3, GW4, Bell, WUniform, build
 
 FAST_OPT = OptimizerConfig(max_evaluations=3000, restarts=2)
@@ -658,6 +658,18 @@ def test_optimized_entropy_equals_a_recompute_at_its_encoding(state, lay):
                                               for q in senders])
                        for block, senders, _ in marg.blocks)
             assert abs(res.channel_output_entropy - want) <= 1e-14, (kind, alpha, p, policy)
+
+
+def test_a_pure_spectrum_reads_plus_zero():
+    # -sum(0 * log) is -0.0, which a CSV or JSON record prints as "-0.0"; a
+    # pure state and a pure channel output read +0.0
+    pure = np.diag([1.0, 0.0, 0.0, 0.0])
+    assert not np.signbit(von_neumann_entropy(pure))
+    assert not np.signbit(entropy_and_log2(pure[None])[0]).any()
+    res = evaluate(build(WUniform(4)), PartyLayout(3, 1),
+                   ChannelSpec(ChannelKind.DEPHASING, 0.0, 0.0), optimize=False)
+    assert res.channel_output_entropy == 0.0
+    assert not np.signbit(res.channel_output_entropy)
 
 
 @pytest.mark.parametrize("state, lay, sweep_alpha", [

@@ -156,8 +156,9 @@ def test_benchmark_scan_pass_makes_no_more_curve_calls_than_recorded(monkeypatch
     # a default-seed scan_det pass over its four problems makes 20
     # _capacity_curve calls over 702 (q, realization) cells since p_r goes on
     # along p_c's grid and reads the window holding p_c's flip from the curve
-    # (23 over 795 when p_r scanned a fresh grid one refine past p_c); a
-    # schedule that evaluates more fails
+    # (23 over 795 when p_r scanned a fresh grid one refine past p_c), and a
+    # quench_id pass 30 calls over 576 cells; a schedule that evaluates more
+    # fails
     import qdc.analysis
     workloads = load("workloads", monkeypatch)
     cells = []              # one entry per call
@@ -169,6 +170,8 @@ def test_benchmark_scan_pass_makes_no_more_curve_calls_than_recorded(monkeypatch
         return capacity_curve(marginals, kind, qs, real, lo, hi, *args)
 
     monkeypatch.setattr(qdc.analysis, "_capacity_curve", counted)
-    for op in workloads.WORKLOADS["scan_det"].make(workloads.DEFAULT_SEED, False):
-        op.run()
-    assert len(cells) <= 20 and sum(cells) <= 702, (len(cells), sum(cells))
+    for name, calls, total in (("scan_det", 20, 702), ("quench_id", 30, 576)):
+        cells.clear()
+        for op in workloads.WORKLOADS[name].make(workloads.DEFAULT_SEED, False):
+            op.run()
+        assert len(cells) <= calls and sum(cells) <= total, (name, len(cells), sum(cells))
